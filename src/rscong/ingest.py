@@ -210,13 +210,17 @@ def save_fixture(rec: FormRecord, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 
 def _default_transport(url: str) -> bytes:
-    import requests
+    """GET `url`; a 404 raises NotFound, any other failure raises as is."""
+    import urllib.error
+    import urllib.request
 
-    resp = requests.get(url, timeout=30)
-    if resp.status_code == 404:
-        raise NotFound(url)
-    resp.raise_for_status()
-    return resp.content
+    try:
+        with urllib.request.urlopen(url, timeout=30) as resp:
+            return resp.read()
+    except urllib.error.HTTPError as exc:
+        if exc.code == 404:
+            raise NotFound(url) from exc
+        raise
 
 
 def cache_dir() -> Path:

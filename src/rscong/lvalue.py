@@ -10,18 +10,23 @@ is the inverse Mellin transform of the archimedean factor divided by w; for
 integer s in the critical window it reduces exactly to an incomplete
 Bessel-K moment, computed by a stable three-term ladder from two Bessel
 values per summation point (`KernelLadder`).  A trapezoidal contour
-quadrature (`afe_kernel`) is kept as an independent reference for the fast
-kernel.
+quadrature kept in the tests is an independent reference for this kernel.
 
 The functional-equation constant is never trusted from a formula: it is
 solved numerically from the AFE itself by evaluating at two smoothing scales
-(`solve_root_number`), then validated through unitarity and two-probe
-consistency.
+(`LEngine.solve_root_number`), then validated through unitarity and
+two-probe consistency.
+
+Each `RankinSeries` owns its engines, one per precision (`get_engine`), so
+an engine lives as long as its series.  Engines of the same weight k and
+working precision share one `KernelLadder` while any of them is alive; the
+ladder is freed with the last of them.
 """
 
 from __future__ import annotations
 
-import math
+import functools
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,16 +52,6 @@ class NormalizationError(ExactError):
 
 class KernelSpecError(ExactError):
     pass
-
-
-@dataclass(frozen=True)
-class AfeKernelSpec:
-    """Contour parameters for the reference quadrature kernel."""
-
-    c: float = 1.5
-    step: float = 0.05
-    truncation: float = 60.0
-    P: int = 30
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,7 @@ def besselk_pair(nu: int, x, digits: int):
 
 
 # ---------------------------------------------------------------------------
-# the AFE kernel: exact Bessel ladder and quadrature reference
+# the AFE kernel: exact Bessel ladder
 # ---------------------------------------------------------------------------
 
 class KernelLadder:
@@ -186,14 +181,14 @@ class KernelLadder:
     reaches every integer s >= k with all terms positive (no cancellation).
     """
 
-    def __init__(self, k: int, digits: int, cache: dict | None = None):
+    def __init__(self, k: int, digits: int):
         self.k = k
         self.nu = k - 1
         self.digits = digits
-        self._cache = cache if cache is not None else {}
+        self._cache: dict = {}
 
     def _entry(self, x_val):
-        key = mpmath.mpf(x_val)._mpf_  # exact bits: safe to share across engines
+        key = mpmath.mpf(x_val)._mpf_  # exact bits: one entry per point for every engine
         ent = self._cache.get(key)
         if ent is None:
             a = 4 * mpmath.pi * mpmath.sqrt(x_val)
@@ -232,42 +227,13 @@ class KernelLadder:
                 * mpmath.gamma(s + 1 - self.k))
 
 
-def afe_kernel(x, s, spec: AfeKernelSpec, k: int):
-    """Reference kernel by trapezoidal quadrature on the vertical contour.
-
-    Deliberately independent of `KernelLadder`; used as its oracle in tests.
-    """
-    if spec.c <= 0:
-        raise KernelSpecError("contour must have c > 0 to keep the w = 0 pole left")
-    if s + spec.c <= k - 1:
-        raise KernelSpecError(f"contour hits a gamma pole: s + c <= {k - 1}")
-    with mp.workdps(spec.P + GUARD_DIGITS):
-        x = mp.mpf(x)
-        c, h = mp.mpf(spec.c), mp.mpf(spec.step)
-        n = int(spec.truncation / spec.step)
-
-        def f(t):
-            w = mpmath.mpc(c, t)
-            return ((2 * mpmath.pi) ** (-2 * (s + w)) * mpmath.gamma(s + w)
-                    * mpmath.gamma(s + w + 1 - k) * x ** (-w) / w)
-
-        acc = f(mp.mpf(0))
-        for j in range(1, n + 1):
-            acc += f(j * h) + f(-j * h)
-        return (acc * h / (2 * mpmath.pi)).real
-
-
 # ---------------------------------------------------------------------------
 # divisor bound helpers for rigorous tails
 # ---------------------------------------------------------------------------
 
-_d4_cache: dict[int, list[int]] = {}
-
-
+@functools.lru_cache(maxsize=1)
 def d4_upto(n: int) -> list[int]:
     """d_4(m) for m <= n: number of ordered factorizations into 4 parts."""
-    if n in _d4_cache:
-        return _d4_cache[n]
     d2 = [0] * (n + 1)
     for a in range(1, n + 1):
         for m in range(a, n + 1, a):
@@ -277,8 +243,6 @@ def d4_upto(n: int) -> list[int]:
         da = d2[a]
         for m in range(a, n + 1, a):
             d4[m] += da * d2[m // a]
-    _d4_cache.clear()  # keep at most one array around
-    _d4_cache[n] = d4
     return d4
 
 
@@ -299,6 +263,10 @@ def tree_sum(vals):
 # the engine
 # ---------------------------------------------------------------------------
 
+#: the live kernel ladders by (k, digits); an entry goes with its last engine
+_ladders: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 class LEngine:
     """Evaluator for one Rankin-Selberg series at working precision P digits.
 
@@ -307,18 +275,21 @@ class LEngine:
     10^-(P + 8) times the kernel mass scale of each sum.
     """
 
-    def __init__(self, rs: RankinSeries, P: int, kernel_cache: dict | None = None):
+    def __init__(self, rs: RankinSeries, P: int):
         self.rs = rs
         self.P = P
         self.dps = P + GUARD_DIGITS + LADDER_GUARD
         self.k, self.k2 = rs.gamma
         self.w = self.k + self.k2 - 2
-        if kernel_cache is None:
-            kernel_cache = _KERNEL_CACHES.setdefault((self.k, self.dps), {})
-        self.ladder = KernelLadder(self.k, self.dps, cache=kernel_cache)
+        ladder = _ladders.get((self.k, self.dps))
+        if ladder is None:
+            ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
+        self.ladder = ladder
         self._emb: list | None = None
         self._emb_conj: list | None = None
         self._root: RootNumber | None = None
+        self._pieces_cache: dict = {}
+        self._self_dual: bool | None = None
         with mp.workdps(self.dps):
             self.sqrtQ = mpmath.sqrt(mp.mpf(rs.Q.numerator) / rs.Q.denominator)
 
@@ -415,9 +386,7 @@ class LEngine:
     def _afe_pieces(self, s: int, delta_tag: str, delta):
         """(A, B) with Lambda(s) = A + eps * Q^alpha(s) * B at this delta."""
         key = (s, delta_tag)
-        cached = getattr(self, "_pieces_cache", None)
-        if cached is None:
-            cached = self._pieces_cache = {}
+        cached = self._pieces_cache
         if key in cached:
             return cached[key]
         shat = self.k + self.k2 - 1 - s
@@ -472,7 +441,7 @@ class LEngine:
 
     def is_self_dual(self) -> bool:
         """Coefficients fixed by conjugation, so Lambda-tilde = Lambda."""
-        if not hasattr(self, "_self_dual"):
+        if self._self_dual is None:
             self._self_dual = all(c == c.conj() for c in self.rs.b[1:])
         return self._self_dual
 
@@ -498,41 +467,51 @@ class LEngine:
             return val, err
 
     # -- direct summation -----------------------------------------------------
+    def _direct_converges(self, s) -> bool:
+        """The direct tail bound needs s - w/2 - 2 > 0."""
+        return 2 * s > self.k + self.k2 + 2
+
     def _direct_tail_bound(self, s, N: int):
         """sum_{n>N} d4(n) n^(w/2 - s): exact sieve stretch + crude integral."""
         margin = s - Fraction(self.w, 2) - 2
-        if margin <= 0:
-            return mp.inf, None
         N2 = min(max(4 * N, 1 << 14), 1 << 18)
         d4 = d4_upto(N2)
         exact = tree_sum([mp.mpf(d4[n]) * mp.mpf(n) ** (Fraction(self.w, 2) - s)
                           for n in range(N + 1, N2 + 1)])
         beyond = 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
-        return exact + beyond, N2
+        return exact + beyond
 
-    def direct_finite(self, s):
-        """Finite part by direct summation, with certified absolute tail."""
+    def _direct_sum(self, s):
+        """(finite part, certified absolute tail) by direct summation over
+        the available coefficients, at whatever accuracy they certify."""
+        if not self._direct_converges(s):
+            raise ExactError(
+                f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
-        if 2 * s <= self.k + self.k2:
-            raise ExactError(f"direct summation needs s > {(self.k + self.k2) / 2}")
         with mp.workdps(self.dps):
             emb = self._embeddings(False)
-            tail, _ = self._direct_tail_bound(s, rs.n_max)
+            tail = self._direct_tail_bound(s, rs.n_max)
+            val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
+                            for n in range(1, rs.n_max + 1) if emb[n]])
+            return val, tail
+
+    def direct_finite(self, s):
+        """Finite part by direct summation, with certified absolute tail
+        below 10^-P."""
+        val, tail = self._direct_sum(s)
+        with mp.workdps(self.dps):
             target = mp.mpf(10) ** (-self.P)
             if tail > target:
                 # estimate the n_max that would be needed
+                margin = float(s - Fraction(self.w, 2) - 2)
                 need = 1 << 12
                 while need < 1 << 40:
-                    est = 8 * mp.mpf(need) ** (2 + Fraction(self.w, 2) - s) \
-                        / float(s - Fraction(self.w, 2) - 2)
-                    if est < target:
+                    if 8 * mp.mpf(need) ** (2 + Fraction(self.w, 2) - s) / margin < target:
                         break
                     need <<= 1
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
-                    f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
-            val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
-                            for n in range(1, rs.n_max + 1) if emb[n]])
+                    f"certified tail with n_max={self.rs.n_max} is {mpmath.nstr(tail, 3)}")
             return val, tail
 
     def direct_lambda(self, s):
@@ -541,23 +520,12 @@ class LEngine:
             linf = archimedean_factor(s, self.k, self.dps)
             return fin * linf, tail * abs(linf)
 
-    def direct_lambda_cert(self, s):
-        """Completed value by direct summation at whatever absolute accuracy
-        the available coefficients certify; returns (value, bound)."""
-        with mp.workdps(self.dps):
-            emb = self._embeddings(False)
-            tail, _ = self._direct_tail_bound(s, self.rs.n_max)
-            val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
-                            for n in range(1, self.rs.n_max + 1) if emb[n]])
-            linf = archimedean_factor(s, self.k, self.dps)
-            return val * linf, tail * abs(linf)
-
     # -- public entry ----------------------------------------------------------
     def L_at(self, s: int) -> LValueResult:
         """Completed Lambda(s) at an integer s, choosing the method."""
         with mp.workdps(self.dps):
             in_window = self.k <= s <= self.k2 - 1
-            if 2 * s > self.k + self.k2:
+            if self._direct_converges(s):
                 try:
                     val, err = self.direct_lambda(s)
                     return LValueResult(s=s, value=val, err_bound=err, method="direct")
@@ -571,30 +539,16 @@ class LEngine:
 
 
 # ---------------------------------------------------------------------------
-# module-level wrappers (one engine per (series, precision))
+# module-level wrappers
 # ---------------------------------------------------------------------------
 
-_engines: dict = {}
-_KERNEL_CACHES: dict = {}
-
-
 def get_engine(rs: RankinSeries, P: int) -> LEngine:
-    key = (id(rs), P)
-    eng = _engines.get(key)
+    """The engine of `rs` at precision P, kept by the series itself."""
+    eng = rs.engines.get(P)
     if eng is None:
-        eng = LEngine(rs, P)
-        _engines[key] = eng
+        eng = rs.engines[P] = LEngine(rs, P)
     return eng
-
-
-def direct_L(rs: RankinSeries, s: int, P: int, completed: bool = True):
-    eng = get_engine(rs, P)
-    return eng.direct_lambda(s) if completed else eng.direct_finite(s)
 
 
 def L_at(rs: RankinSeries, s: int, P: int) -> LValueResult:
     return get_engine(rs, P).L_at(s)
-
-
-def solve_root_number(rs: RankinSeries, P: int) -> RootNumber:
-    return get_engine(rs, P).solve_root_number()

@@ -14,6 +14,7 @@ b_n = sum_{m^2 d = n, gcd(m, M) = 1} (chi*chi2)(m) m^(k+k2-2) a_d(h) a_d(h2).
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,13 +48,6 @@ class LocalFactorGlobal:
             acc = acc * t + c
         return acc
 
-    def eval_numeric(self, t, P: int = 50):
-        with workdps(P):
-            acc = mpmath.mpc(0)
-            for c in reversed(self.poly):
-                acc = acc * t + c.embed(P)
-            return acc
-
 
 @dataclass(frozen=True)
 class RankinSeries:
@@ -65,6 +59,9 @@ class RankinSeries:
     gamma: tuple[int, int]  # (k, k2) with k < k2
     Q: Fraction
     swapped: bool = False
+    #: L-value engines by precision, filled by `lvalue.get_engine`
+    engines: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
     @property
     def n_max(self) -> int:

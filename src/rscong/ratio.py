@@ -22,7 +22,7 @@ from .congruence import check_congruent, eisenstein_screen, excluded_primes
 from .exactnum import (AlgNum, ExactError, GUARD_DIGITS, PrimeIdeal, QuadField,
                        RATIONAL, compositum, valuation, workdps)
 from .forms import NewformData
-from .lvalue import LEngine, get_engine
+from .lvalue import get_engine
 from .rankin import (RankinSeries, critical_set, gamma_ratio, rs_coefficients,
                      theorem_ranges)
 

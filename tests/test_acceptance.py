@@ -23,7 +23,7 @@ from rscong.exactnum import (AlgNum, QuadField, RATIONAL,
 from rscong.forms import (char_from_kronecker, delta_family_qexp,
                           eisenstein_qexp, primes_upto)
 from rscong.lvalue import LEngine, get_engine
-from rscong.rankin import (critical_set, euler_expand, euler_factor,
+from rscong.rankin import (archimedean_factor, critical_set, euler_expand, euler_factor,
                            gamma_ratio, rs_coefficients, theorem_ranges)
 from rscong.ratio import (CONGRUENT, NOT_CONGRUENT, full_report,
                           reconstruct_algebraic, report_text)
@@ -166,12 +166,15 @@ class TestCriterion3CosetOracle:
         announce("3 coset oracle agreement + exact witnesses", ok, f"{total} samples")
 
     def test_printed_identities(self):
+        from test_coset import block_identities_sympy
+
         from rscong.coset import w6_identities_check
         from rscong.localint import vanishing_checks
 
         out = w6_identities_check(3)
         van = all(all(vanishing_checks(p, 1).values()) for p in (2, 3, 5))
-        announce("3+ printed matrix identities and support claims", all(out.values()) and van)
+        announce("3+ printed matrix identities and support claims",
+                 all(out.values()) and block_identities_sympy() and van)
 
 
 class TestCriterion4LEngine:
@@ -188,7 +191,9 @@ class TestCriterion4LEngine:
             details = []
             for eng in (eng1, eng2):
                 afe, _ = eng.lambda_afe(s)
-                direct, bound = eng.direct_lambda_cert(s)
+                fin, tail = eng._direct_sum(s)
+                linf = archimedean_factor(s, eng.k, eng.dps)
+                direct, bound = fin * linf, tail * abs(linf)
                 diff = abs(afe - direct)
                 ok_cross = ok_cross and diff <= 2 * bound and bound < mp.mpf(10) ** -15
                 details.append(f"|direct-afe|={mpmath.nstr(diff, 3)} cert={mpmath.nstr(bound, 3)}")

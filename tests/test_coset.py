@@ -66,6 +66,51 @@ def random_unipotent(p: int, level: int, rng: random.Random) -> PadicMat:
     return unipotent(x, y, small() * rng.choice([1, -1]), small() * rng.choice([1, -1]), p)
 
 
+def block_identities_sympy() -> bool:
+    """The six printed 4x4 conjugation/splitting identities, verified
+    symbolically in the entries (a, b, c, d)."""
+    import sympy as sp
+
+    a, b, c, d = sp.symbols("a b c d", nonzero=True)
+
+    def M(rows):
+        return sp.Matrix(rows)
+
+    ident = []
+    # conjugation by u(x3) t(x3) with x3 = c, then the splitting
+    t3 = M([[1 / c, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, c]])
+    u3 = M([[1, 0, 0, 1 / c], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    lhs = t3.inv() * u3.inv() * M([[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [a, b, 1, 0], [0, d, 0, 1]]) * u3 * t3
+    rhs = M([[1, -d, 0, 0], [0, 1, 0, 0], [a / c, b, 1, a], [0, d / c, 0, 1]])
+    ident.append(sp.simplify(lhs - rhs) == sp.zeros(4))
+    split = M([[1, -d, 0, 0], [0, 1, 0, 0], [0, 0, 1, a], [0, 0, 0, 1]]) \
+        * M([[1, 0, 0, 0], [0, 1, 0, 0], [a / c, b - a * d / c, 1, 0], [0, d / c, 0, 1]])
+    ident.append(sp.simplify(rhs - split) == sp.zeros(4))
+    # conjugation by u(x4) t(x4) with x4 = d
+    t4 = M([[1, 0, 0, 0], [0, 1 / d, 0, 0], [0, 0, 1, 0], [0, 0, 0, d]])
+    u4 = M([[1, 0, 0, 0], [0, 1, 0, 1 / d], [0, 0, 1, 0], [0, 0, 0, 1]])
+    lhs = t4.inv() * u4.inv() * M([[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [a, b, 1, 0], [c, 0, 0, 1]]) * u4 * t4
+    rhs = M([[1, 0, 0, 0], [-c, 1, 0, 0], [a, b / d, 1, b], [c / d, 0, 0, 1]])
+    ident.append(sp.simplify(lhs - rhs) == sp.zeros(4))
+    split = M([[1, 0, 0, 0], [-c, 1, 0, 0], [0, 0, 1, b], [0, 0, 0, 1]]) \
+        * M([[1, 0, 0, 0], [0, 1, 0, 0], [a - b * c / d, b / d, 1, 0], [c / d, 0, 0, 1]])
+    ident.append(sp.simplify(rhs - split) == sp.zeros(4))
+    # conjugation by u(x1) t(x1) with x1 = a
+    t1 = M([[1 / a, 0, 0, 0], [0, 1, 0, 0], [0, 0, a, 0], [0, 0, 0, 1]])
+    u1 = M([[1, 0, 1 / a, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    lhs = t1.inv() * u1.inv() * M([[1, 0, 0, 0], [0, 1, 0, 0],
+                                   [0, b, 1, 0], [c, d, 0, 1]]) * u1 * t1
+    rhs = M([[1, -b, 0, 0], [0, 1, 0, 0], [0, b / a, 1, 0], [c / a, d, c, 1]])
+    ident.append(sp.simplify(lhs - rhs) == sp.zeros(4))
+    split = M([[1, -b, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, c, 1]]) \
+        * M([[1, 0, 0, 0], [0, 1, 0, 0], [0, b / a, 1, 0],
+             [c / a, -b * c / a + d, 0, 1]])
+    ident.append(sp.simplify(rhs - split) == sp.zeros(4))
+    return all(ident)
+
+
 class TestKostant:
     def test_count_and_identity(self):
         reps = kostant_reps(3)
@@ -206,3 +251,4 @@ class TestIdentities:
     def test_all_printed_identities(self):
         out = w6_identities_check(5)
         assert all(out.values())
+        assert block_identities_sympy()

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import random
+import urllib.error
+import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
@@ -179,3 +182,44 @@ class TestFetch:
 
         monkeypatch.setenv("RANKIN_CACHE_DIR", str(tmp_path / "more"))
         assert cache_dir() == tmp_path / "more"
+
+
+class FakeUrlopen:
+    """Stands in for `urllib.request.urlopen`: answers every GET with one
+    HTTP status and records the URLs and timeouts it was called with."""
+
+    def __init__(self, status: int, body: bytes = b""):
+        self.status = status
+        self.body = body
+        self.calls = []
+
+    def __call__(self, url, timeout=None):
+        self.calls.append((url, timeout))
+        if self.status != 200:
+            raise urllib.error.HTTPError(url, self.status, "error", {}, io.BytesIO())
+        return io.BytesIO(self.body)
+
+
+class TestDefaultTransport:
+    def _fetch(self, tmp_path, monkeypatch, fake):
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return fetch_newform("1.12.a.a", 30, "http://db", directory=tmp_path,
+                             sleep=lambda s: None)
+
+    def test_ok_returns_body(self, tmp_path, monkeypatch):
+        fake = FakeUrlopen(200, canonical_bytes(newform_record(delta_family_qexp(12, 30))))
+        rec = self._fetch(tmp_path, monkeypatch, fake)
+        assert rec.weight == 12
+        assert fake.calls == [("http://db/1.12.a.a?n_max=30", 30)]
+
+    def test_404_is_not_found(self, tmp_path, monkeypatch):
+        fake = FakeUrlopen(404)
+        with pytest.raises(NotFound):
+            self._fetch(tmp_path, monkeypatch, fake)
+        assert len(fake.calls) == 1
+
+    def test_500_is_retried(self, tmp_path, monkeypatch):
+        fake = FakeUrlopen(500)
+        with pytest.raises(NetworkError, match="HTTP Error 500"):
+            self._fetch(tmp_path, monkeypatch, fake)
+        assert len(fake.calls) == 3

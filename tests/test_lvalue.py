@@ -1,17 +1,55 @@
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from rscong.exactnum import AlgNum
+from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError
 from rscong.forms import delta_family_qexp, trivial_char
-from rscong.lvalue import (AfeKernelSpec, InsufficientCoefficients, KernelLadder,
-                           KernelSpecError, LEngine, NormalizationError,
-                           afe_kernel, besselk_pair, d4_upto, tree_sum)
+from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
+                           LEngine, NormalizationError, besselk_pair, d4_upto,
+                           get_engine, tree_sum)
 from rscong.rankin import RankinSeries, archimedean_factor, rs_coefficients
+
+
+@dataclass(frozen=True)
+class AfeKernelSpec:
+    """Contour parameters for the reference quadrature kernel."""
+
+    c: float = 1.5
+    step: float = 0.05
+    truncation: float = 60.0
+    P: int = 30
+
+
+def afe_kernel(x, s, spec: AfeKernelSpec, k: int):
+    """Reference kernel by trapezoidal quadrature on the vertical contour.
+
+    Deliberately independent of `KernelLadder`: the oracle of its tests.
+    """
+    if spec.c <= 0:
+        raise KernelSpecError("contour must have c > 0 to keep the w = 0 pole left")
+    if s + spec.c <= k - 1:
+        raise KernelSpecError(f"contour hits a gamma pole: s + c <= {k - 1}")
+    with mp.workdps(spec.P + GUARD_DIGITS):
+        x = mp.mpf(x)
+        c, h = mp.mpf(spec.c), mp.mpf(spec.step)
+        n = int(spec.truncation / spec.step)
+
+        def f(t):
+            w = mpmath.mpc(c, t)
+            return ((2 * mpmath.pi) ** (-2 * (s + w)) * mpmath.gamma(s + w)
+                    * mpmath.gamma(s + w + 1 - k) * x ** (-w) / w)
+
+        acc = f(mp.mpf(0))
+        for j in range(1, n + 1):
+            acc += f(j * h) + f(-j * h)
+        return (acc * h / (2 * mpmath.pi)).real
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +140,40 @@ class TestDirect:
             eng.direct_lambda(16)
         assert err.value.n_needed > rs_small.n_max
 
+    def test_edge_point_even_weight_sum_uses_afe(self, engine_small):
+        # s = (k + k2)/2 + 1 = 15 on (12,16): no certified direct tail there
+        res = engine_small.L_at(15)
+        assert res.method == "afe"
+        assert res.value == engine_small.lambda_afe(15)[0]
+
+    def test_edge_point_odd_weight_sum_claims_no_n_max(self, h_prime):
+        # (13,16) at s = 15: 2s = 30 <= k + k2 + 2, so no n_max certifies the tail
+        rs = rs_coefficients(h_prime, delta_family_qexp(16, 400), 400)
+        with pytest.raises(ExactError) as err:
+            LEngine(rs, 30).direct_finite(15)
+        assert not isinstance(err.value, InsufficientCoefficients)
+
+    def test_edge_point_outside_window_is_typed(self):
+        n = 30
+        rs = rs_coefficients(delta_family_qexp(18, n), delta_family_qexp(20, n), n)
+        with pytest.raises(ExactError):
+            LEngine(rs, 30).L_at(20)  # right of the window (18..19), at the direct edge
+
+
+class TestEngineLifetime:
+    def test_series_owns_engines_and_engines_share_ladders(self):
+        n, P = 40, 23  # a precision no other test keeps an engine at
+        d12 = delta_family_qexp(12, n)
+        rs_a = rs_coefficients(d12, delta_family_qexp(16, n), n)
+        rs_b = rs_coefficients(d12, delta_family_qexp(22, n), n)
+        eng = get_engine(rs_a, P)
+        assert get_engine(rs_a, P) is eng
+        assert get_engine(rs_b, P).ladder is eng.ladder
+        refs = [weakref.ref(eng), weakref.ref(eng.ladder)]
+        del eng, rs_a, rs_b
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
 
 class TestEngineSmallPair:
     def test_root_number_real_unitary(self, engine_small):
@@ -111,12 +183,18 @@ class TestEngineSmallPair:
             assert abs(root.eps.imag) < mp.mpf(10) ** -14
             assert root.residual < mp.mpf(10) ** -14
 
-    def test_direct_vs_afe_cross_method(self, engine_small):
-        # rightmost critical point of the (12,16) pair: absolutely convergent
-        s = 15
+    def test_direct_vs_afe_cross_method(self):
+        # rightmost critical point of (12,22), inside the certified direct
+        # range s > 18; the (12,16) window ends before that range starts
+        rs = rs_coefficients(delta_family_qexp(12, 300), delta_family_qexp(22, 300), 300)
+        eng = LEngine(rs, 20)
+        s = 21
         with mp.workdps(60):
-            afe, _ = engine_small.lambda_afe(s)
-            direct, bound = engine_small.direct_lambda_cert(s)
+            afe, _ = eng.lambda_afe(s)
+            fin, tail = eng._direct_sum(s)
+            linf = archimedean_factor(s, eng.k, eng.dps)
+            direct, bound = fin * linf, tail * abs(linf)
+            assert bound < abs(afe) * mp.mpf(10) ** -8
             assert abs(afe - direct) <= 2 * bound + abs(afe) * mp.mpf(10) ** -20
 
     def test_functional_equation_residual(self, engine_small, rs_small):
