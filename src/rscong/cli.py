@@ -23,7 +23,7 @@ from pathlib import Path
 from . import __version__
 from .congruence import check_congruent
 from .exactnum import AlgNum, ExactError, factor_rational_prime, quad_normalize, QuadField, RATIONAL
-from .forms import DELTA_WEIGHTS, NewformData, delta_family_qexp
+from .forms import NewformData, delta_family_qexp
 from .ingest import fetch_newform, load_fixture, record_to_newform, save_fixture
 from .lvalue import L_at
 from .rankin import euler_factor, rs_coefficients
@@ -53,8 +53,6 @@ def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[Newfor
         parts = ref.split(":")
         k = int(parts[1])
         nm = int(parts[2]) if len(parts) > 2 else n_max
-        if k not in DELTA_WEIGHTS:
-            raise CliError(f"builtin family supports weights {DELTA_WEIGHTS}")
         return delta_family_qexp(k, nm), None
     path = Path(ref)
     if not path.exists() and fixtures_dir:

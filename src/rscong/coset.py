@@ -11,12 +11,11 @@ re-verified by exact multiplication.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactError, vp
+from .exactnum import ExactError, _factor_trial, vp
 
 
 def _mat(rows) -> tuple:
@@ -87,12 +86,6 @@ class PadicMat:
     def in_gl4_zp(self) -> bool:
         ok = all(vp(x, self.p) >= 0 for row in self.entries for x in row)
         return ok and vp(self.det(), self.p) == 0
-
-    def in_iwahori(self) -> bool:
-        if not self.in_gl4_zp():
-            return False
-        return all(vp(self.entries[i][j], self.p) >= 1
-                   for i in range(4) for j in range(4) if i > j)
 
     def in_mirahoric(self, n: int) -> bool:
         """Last row congruent to (0,0,0,1) mod p^n inside GL4(Z_p)."""
@@ -314,31 +307,6 @@ def gl2_in_k1_level(block: tuple, p: int, m: int) -> bool:
     return vp(c, p) >= m and vp(d - 1, p) >= m
 
 
-def sample_parabolic_stabilizer(i: int, n_prime: int, n: int, p: int,
-                                rng: random.Random) -> PadicMat:
-    """A random element of P(Q_p) cap xi^(i) K_p^(n'+n) xi^(-i).
-
-    Sampled as xi k xi^{-1} for random k in the level subgroup, retried until
-    the conjugate lands in the parabolic; the acceptance conditions come from
-    the (4,1), (4,2)-type entries, so rejection is mild for small levels.
-    """
-    level = n_prime + n
-    x = xi(i, p)
-    xinv = x.inverse()
-    span = p ** (level + 3)
-    while True:
-        rows = [[rng.randrange(span) for _ in range(4)] for _ in range(4)]
-        for j in range(3):
-            rows[3][j] = p ** level * rng.randrange(p ** 3)
-        rows[3][3] = 1 + p ** level * rng.randrange(p ** 3)
-        k = PadicMat.of(rows, p)
-        if not k.in_gl4_zp():
-            continue
-        g = x.mul(k).mul(xinv)
-        if g.in_parabolic():
-            return g
-
-
 def lift_levi_pair(A, D, i: int, n_prime: int, n: int, p: int) -> PadicMat | None:
     """Find g in P with Levi blocks (A, D) and xi^(-i) g xi^(i) in K.
 
@@ -377,8 +345,8 @@ def global_representatives(N: int, N2: int) -> list[dict]:
     if N < 1 or N2 < 1:
         raise ExactError("levels must be positive")
     NN = N * N2
-    ps = sorted({q for q in range(2, NN + 1) if NN % q == 0 and _is_prime_int(q)})
-    exps = {q: vp(Fraction(NN), q) for q in ps}
+    exps = _factor_trial(NN)
+    ps = sorted(exps)
 
     def tuples(idx):
         if idx == len(ps):
@@ -386,7 +354,7 @@ def global_representatives(N: int, N2: int) -> list[dict]:
             return
         q = ps[idx]
         for rest in tuples(idx + 1):
-            for e in range(int(exps[q]) + 1):
+            for e in range(exps[q] + 1):
                 d = dict(rest)
                 d[q] = e
                 yield d
@@ -404,17 +372,6 @@ def global_representatives(N: int, N2: int) -> list[dict]:
         }
         out.append(rec)
     return out
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

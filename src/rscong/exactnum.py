@@ -293,9 +293,6 @@ class AlgNum:
     def trace(self) -> Fraction:
         return 2 * self.a
 
-    def is_rational_value(self) -> bool:
-        return self.b == 0
-
     def as_rat(self) -> Fraction:
         if self.b != 0:
             raise ExactError(f"{self} is irrational")

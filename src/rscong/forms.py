@@ -3,13 +3,17 @@
 Coefficients are AlgNum throughout so rational and quadratic eigenforms share
 one code path.  The built-in generators cover what the verification pipeline
 needs internally: the sigma-type Eisenstein family E_k(chi) with exact
-constant term, and the one-dimensional level-1 cuspform family computed as
-Delta * E_{k-12}.
+constant term, and the one-dimensional level-1 cuspform family Delta * E_{k-12}.
+Delta comes from J.C.P. Miller's power recurrence for q * eta^24; each other
+member of the family is an eigenform, so only its a(p) are convolved and the
+Hecke recursion of `hecke_extend` supplies the rest.  The offline fixture
+generator in `tools/` carries its own general series product.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -21,43 +25,8 @@ import mpmath
 
 
 # ---------------------------------------------------------------------------
-# integer power series (index = exponent of q), fast multiply
+# integer q-series helpers (index = exponent of q)
 # ---------------------------------------------------------------------------
-
-def series_mul_int(f: list[int], g: list[int], n_max: int) -> list[int]:
-    """Product of integer q-expansions truncated at q^n_max, via Kronecker
-    substitution: pack into one big int per series and use int multiply."""
-    la, lb = min(len(f), n_max + 1), min(len(g), n_max + 1)
-    if la == 0 or lb == 0:
-        return [0] * (n_max + 1)
-    bits = max((abs(c).bit_length() for c in f[:la] + g[:lb]), default=1)
-    b = 2 * bits + (min(la, lb)).bit_length() + 2
-    B = 1 << b
-    nf = sum(c << (b * i) for i, c in enumerate(f[:la]))
-    ng = sum(c << (b * i) for i, c in enumerate(g[:lb]))
-    prod = nf * ng
-    out = []
-    for _ in range(n_max + 1):
-        d = prod % B
-        if d > B // 2:
-            d -= B
-        prod = (prod - d) >> b
-        out.append(d)
-    return out
-
-
-def series_pow_int(f: list[int], e: int, n_max: int) -> list[int]:
-    out = [1]
-    base = f[: n_max + 1]
-    while e:
-        if e & 1:
-            out = series_mul_int(out, base, n_max)
-        e >>= 1
-        if e:
-            base = series_mul_int(base, base, n_max)
-    out += [0] * (n_max + 1 - len(out))
-    return out
-
 
 def eta_series(n_max: int) -> list[int]:
     """prod_{n>=1} (1 - q^n) via the pentagonal number theorem."""
@@ -144,9 +113,6 @@ class DirichletChar:
             if isinstance(v, AlgNum):
                 F = compositum(F, v.field)
         return F
-
-    def is_trivial(self) -> bool:
-        return all(not v or v == 1 for v in self.values) or self.modulus == 1
 
     def inverse(self) -> "DirichletChar":
         vals = tuple(v.conj() if v else v for v in self.values)
@@ -310,7 +276,6 @@ def eisenstein_qexp(k: int, chi: DirichletChar, n_max: int) -> EisensteinData:
 
 
 _E_SERIES = {  # level-1 normalized Eisenstein series with integer expansion
-    0: None,
     4: 240, 6: -504, 8: 480, 10: -264, 14: -24,
 }
 
@@ -326,29 +291,45 @@ def _sigma_int(r: int, n_max: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _delta_int(n_max: int) -> tuple[int, ...]:
-    eta = eta_series(n_max)
-    d = series_pow_int(eta, 24, n_max)
-    return tuple([0] + d[: n_max])  # multiply by q
+def _delta_int(n_max: int) -> list[int]:
+    """tau(0..n_max) of Delta = q * eta^24.
+
+    J.C.P. Miller's power recurrence over the sparse pentagonal eta series:
+    g = eta^24 has g_0 = 1 and n g_n = sum_{j>=1} (25 j - n) eta_j g_{n-j},
+    where the division is exact.
+    """
+    terms = [(j, c) for j, c in enumerate(eta_series(n_max)) if j and c]
+    g = [1] + [0] * (n_max - 1)
+    live = 0
+    for n in range(1, n_max):
+        while live < len(terms) and terms[live][0] <= n:
+            live += 1
+        g[n] = sum((25 * j - n) * c * g[n - j] for j, c in terms[:live]) // n
+    return [0] + g
 
 
 def delta_family_qexp(k: int, n_max: int) -> NewformData:
     """The unique normalized cuspform of level 1 and weight k, for the
-    weights where the space is one-dimensional."""
+    weights where the space is one-dimensional.
+
+    Above weight 12 the form is the eigenform Delta * E_{k-12}: its a(p) is
+    the convolution of the two series at each prime p, and `_hecke_fill`
+    supplies every other coefficient.
+    """
     if k not in DELTA_WEIGHTS:
         raise ExactError(f"weight {k} is not in the one-dimensional family {DELTA_WEIGHTS}")
-    delta = list(_delta_int(n_max))
+    tau = _delta_int(n_max)
     if k == 12:
-        coeffs = delta
+        coeffs = [AlgNum.rational(t) for t in tau]
     else:
         c = _E_SERIES[k - 12]
-        sig = _sigma_int(k - 13, n_max)
-        ek = [1] + [c * s for s in sig[1:]]
-        coeffs = series_mul_int(delta, ek, n_max)
-    out = [AlgNum.rational(v) for v in coeffs]
+        e = [1] + [c * s for s in _sigma_int(k - 13, n_max)[1:]]
+        coeffs = [AlgNum.rational(0), AlgNum.rational(1)] + [None] * (n_max - 1)
+        for p in primes_upto(n_max):
+            coeffs[p] = AlgNum.rational(sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1]))))
+        _hecke_fill(coeffs, 1, k, trivial_char(1))
     return NewformData(level=1, weight=k, char=trivial_char(1),
-                       coeffs=tuple(out), label=f"1.{k}.a")
+                       coeffs=tuple(coeffs[: n_max + 1]), label=f"1.{k}.a")
 
 
 def conjugate_form(h: NewformData) -> NewformData:
@@ -367,19 +348,25 @@ class MissingPrimeData(ExactError):
 def hecke_extend(h: NewformData, n_target: int) -> NewformData:
     """Extend eigenform coefficients to n_target via Hecke multiplicativity.
 
-    Prime eigenvalues a(p) must be available for every p <= n_target; for
-    p | N the newform relation a(p^r) = a(p)^r is used, otherwise the usual
-    weight-(k-1) recursion.
+    Prime eigenvalues a(p) must be available for every p <= n_target.
     """
     if not h.is_eigenform:
         raise ExactError("hecke_extend needs an eigenform")
     if n_target <= h.n_max:
         return h
-    one = AlgNum.rational(1)
-    zero = AlgNum.rational(0)
-    a: list = [zero, one] + [None] * (n_target - 1)
-    for n in range(1, min(h.n_max, n_target) + 1):
+    a: list = [AlgNum.rational(0), AlgNum.rational(1)] + [None] * (n_target - 1)
+    for n in range(1, h.n_max + 1):
         a[n] = h.a(n)
+    _hecke_fill(a, h.level, h.weight, h.char)
+    return replace(h, coeffs=tuple(a))
+
+
+def _hecke_fill(a: list, level: int, weight: int, char: DirichletChar) -> None:
+    """Fill the None entries of an eigenform's a(0..n), in place, from a(1)
+    and the a(p).  For p | level the newform relation a(p^r) = a(p)^r is
+    used, otherwise the usual weight-(k-1) recursion; coprime factors
+    multiply."""
+    n_target = len(a) - 1
     for p in primes_upto(n_target):
         if a[p] is None:
             raise MissingPrimeData(p)
@@ -387,10 +374,10 @@ def hecke_extend(h: NewformData, n_target: int) -> NewformData:
         pk = p * p
         while pk <= n_target:
             if a[pk] is None:
-                if h.level % p == 0:
+                if level % p == 0:
                     a[pk] = a[pk // p] * a[p]
                 else:
-                    tw = h.char(p) * (Fraction(p) ** (h.weight - 1))
+                    tw = char(p) * (Fraction(p) ** (weight - 1))
                     a[pk] = a[p] * a[pk // p] - tw * a[pk // p // p]
             pk *= p
     # fill composites multiplicatively
@@ -403,7 +390,6 @@ def hecke_extend(h: NewformData, n_target: int) -> NewformData:
                 m //= p
                 q *= p
             a[n] = a[q] * a[m]
-    return replace(h, coeffs=tuple(a))
 
 
 def _least_prime_factor(n: int) -> int:

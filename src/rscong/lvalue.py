@@ -246,6 +246,11 @@ def d4_upto(n: int) -> list[int]:
     return d4
 
 
+def _sieve_end(N: int) -> int:
+    """Last n of the exact d4 stretch in the direct tail bound past N."""
+    return min(max(4 * N, 1 << 14), 1 << 18)
+
+
 def tree_sum(vals):
     """Deterministic pairwise summation (reproducible parallel-safe order)."""
     vals = list(vals)
@@ -473,13 +478,25 @@ class LEngine:
 
     def _direct_tail_bound(self, s, N: int):
         """sum_{n>N} d4(n) n^(w/2 - s): exact sieve stretch + crude integral."""
-        margin = s - Fraction(self.w, 2) - 2
-        N2 = min(max(4 * N, 1 << 14), 1 << 18)
+        N2 = _sieve_end(N)
         d4 = d4_upto(N2)
         exact = tree_sum([mp.mpf(d4[n]) * mp.mpf(n) ** (Fraction(self.w, 2) - s)
                           for n in range(N + 1, N2 + 1)])
-        beyond = 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
-        return exact + beyond
+        return exact + self._tail_beyond(s, N2)
+
+    def _tail_beyond(self, s, N2: int):
+        """Certified bound of the tail past the sieve stretch."""
+        margin = s - Fraction(self.w, 2) - 2
+        return 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
+
+    def _direct_tail_floor(self, s, N: int):
+        """A lower bound of `_direct_tail_bound(s, N)` that needs no sieve:
+        d4 >= 1 and a decreasing n^(w/2 - s) put the sieve stretch above
+        int_{N+1}^{N2+1} x^(w/2 - s) dx."""
+        N2 = _sieve_end(N)
+        e = 1 + Fraction(self.w, 2) - s  # < -1 where the direct sum converges
+        stretch = (mp.mpf(N + 1) ** e - mp.mpf(N2 + 1) ** e) / float(-e)
+        return stretch + self._tail_beyond(s, N2)
 
     def _direct_sum(self, s):
         """(finite part, certified absolute tail) by direct summation over
@@ -497,22 +514,28 @@ class LEngine:
 
     def direct_finite(self, s):
         """Finite part by direct summation, with certified absolute tail
-        below 10^-P."""
-        val, tail = self._direct_sum(s)
+        below 10^-P.  A sum whose tail floor already misses that target is
+        not run."""
         with mp.workdps(self.dps):
             target = mp.mpf(10) ** (-self.P)
+            if self._direct_converges(s):
+                floor = self._direct_tail_floor(s, self.rs.n_max)
+                if floor > target:
+                    raise self._insufficient(s, target, f"at least {mpmath.nstr(floor, 3)}")
+            val, tail = self._direct_sum(s)
             if tail > target:
-                # estimate the n_max that would be needed
-                margin = float(s - Fraction(self.w, 2) - 2)
-                need = 1 << 12
-                while need < 1 << 40:
-                    if 8 * mp.mpf(need) ** (2 + Fraction(self.w, 2) - s) / margin < target:
-                        break
-                    need <<= 1
-                raise InsufficientCoefficients(
-                    need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
-                    f"certified tail with n_max={self.rs.n_max} is {mpmath.nstr(tail, 3)}")
+                raise self._insufficient(s, target, mpmath.nstr(tail, 3))
             return val, tail
+
+    def _insufficient(self, s, target, tail_text: str) -> InsufficientCoefficients:
+        """The error for a direct sum whose tail misses the target, with an
+        estimate of the n_max that would be needed."""
+        need = 1 << 12
+        while need < 1 << 40 and self._tail_beyond(s, need) >= target:
+            need <<= 1
+        return InsufficientCoefficients(
+            need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
+            f"certified tail with n_max={self.rs.n_max} is {tail_text}")
 
     def direct_lambda(self, s):
         with mp.workdps(self.dps):

@@ -83,6 +83,12 @@ class TestLvalueCli:
         assert doc["method"] == "direct"
         assert float(doc["value_re"]) != 0.0
 
+    def test_unsupported_delta_weight_exit_1(self, capsys):
+        code = main(["lvalue", "--pair", "delta:14,delta:16", "--s", "20"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "weight 14" in err
+
 
 class TestVerifyCli:
     def test_identical_forms_all_congruent_exit_0(self, capsys, tmp_path):

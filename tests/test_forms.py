@@ -10,8 +10,7 @@ from rscong.exactnum import AlgNum, ExactError
 from rscong.forms import (DELTA_WEIGHTS, MissingPrimeData, bernoulli,
                           bernoulli_chi, char_from_kronecker, conjugate_form,
                           delta_family_qexp, eisenstein_qexp, eta_series,
-                          hecke_extend, primes_upto, series_mul_int,
-                          trivial_char)
+                          hecke_extend, primes_upto, trivial_char)
 
 CHI3 = char_from_kronecker(-3)
 
@@ -105,6 +104,35 @@ class TestDeltaFamily:
         for k in (12, 16, 26):
             assert delta_family_qexp(k, 100).check_deligne_bound(P=30)
 
+    def test_matches_schoolbook_product(self):
+        # independent oracle: q * eta^24 * E_{k-12} by schoolbook products,
+        # with E_r = 1 - (2r / B_r) sum sigma_{r-1}(n) q^n
+        n = 300
+
+        def mul(f, g):
+            out = [0] * (n + 1)
+            for i, a in enumerate(f):
+                if a:
+                    for j in range(n + 1 - i):
+                        out[i + j] += a * g[j]
+            return out
+
+        eta = [1] + [0] * n
+        for m in range(1, n + 1):  # prod (1 - q^m)
+            eta = [c - (eta[i - m] if i >= m else 0) for i, c in enumerate(eta)]
+        eta2 = mul(eta, eta)
+        eta8 = mul(mul(eta2, eta2), mul(eta2, eta2))
+        delta = [0] + mul(mul(eta8, eta8), eta8)[:n]
+        for k in DELTA_WEIGHTS:
+            r = k - 12
+            ek = [1] + [0] * n
+            if r:
+                c = -2 * r / bernoulli(r)
+                ek = [1] + [int(c * sum(d ** (r - 1) for d in range(1, m + 1) if m % d == 0))
+                            for m in range(1, n + 1)]
+            expect = mul(delta, ek)
+            assert delta_family_qexp(k, n).coeffs == tuple(AlgNum.rational(v) for v in expect)
+
 
 class TestConjugate:
     def test_rational_form_fixed(self):
@@ -157,18 +185,6 @@ class TestSeriesHelpers:
     def test_eta_pentagonal(self):
         eta = eta_series(12)
         assert eta[:8] == [1, -1, -1, 0, 0, 1, 0, 1]
-
-    def test_kronecker_multiply_matches_schoolbook(self):
-        rng = random.Random(9)
-        f = [rng.randrange(-50, 50) for _ in range(40)]
-        g = [rng.randrange(-50, 50) for _ in range(35)]
-        fast = series_mul_int(f, g, 60)
-        slow = [0] * 61
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                if i + j <= 60:
-                    slow[i + j] += a * b
-        assert fast == slow
 
     def test_primes(self):
         assert primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError
 from rscong.forms import delta_family_qexp, trivial_char
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
@@ -139,6 +140,20 @@ class TestDirect:
         with pytest.raises(InsufficientCoefficients) as err:
             eng.direct_lambda(16)
         assert err.value.n_needed > rs_small.n_max
+
+    def test_doomed_sum_skipped_before_the_sieve(self, monkeypatch):
+        # (12,22) at n = 600 cannot certify s = 20 to 10^-30: the sieve-free
+        # tail floor already says so, with the n_needed of the full bound
+        n = 600
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(22, n), n)
+
+        def no_sieve(_):
+            raise AssertionError("d4 sieve run for a doomed sum")
+
+        monkeypatch.setattr(lvalue, "d4_upto", no_sieve)
+        with pytest.raises(InsufficientCoefficients) as err:
+            LEngine(rs, 30).direct_finite(20)
+        assert err.value.n_needed == 1 << 40
 
     def test_edge_point_even_weight_sum_uses_afe(self, engine_small):
         # s = (k + k2)/2 + 1 = 15 on (12,16): no certified direct tail there

@@ -25,13 +25,34 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rscong.exactnum import (AlgNum, QuadField, congruent_mod,
                              factor_rational_prime, quad_normalize)
-from rscong.forms import (char_from_kronecker, eisenstein_qexp, primes_upto,
-                          series_mul_int, sigma_chi_coeffs)
+from rscong.forms import char_from_kronecker, eisenstein_qexp, sigma_chi_coeffs
 from rscong.ingest import FormRecord, newform_record, record_to_newform, save_fixture
 
 CHI = char_from_kronecker(-3)
 WEIGHT = 13
 LEVEL = 3
+
+
+def series_mul_int(f: list[int], g: list[int], n_max: int) -> list[int]:
+    """Product of integer q-expansions truncated at q^n_max, via Kronecker
+    substitution: pack into one big int per series and use int multiply."""
+    la, lb = min(len(f), n_max + 1), min(len(g), n_max + 1)
+    if la == 0 or lb == 0:
+        return [0] * (n_max + 1)
+    bits = max((abs(c).bit_length() for c in f[:la] + g[:lb]), default=1)
+    b = 2 * bits + (min(la, lb)).bit_length() + 2
+    B = 1 << b
+    nf = sum(c << (b * i) for i, c in enumerate(f[:la]))
+    ng = sum(c << (b * i) for i, c in enumerate(g[:lb]))
+    prod = nf * ng
+    out = []
+    for _ in range(n_max + 1):
+        d = prod % B
+        if d > B // 2:
+            d -= B
+        prod = (prod - d) >> b
+        out.append(d)
+    return out
 
 
 def theta_a2(n_max: int) -> list[int]:
