@@ -378,12 +378,39 @@ def global_representatives(N: int, N2: int) -> list[dict]:
 # printed identities (ground-truth checks)
 # ---------------------------------------------------------------------------
 
+def _modulus_character(t: PadicMat) -> Fraction:
+    """delta_P(t) = |det A|_p^2 / |det D|_p^2 for t = diag(A, D) in the Levi."""
+    A, D = t.levi_blocks()
+    vA = vp(A[0][0] * A[1][1] - A[0][1] * A[1][0], t.p)
+    vD = vp(D[0][0] * D[1][1] - D[0][1] * D[1][0], t.p)
+    return Fraction(t.p) ** (2 * (vD - vA))
+
+
+def _conjugated_box_volume(t: PadicMat, exps: dict) -> Fraction:
+    """Haar volume of t B t^-1, for t diagonal and B the box of lower-block
+    unipotents whose (i, j) entry lies in p^exps[i, j] Z_p.  Each generator of
+    B is conjugated exactly and must stay on its own axis."""
+    p = t.p
+    tinv = t.inverse()
+    vol = Fraction(1)
+    for (i, j), e in exps.items():
+        rows = [[int(r == c) for c in range(4)] for r in range(4)]
+        rows[i][j] = Fraction(p) ** e
+        img = t.mul(PadicMat.of(rows, p)).mul(tinv)
+        off = [(r, c) for r in range(4) for c in range(4) if r != c and img[r, c] != 0]
+        if off != [(i, j)] or any(img[r, r] != 1 for r in range(4)):
+            raise ExactError("Levi conjugation moved a generator off its axis")
+        vol /= Fraction(p) ** vp(img[i, j], p)
+    return vol
+
+
 def w6_identities_check(p: int = 5) -> dict:
     """Exact verification of the printed ground-truth identities: the
     Kostant-representative relations, the factorization of w6 through the
     distinguished unipotent representative, and the measure-scaling law for
-    Levi conjugation on step functions.  Any failure raises.  The symbolic
-    block identities are checked by a sympy oracle in the tests."""
+    Levi conjugation of boxes in the opposite unipotent radical.  Any failure
+    raises.  The symbolic block identities are checked by a sympy oracle in
+    the tests."""
     w = kostant_reps(p)
     k1 = PadicMat.of([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], p)
     k2 = PadicMat.of([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], p)
@@ -400,19 +427,16 @@ def w6_identities_check(p: int = 5) -> dict:
     results["kostant_condition"] = all(is_kostant(wi) for wi in w)
     bad = PadicMat.of([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
     results["levi_transposition_rejected"] = not is_kostant(bad)
-    # Levi conjugation scales sub-integral step functions by delta^(-1/2):
-    # conjugating the (x1, x2, x4) box prod p^(a_i) Z_p by t = t(x3)-type
-    # with |x3| = p^(-v) rescales two of the three coordinates by p^v.
+    # Levi conjugation scales the Haar measure of U_P^- by delta_P^(-1):
+    # conjugate a sampled box by a sampled diagonal Levi element
     rng = random.Random(7)
     ok = True
     for _ in range(50):
-        v = rng.randrange(1, 4)
-        a1, a2, a4 = (rng.randrange(0, 4) for _ in range(3))
-        vol_before = Fraction(1, p ** (a1 + a2 + a4))
-        vol_after = Fraction(1, p ** ((a1 + v) + a2 + (a4 + v)))
-        delta = Fraction(p) ** (4 * v)  # delta(t) = |x3|^(-4)
-        half_power_of_delta = Fraction(p) ** (2 * v)
-        ok = ok and vol_after * half_power_of_delta == vol_before
+        t = _diag(*(rng.randrange(1, p) * Fraction(p) ** rng.randrange(-3, 4)
+                    for _ in range(4)), p)
+        exps = {(i, j): rng.randrange(0, 4) for i in (2, 3) for j in (0, 1)}
+        vol_before = Fraction(1, p ** sum(exps.values()))
+        ok = ok and _conjugated_box_volume(t, exps) == vol_before / _modulus_character(t)
     results["levi_conjugation_measure"] = ok
     failures = [k for k, v in results.items() if not v]
     if failures:

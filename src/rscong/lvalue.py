@@ -21,11 +21,22 @@ Each `RankinSeries` owns its engines, one per precision (`get_engine`), so
 an engine lives as long as its series.  Engines of the same weight k and
 working precision share one `KernelLadder` while any of them is alive; the
 ladder is freed with the last of them.
+
+Precision per term.  The engine works at dps = P + 60 digits, but a kernel
+point is evaluated only to the digits its term needs: a term at most 10^-m
+of the kernel mass, in a sum of at most n_max terms, gets about
+P + 8 + log10(n_max) - m digits, rounded up to a band of 10 and clamped
+between a floor of 20 and dps.  Each term is then in error by at most
+target / n_max, target = 10^-(P + 8) mass, and every smoothed sum adds that
+rounding budget to its tail, so `LValueResult.err_bound` stays certified.
+Ladder entries are keyed by the exact bits of x and the digits: an entry is
+never upgraded in place, so no value depends on which calls ran first.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,6 +49,15 @@ from .rankin import RankinSeries, archimedean_factor
 
 #: extra digits on top of P + GUARD_DIGITS for kernel ladders and summation
 LADDER_GUARD = 45
+#: fewest digits a kernel point is evaluated at
+KERNEL_FLOOR_DIGITS = 20
+#: a term's digits are rounded up to a multiple of this, so that uses of one
+#: point at nearby magnitudes share a ladder entry
+KERNEL_DIGIT_BAND = 10
+#: digits on top of what a term needs
+TERM_GUARD = 2
+#: digits on top of an entry's own for the arithmetic of its ladder
+ENTRY_GUARD = 10
 
 
 class InsufficientCoefficients(ExactError):
@@ -121,31 +141,33 @@ def _besselk01_series(x):
 
 
 def _besselk_asymptotic(nu: int, x, digits: int):
-    """Asymptotic expansion; returns None when it cannot reach `digits`."""
+    """K_nu(x) from its asymptotic expansion in 1/x, or None when the
+    expansion cannot reach `digits`.
+
+    The terms may grow while 2j - 1 < 2 nu; past that they fall until they
+    turn and grow for good, so only a rise there ends the expansion.  Once
+    j >= nu - 1/2 terms are summed, the remainder is smaller than the first
+    term omitted (DLMF 10.40(ii), real nu and x > 0), and the sum is accepted
+    when that term is below 10^-digits of it.
+    """
     mu4 = 4 * nu * nu
-    term = mp.mpf(1)
-    acc = mp.mpf(1)
-    best = abs(term)
+    eps = mp.mpf(10) ** (-digits)
+    term = acc = mp.mpf(1)
     j = 0
     while True:
         j += 1
-        term = term * (mu4 - (2 * j - 1) ** 2) / (8 * x * j)
-        if abs(term) >= best:
-            break  # divergence point reached
-        acc += term
-        best = abs(term)
-        if best < mp.mpf(10) ** (-digits - 3):
-            break
-        if j > 400:
-            break
-    if best > mp.mpf(10) ** (-digits) * abs(acc):
-        return None
-    return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x) * acc
+        nxt = term * (mu4 - (2 * j - 1) ** 2) / (8 * x * j)
+        if 2 * j >= 2 * nu - 1 and abs(nxt) < eps * abs(acc):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x) * acc
+        if 2 * j - 1 > 2 * nu and abs(nxt) >= abs(term):
+            return None  # divergence point reached
+        acc += nxt
+        term = nxt
 
 
 def besselk_pair(nu: int, x, digits: int):
-    """(K_nu(x), K_{nu+1}(x)) for integer nu >= 0 and real x > 0, accurate to
-    roughly `digits` significant digits."""
+    """(K_nu(x), K_{nu+1}(x)) for integer nu >= 0 and real x > 0, each with a
+    relative error below 10^-digits."""
     x = mp.mpf(x)
     with mp.workdps(digits + 12):
         a = _besselk_asymptotic(nu, x, digits)
@@ -178,7 +200,12 @@ class KernelLadder:
         J(mu+2) = ((mu+1)^2 - nu^2) J(mu) + (mu+1-nu) a^(mu+1) K_nu(a)
                   + a^(mu+2) K_{nu+1}(a)
 
-    reaches every integer s >= k with all terms positive (no cancellation).
+    reaches every integer s >= k with all terms positive (no cancellation),
+    so J has the relative accuracy of the two Bessel values.
+
+    An entry is keyed by the exact bits of x and the digits asked for.
+    `digits` is the engine's working precision, the ceiling of those and
+    the precision of a.
     """
 
     def __init__(self, k: int, digits: int):
@@ -187,39 +214,44 @@ class KernelLadder:
         self.digits = digits
         self._cache: dict = {}
 
-    def _entry(self, x_val):
-        key = mpmath.mpf(x_val)._mpf_  # exact bits: one entry per point for every engine
+    def _entry(self, x_val, digits: int):
+        key = (mpmath.mpf(x_val)._mpf_, digits)  # exact bits: shared by every engine
         ent = self._cache.get(key)
         if ent is None:
-            a = 4 * mpmath.pi * mpmath.sqrt(x_val)
-            k0, k1 = besselk_pair(self.nu, a, self.digits)
-            ent = {"a": a, "k0": k0, "k1": k1, "J": {self.nu + 1: a ** (self.nu + 1) * k1}}
+            with mp.workdps(self.digits):
+                a = 4 * mpmath.pi * mpmath.sqrt(x_val)
+                k0, k1 = besselk_pair(self.nu, a, digits)
+            with mp.workdps(digits + ENTRY_GUARD):
+                J = {self.nu + 1: a ** (self.nu + 1) * k1}
+            ent = {"a": a, "k0": k0, "k1": k1, "J": J}
             self._cache[key] = ent
         return ent
 
-    def bessel_at(self, x_val):
-        ent = self._entry(x_val)
+    def bessel_at(self, x_val, digits: int):
+        ent = self._entry(x_val, digits)
         return ent["a"], ent["k0"], ent["k1"]
 
-    def J(self, mu: int, x_val):
-        ent = self._entry(x_val)
-        J = ent["J"]
+    def J(self, mu: int, x_val, digits: int):
         nu = self.nu
         if mu < nu + 1 or (mu - nu) % 2 == 0:
             raise KernelSpecError(f"ladder needs mu >= {nu + 1} with mu - nu odd, got {mu}")
+        ent = self._entry(x_val, digits)
+        J = ent["J"]
         top = max(J)
         a, k0, k1 = ent["a"], ent["k0"], ent["k1"]
-        while top < mu:
-            J[top + 2] = (((top + 1) ** 2 - nu * nu) * J[top]
-                          + (top + 1 - nu) * a ** (top + 1) * k0
-                          + a ** (top + 2) * k1)
-            top += 2
+        with mp.workdps(digits + ENTRY_GUARD):
+            while top < mu:
+                J[top + 2] = (((top + 1) ** 2 - nu * nu) * J[top]
+                              + (top + 1 - nu) * a ** (top + 1) * k0
+                              + a ** (top + 2) * k1)
+                top += 2
         return J[mu]
 
-    def G(self, s: int, x_val):
+    def G(self, s: int, x_val, digits: int):
+        """G_s(x) with a relative error below about 10^-digits."""
         mu = 2 * s - self.k
         pref = (2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (self.k + 1 - 2 * s)
-        return pref * self.J(mu, x_val)
+        return pref * self.J(mu, x_val, digits)
 
     def G_zero_limit(self, s: int):
         """G_s(0+) = L_inf(s), used as the kernel mass scale."""
@@ -326,8 +358,9 @@ class LEngine:
         if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < 2 * float(beta) + 8:
             return mp.inf
         xN = (aN / (4 * mpmath.pi)) ** 2
-        a0, k0, _ = self.ladder.bessel_at(xN)
-        CK = k0 * mpmath.exp(a0)
+        # only a constant of the bound: the floor precision, inflated by its error
+        a0, k0, _ = self.ladder.bessel_at(xN, KERNEL_FLOOR_DIGITS)
+        CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
         pref = (2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (self.k + 1 - 2 * s)
         # single term at n = N+1 plus integral comparison for the rest
         def fterm(n):
@@ -348,6 +381,11 @@ class LEngine:
         delta enters as x_n = n/delta (outgoing side) or n*delta/Q (reflected
         side); `side_exponent` +1/-1 selects which, and q = 4 pi sqrt(1/delta)
         or 4 pi sqrt(delta/Q) accordingly.
+
+        Returns (sum, bound): the bound covers the truncated tail and the
+        rounding budget of the terms, each evaluated at the digits it needs
+        (see the module docstring).  G_s falls as x grows, so the mass bounds
+        the first G and each G computed bounds the next.
         """
         rs = self.rs
         emb = self._embeddings(conj)
@@ -360,6 +398,12 @@ class LEngine:
             q = 4 * mpmath.pi * mpmath.sqrt(scale)
             mass = abs(self.ladder.G_zero_limit(s))
             target = mass * mp.mpf(10) ** (-(self.P + 8))
+            # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
+            # keeps its error below target / (2 n_max 10^TERM_GUARD)
+            base = (self.P + 8 + TERM_GUARD + math.log10(2 * rs.n_max)
+                    - float(mpmath.log10(mass)))
+            g_bound = mass
+            excess = 0.0  # digits a term needed above the working precision
             terms = []
             n = 0
             check_every = 64
@@ -371,12 +415,18 @@ class LEngine:
                         est, f"AFE at s={s} needs roughly n_max >= {est}, have {rs.n_max}")
                 if emb[n]:
                     x = mp.mpf(n) * scale
-                    g = self.ladder.G(s, x)
-                    terms.append(emb[n] * mp.mpf(n) ** (-s) * g)
+                    c = emb[n] * mp.mpf(n) ** (-s)
+                    need = base + math.log10(2) * mpmath.mag(abs(c) * g_bound)
+                    band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
+                    digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
+                    excess = max(excess, need - digits)
+                    g = self.ladder.G(s, x, digits)
+                    terms.append(c * g)
+                    g_bound = g
                 if n % check_every == 0 or n == rs.n_max:
                     tail = self._afe_tail_bound(s, q, n)
                     if tail < target:
-                        return tree_sum(terms), tail
+                        return tree_sum(terms), tail + target * mp.mpf(10) ** excess
             # unreachable
 
     def _estimate_needed(self, s: int, q, target) -> int:

@@ -8,6 +8,7 @@ tracer is installed and removed here against the real package.
 from __future__ import annotations
 
 import sys
+import weakref
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -30,6 +31,26 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(getattr(_resolve(owner), attr) is fn for (owner, attr), fn in originals.items())
+
+
+def test_kernel_spans_are_recorded(monkeypatch):
+    # the per-layer kernel metrics read 0, with no error, if the engine
+    # reaches the kernel under names the tracer does not patch
+    from rscong import lvalue
+    from rscong.forms import delta_family_qexp
+    from rscong.rankin import rs_coefficients
+
+    monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())  # no warm kernel
+    n = 200
+    rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+    tracer = Tracer("contract")
+    try:
+        tracer.install()
+        lvalue.L_at(rs, 13, 10)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"lvalue.L_at", "lvalue.KernelLadder.G", "lvalue.besselk_pair"} <= names
 
 
 def test_workload_entry_points_resolve():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from rscong import coset
 from rscong.coset import (CosetClass, PadicMat, ReductionError, global_representatives,
                           gl2_in_k1_level, is_kostant, kostant_reps,
                           levi_projection_level, lift_levi_pair, reduce_unipotent,
                           unipotent, w6_identities_check, xi)
+from rscong.exactnum import ExactError, vp
 
 
 def membership_witness(u: PadicMat, j: int, level: int, rng: random.Random,
@@ -252,3 +254,13 @@ class TestIdentities:
         out = w6_identities_check(5)
         assert all(out.values())
         assert block_identities_sympy()
+
+    def test_wrong_measure_law_fails(self, monkeypatch):
+        true_law = coset._modulus_character
+        wrong_laws = (lambda t: Fraction(1),  # volume kept
+                      lambda t: 1 / true_law(t),  # inverse character
+                      lambda t: Fraction(t.p) ** (vp(true_law(t), t.p) // 2))  # delta^(1/2)
+        for law in wrong_laws:
+            monkeypatch.setattr(coset, "_modulus_character", law)
+            with pytest.raises(ExactError, match="levi_conjugation_measure"):
+                w6_identities_check(5)

@@ -60,14 +60,23 @@ def engine_small(rs_small):
 
 class TestBesselK:
     def test_against_mpmath(self):
-        with mp.workdps(40):
-            for nu in (11, 12):
-                for x in (0.3, 2.0, 9.0, 33.0, 120.0, 260.0):
-                    got = besselk_pair(nu, mp.mpf(x), 40)
-                    want = (mpmath.besselk(nu, mp.mpf(x)),
-                            mpmath.besselk(nu + 1, mp.mpf(x)))
-                    for g, w in zip(got, want):
-                        assert abs(g - w) / abs(w) < mp.mpf(10) ** -38
+        # mpmath at orders 11 and 12, the stable upward recurrence for the rest
+        for a in (0.5, 5, 20, 40, 50, 70, 100, 150, 250):
+            with mp.workdps(110):
+                ref = [mpmath.besselk(11, a), mpmath.besselk(12, a)]
+                for n in range(12, 26):
+                    ref.append(ref[-2] + 2 * n / mp.mpf(a) * ref[-1])
+            for nu in (11, 12, 15, 21, 25):
+                for d in (20, 40, 90):
+                    got = besselk_pair(nu, a, d)
+                    with mp.workdps(110):
+                        for g, w in zip(got, ref[nu - 11:nu - 9]):
+                            assert abs(g - w) <= abs(w) * mp.mpf(10) ** -d, (nu, a, d)
+
+    def test_asymptotic_past_growing_terms(self):
+        # for nu = 12 and a < 72 the first terms grow before they fall
+        assert lvalue._besselk_asymptotic(12, mp.mpf(50), 30) is not None
+        assert lvalue._besselk_asymptotic(12, mp.mpf(70), 30) is not None
 
     def test_precision_scales(self):
         x = mp.mpf(50)
@@ -85,7 +94,7 @@ class TestKernel:
         with mp.workdps(45):
             for s in (13, 19, 25):
                 for x in (mp.mpf(1) / 3, mp.mpf(2), mp.mpf(8)):
-                    fast = ladder.G(s, x)
+                    fast = ladder.G(s, x, 40)
                     ref = afe_kernel(x, s, spec, k)
                     assert abs(fast - ref) / abs(fast) < mp.mpf(10) ** -25
 
@@ -93,14 +102,14 @@ class TestKernel:
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
             for s in (13, 20, 25):
-                tiny = ladder.G(s, mp.mpf(10) ** -30)
+                tiny = ladder.G(s, mp.mpf(10) ** -30, 40)
                 linf = ladder.G_zero_limit(s)
                 assert abs(tiny - linf) / abs(linf) < mp.mpf(10) ** -20
 
     def test_monotone_decay(self):
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
-            vals = [ladder.G(19, mp.mpf(x)) for x in (1, 2, 4, 8, 16, 32)]
+            vals = [ladder.G(19, mp.mpf(x), 40) for x in (1, 2, 4, 8, 16, 32)]
             assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_contour_pole_rejected(self):
@@ -112,7 +121,7 @@ class TestKernel:
     def test_ladder_parity_guard(self):
         ladder = KernelLadder(13, 30)
         with pytest.raises(KernelSpecError):
-            ladder.J(14, mp.mpf(2))  # even offset from nu = 12
+            ladder.J(14, mp.mpf(2), 30)  # even offset from nu = 12
 
 
 class TestDirect:
@@ -188,6 +197,40 @@ class TestEngineLifetime:
         del eng, rs_a, rs_b
         gc.collect()
         assert [r() for r in refs] == [None, None]
+
+
+class TestTaperedKernel:
+    """Kernel points evaluated at the digits their terms need."""
+
+    def test_values_do_not_depend_on_call_order(self, monkeypatch):
+        # (12,16) and (12,22) share the weight-12 ladder, so each order asks
+        # for the points at other digits first
+        n, P = 600, 30
+        forms = {k: delta_family_qexp(k, n) for k in (12, 16, 22)}
+        ops = [(k2, s) for k2 in (16, 22) for s in range(12, k2)]
+        runs = []
+        for order in (ops, ops[::-1]):
+            # a fresh ladder map: no ladder of another run or test is shared
+            monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
+            series = {k2: rs_coefficients(forms[12], forms[k2], n) for k2 in (16, 22)}
+            runs.append({(k2, s): lvalue.L_at(series[k2], s, P).value for k2, s in order})
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("k2", [16, 22])
+    def test_err_bound_covers_the_rounding(self, k2):
+        # the P + 30 value stands in for the exact one; the smoothed sums
+        # alone (no root-number term) check the charged rounding budget
+        n, P = 600, 30
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(k2, n), n)
+        lo, hi = get_engine(rs, P), get_engine(rs, P + 30)
+        for s in range(12, k2):
+            res = lo.L_at(s)
+            exact = hi.L_at(s).value
+            A, B, bound = lo._afe_pieces(s, "d0", lo.sqrtQ)
+            A2, B2, _ = hi._afe_pieces(s, "d0", hi.sqrtQ)
+            with mp.workdps(hi.dps):
+                assert abs(res.value - exact) <= res.err_bound, s
+                assert abs(A - A2) + abs(B - B2) <= bound, s
 
 
 class TestEngineSmallPair:
