@@ -22,12 +22,12 @@ from pathlib import Path
 
 from . import __version__
 from .congruence import check_congruent
-from .exactnum import AlgNum, ExactError, factor_rational_prime, quad_normalize, QuadField, RATIONAL
+from .exactnum import AlgNum, ExactError, factor_rational_prime, QuadField, RATIONAL
 from .forms import NewformData, delta_family_qexp
-from .ingest import fetch_newform, load_fixture, record_to_newform, save_fixture
+from .ingest import fetch_newform, load_fixture, save_fixture
 from .lvalue import L_at
-from .rankin import euler_factor, rs_coefficients
-from .ratio import CONGRUENT, INDETERMINATE, NOT_CONGRUENT, full_report, report_text
+from .rankin import rs_coefficients
+from .ratio import INDETERMINATE, NOT_CONGRUENT, full_report, report_text
 
 DEFAULT_PRECISION = 120
 DEFAULT_NMAX = 6000
@@ -61,7 +61,7 @@ def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[Newfor
             path = cand
     if not path.exists():
         raise CliError(f"cannot resolve form reference {ref!r}")
-    return record_to_newform(load_fixture(path)), str(path)
+    return load_fixture(path), str(path)
 
 
 def _prime_ideal(l: int, field: QuadField):
@@ -229,18 +229,24 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file whose keys mirror the flags")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-        sp.add_argument("--fixtures", help="directory for bare-label form references")
-        sp.add_argument("--cache-dir")
-        sp.add_argument("--json-out")
-        sp.add_argument("--n-max", type=int, default=DEFAULT_NMAX)
+    shared = {
+        "--precision": {"type": int, "default": DEFAULT_PRECISION},
+        "--fixtures": {"help": "directory for bare-label form references"},
+        "--cache-dir": {},
+        "--json-out": {},
+        "--n-max": {"type": int, "default": DEFAULT_NMAX},
+    }
+
+    def common(sp, *flags):
+        """Add the shared flags this subcommand reads."""
+        for flag in flags:
+            sp.add_argument(flag, **shared[flag])
 
     sp = sub.add_parser("fetch", help="fetch a newform record into the cache")
     sp.add_argument("--label", required=True)
     sp.add_argument("--base-url", required=True)
     sp.add_argument("--out", help="also save as a fixture file")
-    common(sp)
+    common(sp, "--cache-dir", "--json-out", "--n-max")
     sp.set_defaults(func=cmd_fetch)
 
     sp = sub.add_parser("congruent", help="coefficientwise congruence mod a prime")
@@ -248,13 +254,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--form2", required=True)
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--n-extra", type=int, default=0)
-    common(sp)
+    common(sp, "--fixtures", "--json-out", "--n-max")
     sp.set_defaults(func=cmd_congruent)
 
     sp = sub.add_parser("lvalue", help="completed L-value at an integer point")
     sp.add_argument("--pair", required=True, help="two form references, comma separated")
     sp.add_argument("--s", type=int, required=True)
-    common(sp)
+    common(sp, "--precision", "--fixtures", "--json-out", "--n-max")
     sp.set_defaults(func=cmd_lvalue)
 
     sp = sub.add_parser("verify", help="full ratio-congruence verification report")
@@ -263,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--aux", required=True, help="auxiliary form")
     sp.add_argument("--prime", type=int, required=True)
     sp.add_argument("--m-list", help="restrict to these left endpoints m")
-    common(sp)
+    common(sp, "--precision", "--fixtures", "--json-out", "--n-max")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("coset-reduce", help="reduce a lower-block unipotent")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--level-pair", required=True, help="n',n")
     sp.add_argument("--entries", required=True, help="x,y,z,w")
-    common(sp)
+    common(sp, "--json-out")
     sp.set_defaults(func=cmd_coset_reduce)
 
     sp = sub.add_parser("local-constant", help="exact local intertwining constant")
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ps-trace", required=True, help="a(p, f^rho) of the unramified form")
     sp.add_argument("--ps-det", required=True, help="chi_f^(-1)(p) p^(K-2)")
     sp.add_argument("--weights", required=True, help="k,k'")
-    common(sp)
+    common(sp, "--json-out")
     sp.set_defaults(func=cmd_local_constant)
     return ap
 

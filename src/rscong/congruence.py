@@ -8,13 +8,10 @@ reducible and void the irreducibility hypothesis of the ratio theorems.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .exactnum import (AlgNum, ExactError, NotIntegral, PrimeIdeal, compositum,
-                       valuation)
-from .forms import (DirichletChar, EisensteinData, NewformData, ODD,
-                    eisenstein_qexp, primes_upto)
+from .exactnum import ExactError, NotIntegral, PrimeIdeal, compositum, valuation
+from .forms import NewformData, eisenstein_qexp, primes_upto
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,7 @@ def check_congruent(h1: NewformData, h2: NewformData, P: PrimeIdeal,
     )
 
 
-def eisenstein_screen(h: NewformData, P: PrimeIdeal,
-                      n_extra: int = 0) -> str | None:
+def eisenstein_screen(h: NewformData, P: PrimeIdeal) -> str | None:
     """Label of a sigma-type Eisenstein series congruent to h mod P, if any.
 
     Comparison runs over 1 <= n <= Sturm bound + 1 (one spare index since the
@@ -85,7 +81,7 @@ def eisenstein_screen(h: NewformData, P: PrimeIdeal,
     is reducible-suspect.
     """
     try:
-        bound = max(sturm_bound(h.weight, h.level) + 1, n_extra)
+        bound = sturm_bound(h.weight, h.level) + 1
         E = eisenstein_qexp(h.weight, h.char, min(bound, h.n_max))
     except ExactError:
         return None  # family does not cover this weight/character

@@ -1,10 +1,10 @@
-"""Exact arithmetic: rationals, quadratic fields, prime ideals, residue reduction.
+"""Exact arithmetic: rationals, quadratic fields, prime ideals, valuations.
 
 Everything in this module is exact.  Elements of a quadratic field Q(sqrt(d0))
 are stored as a + b*sqrt(d0) with rational a, b; the rational field itself is
 the degenerate case d0 = 1.  Prime ideals come with enough data to compute
-valuations and reductions into the residue field F_l or F_{l^2} without ever
-building a p-adic completion.
+valuations, and so congruences mod the ideal, without ever building a p-adic
+completion.
 
 The arbitrary-precision numeric carrier (BigReal / BigComplex) is mpmath at a
 per-call working precision; `workdps` adds the guard digits used throughout.
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-
-Rat = Fraction
 
 #: Guard digits added on top of every requested decimal precision P.
 GUARD_DIGITS = 15
@@ -132,13 +130,6 @@ def vp(x: Fraction | int, p: int) -> int | float:
         d //= p
         v -= 1
     return v
-
-
-def rat_mod(x: Fraction, p: int) -> int:
-    """Reduce a p-integral rational mod p."""
-    if x.denominator % p == 0:
-        raise NotIntegral(int(vp(x, p)))
-    return x.numerator * pow(x.denominator, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +324,6 @@ class PrimeIdeal:
     residue_degree: int
     root: int = 0
 
-    @property
-    def ramification_index(self) -> int:
-        return 2 if self.kind == RAMIFIED else 1
-
     def __repr__(self):
         if self.field.is_rational:
             return f"({self.l})"
@@ -450,72 +437,6 @@ def valuation(x: AlgNum | Fraction | int, P: PrimeIdeal) -> int | float:
     y = x.a + x.b * r
     v = vp(y, l)
     return min(v, cap)  # beyond the cap the lift precision is exhausted
-
-
-@dataclass(frozen=True)
-class ResidueElement:
-    """Element of F_l (f = 1) or F_{l^2} = F_l(w), w^2 = d0 (f = 2)."""
-
-    l: int
-    f: int
-    a: int
-    b: int = 0
-    d0: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", self.a % self.l)
-        object.__setattr__(self, "b", self.b % self.l)
-
-    def __add__(self, other):
-        assert (self.l, self.f) == (other.l, other.f)
-        return ResidueElement(self.l, self.f, self.a + other.a, self.b + other.b, self.d0)
-
-    def __mul__(self, other):
-        assert (self.l, self.f) == (other.l, other.f)
-        a = self.a * other.a + self.d0 * self.b * other.b
-        b = self.a * other.b + self.b * other.a
-        return ResidueElement(self.l, self.f, a, b, self.d0)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __repr__(self):
-        if self.f == 1:
-            return f"{self.a} (mod {self.l})"
-        return f"{self.a} + {self.b}w (mod {self.l})"
-
-
-def residue_reduce(x: AlgNum | Fraction | int, P: PrimeIdeal) -> ResidueElement:
-    """Ring homomorphism O_{E,P} -> F_{l^f}; raises NotIntegral off O_{E,P}."""
-    if isinstance(x, (int, Fraction)):
-        x = AlgNum.rational(x)
-    x = x.promote(P.field)
-    v = valuation(x, P)
-    if v < 0:
-        raise NotIntegral(int(v))
-    l = P.l
-    if P.field.is_rational:
-        return ResidueElement(l, 1, rat_mod(x.a, l))
-    if P.kind == INERT:
-        return ResidueElement(l, 2, rat_mod(x.a, l), rat_mod(x.b, l), P.field.d0 % l)
-    if P.kind == SPLIT:
-        cap = 0 if not x else max(0, int(vp(x.norm(), l))) + 2
-        r = _hensel_sqrt(P.field.d0, l, cap + 2)
-        if P.root != r % l:
-            r = l ** (cap + 2) - r
-        return ResidueElement(l, 1, rat_mod(x.a + x.b * r, l))
-    # ramified: sqrt(d0) lies in P except when l = 2, d0 = 3 mod 4 where
-    # the uniformizer is 1 + sqrt(d0) and sqrt(d0) = 1 in the residue field.
-    a, b = x.a, x.b
-    if l == 2 and P.field.d0 % 2 == 1:
-        return ResidueElement(2, 1, rat_mod(a, 2) + rat_mod(b, 2))
-    # clear any l in the denominators using integrality (possible since v >= 0)
-    t = min(vp(a, l) if a else math.inf, vp(b, l) if b else math.inf)
-    if t < 0:
-        # v_P >= 0 forces compensation; but a + b sqrt(d0) with v_l(a) < 0
-        # cannot be P-integral at a ramified prime, so this is unreachable.
-        raise NotIntegral(int(v))
-    return ResidueElement(l, 1, rat_mod(a, l))
 
 
 def congruent_mod(x: AlgNum, y: AlgNum, P: PrimeIdeal) -> bool:

@@ -6,7 +6,7 @@ needs internally: the sigma-type Eisenstein family E_k(chi) with exact
 constant term, and the one-dimensional level-1 cuspform family Delta * E_{k-12}.
 Delta comes from J.C.P. Miller's power recurrence for q * eta^24; each other
 member of the family is an eigenform, so only its a(p) are convolved and the
-Hecke recursion of `hecke_extend` supplies the rest.  The offline fixture
+Hecke recursion (`_hecke_fill`) supplies the rest.  The offline fixture
 generator in `tools/` carries its own general series product.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -128,15 +128,6 @@ class DirichletChar:
             else:
                 vals.append(self(r) * other(r))
         return DirichletChar(modulus, tuple(vals))
-
-    def check_multiplicative(self) -> bool:
-        N = self.modulus
-        for a in range(N):
-            for b in range(N):
-                if math.gcd(a, N) == 1 and math.gcd(b, N) == 1:
-                    if self(a * b) != self(a) * self(b):
-                        return False
-        return True
 
 
 def trivial_char(modulus: int = 1) -> DirichletChar:
@@ -327,60 +318,22 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
         coeffs = [AlgNum.rational(0), AlgNum.rational(1)] + [None] * (n_max - 1)
         for p in primes_upto(n_max):
             coeffs[p] = AlgNum.rational(sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1]))))
-        _hecke_fill(coeffs, 1, k, trivial_char(1))
+        _hecke_fill(coeffs, k)
     return NewformData(level=1, weight=k, char=trivial_char(1),
                        coeffs=tuple(coeffs[: n_max + 1]), label=f"1.{k}.a")
 
 
-def conjugate_form(h: NewformData) -> NewformData:
-    """h^rho: conjugate coefficients, nebentypus replaced by its inverse."""
-    coeffs = tuple(c.conj() if isinstance(c, AlgNum) else c for c in h.coeffs)
-    return replace(h, coeffs=coeffs, char=h.char.inverse(),
-                   label=h.label + "-rho" if h.label else "")
-
-
-class MissingPrimeData(ExactError):
-    def __init__(self, p: int):
-        self.p = p
-        super().__init__(f"no eigenvalue data for prime {p}")
-
-
-def hecke_extend(h: NewformData, n_target: int) -> NewformData:
-    """Extend eigenform coefficients to n_target via Hecke multiplicativity.
-
-    Prime eigenvalues a(p) must be available for every p <= n_target.
-    """
-    if not h.is_eigenform:
-        raise ExactError("hecke_extend needs an eigenform")
-    if n_target <= h.n_max:
-        return h
-    a: list = [AlgNum.rational(0), AlgNum.rational(1)] + [None] * (n_target - 1)
-    for n in range(1, h.n_max + 1):
-        a[n] = h.a(n)
-    _hecke_fill(a, h.level, h.weight, h.char)
-    return replace(h, coeffs=tuple(a))
-
-
-def _hecke_fill(a: list, level: int, weight: int, char: DirichletChar) -> None:
-    """Fill the None entries of an eigenform's a(0..n), in place, from a(1)
-    and the a(p).  For p | level the newform relation a(p^r) = a(p)^r is
-    used, otherwise the usual weight-(k-1) recursion; coprime factors
-    multiply."""
+def _hecke_fill(a: list, weight: int) -> None:
+    """Fill the None entries of a level-1 eigenform's a(0..n), in place, from
+    a(1) and the a(p): a(p^r) = a(p) a(p^(r-1)) - p^(k-1) a(p^(r-2)), and
+    coprime factors multiply."""
     n_target = len(a) - 1
-    for p in primes_upto(n_target):
-        if a[p] is None:
-            raise MissingPrimeData(p)
-        # prime powers
+    for p in primes_upto(math.isqrt(n_target)):
+        tw = Fraction(p) ** (weight - 1)
         pk = p * p
         while pk <= n_target:
-            if a[pk] is None:
-                if level % p == 0:
-                    a[pk] = a[pk // p] * a[p]
-                else:
-                    tw = char(p) * (Fraction(p) ** (weight - 1))
-                    a[pk] = a[p] * a[pk // p] - tw * a[pk // p // p]
+            a[pk] = a[p] * a[pk // p] - tw * a[pk // p // p]
             pk *= p
-    # fill composites multiplicatively
     for n in range(2, n_target + 1):
         if a[n] is None:
             m = n

@@ -1,29 +1,27 @@
-"""Exact local computation at a ramified prime: local representation data,
-geometric-series factors, and the local intertwining constant.
+"""Exact local computation at a ramified prime: local representation data
+and the local intertwining constant.
 
 The local constant c'_p for a twisted-Steinberg times unramified principal
-series pair is assembled from two geometric-series factors of the shape
+series pair is the product of two geometric-series factors of the shape
 (1 - p^(-1) X)/(1 - p^(-2) X).  Expanded in the symmetric functions of the
 Satake data every exposed quantity lands back in the coefficient field E:
 half powers of p are carried on a formal sqrt(p) whose exponent must come
 out even (`HalfPower.fold`), which is an exactness invariant rather than a
 rounding concern.
 
-The intertwining integral itself is never numerically integrated: the branch
-structure of the evaluation is certified by the membership predicates of the
-coset module (`vanishing_checks`), and the surviving branches are the
-closed-form geometric series.
+The intertwining integral itself is never numerically integrated.  The
+tests certify its branch structure with the membership predicates of the
+coset module, check the product of the two geometric factors against the
+symmetric-function form, and check the result against the ratio of the local
+Euler factor (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coset import PadicMat, reduce_unipotent, unipotent, xi
-from .exactnum import AlgNum, ExactError, vp
-from .forms import NewformData, conjugate_form
+from .exactnum import AlgNum, ExactError
 
 
 class ConvergenceViolation(ExactError):
@@ -31,10 +29,6 @@ class ConvergenceViolation(ExactError):
 
 
 class HalfPowerParity(ExactError):
-    pass
-
-
-class UnsupportedLocal(ExactError):
     pass
 
 
@@ -82,10 +76,6 @@ class HalfPower:
     def __bool__(self):
         return bool(self.alg)
 
-    @property
-    def even(self) -> bool:
-        return self.half % 2 == 0 or not self.alg
-
     def fold(self) -> AlgNum:
         """Collapse to an honest field element; requires an even exponent."""
         if not self.alg:
@@ -128,115 +118,15 @@ class UnramifiedPS:
     weight: int
     n_p: int = 0
 
-    def satake_split(self):
-        """The two values chi'_i(p) individually, when they lie in the
-        coefficient field (trace^2 - 4 det has a square root there)."""
-        t = self.trace
-        disc = t.alg * t.alg - self.det * (Fraction(self.p) ** (-t.half)) * 4
-        root = _field_sqrt(disc)
-        if root is None:
-            raise UnsupportedLocal("Satake parameters are irrational over the field")
-        g1 = HalfPower(self.p, (t.alg + root) / 2, t.half)
-        g2 = HalfPower(self.p, (t.alg - root) / 2, t.half)
-        return g1, g2
-
-
-def _field_sqrt(x: AlgNum) -> AlgNum | None:
-    """A square root of x inside its own quadratic field, if one exists."""
-    if x.b == 0:
-        r = _rat_sqrt(x.a)
-        if r is not None:
-            return AlgNum(x.field, r)
-        if not x.field.is_rational:
-            # maybe x = d0 * square
-            r = _rat_sqrt(x.a / x.field.d0)
-            if r is not None:
-                return AlgNum(x.field, Fraction(0), r)
-    return None
-
-
-def _rat_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num = math.isqrt(q.numerator)
-    den = math.isqrt(q.denominator)
-    if num * num == q.numerator and den * den == q.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def steinberg_from_form(g: NewformData, p: int) -> SteinbergTwist:
-    if g.level % p != 0 or g.level % (p * p) == 0:
-        raise UnsupportedLocal(f"form must have level exactly divisible by {p}")
-    return SteinbergTwist(p=p, chi_p_at_p=g.a(p))
-
-
-def unramified_from_form(f: NewformData, p: int) -> UnramifiedPS:
-    if f.level % p == 0:
-        raise UnsupportedLocal(f"form must be unramified at {p}")
-    K = f.weight
-    rho = conjugate_form(f)
-    trace = HalfPower(p, rho.a(p), -1)
-    det = f.char(p).conj() * (Fraction(p) ** (K - 2))
-    return UnramifiedPS(p=p, trace=trace, det=det, weight=K)
-
 
 # ---------------------------------------------------------------------------
-# normalization records for the new vectors
+# the local constant
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NewVectorData:
-    kind: str
-    at_identity: Fraction
-    at_weyl: Fraction | None
-    torus_abs_half_exponent: int  # exponent of |t1 t2^(-1)|^(1/2) at t = (p, 1)
-
-
-def new_vector_data(kind: str, p: int) -> NewVectorData:
-    """Defining values of the normalized local new vectors."""
-    if kind == "steinberg":
-        return NewVectorData(kind, Fraction(1), Fraction(-1, p), 0)
-    if kind == "spherical":
-        return NewVectorData(kind, Fraction(1), None, 1)
-    raise ExactError(f"unknown new-vector kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# geometric factors and the local constant
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeomFactor:
-    X: HalfPower
-    value: AlgNum
-
-
-def geometric_factor(X, p: int) -> GeomFactor:
-    """(1 - p^(-1) X)/(1 - p^(-2) X), summed from the geometric series
-    1 - (p-1) sum_{M>=1} p^(-2M) X^M in closed form."""
-    X = HalfPower.of(p, X)
-    pinv = Fraction(1, p)
-    num = HalfPower.of(p, 1) + HalfPower(p, -pinv * X.alg, X.half)
-    den = HalfPower.of(p, 1) + HalfPower(p, -pinv * pinv * X.alg, X.half)
-    num_a, den_a = num.fold(), den.fold()
-    if not den_a:
-        raise ConvergenceViolation("geometric series does not converge: 1 - p^-2 X = 0")
-    return GeomFactor(X, num_a / den_a)
-
 
 #: sqrt(p)-exponent of the evaluation twist applied to each Satake value when
 #: forming the geometric-factor arguments; fixed by the exact match with the
 #: ratio of the local Euler factor at successive integers.
 EVAL_TWIST_HALF = 3
-
-
-def geometric_factor_for(st: SteinbergTwist, ps: UnramifiedPS, which: int) -> GeomFactor:
-    """The factor for chi'_1 (which=0) or chi'_2 (which=1); requires the
-    Satake values to split over the coefficient field."""
-    g = ps.satake_split()[which]
-    X = (HalfPower.of(st.p, st.chi_p_at_p) / g) * HalfPower(st.p, AlgNum.rational(1), EVAL_TWIST_HALF)
-    return geometric_factor(X, st.p)
 
 
 def local_constant(st: SteinbergTwist, ps: UnramifiedPS, p: int) -> AlgNum:
@@ -245,7 +135,8 @@ def local_constant(st: SteinbergTwist, ps: UnramifiedPS, p: int) -> AlgNum:
 
     Equals the ratio of the inverse local Euler factor of the pair at the
     successive arguments (K-2, K-1), K the unramified side's weight; the
-    acceptance suite asserts that identity exactly against rankin.euler_factor.
+    acceptance suite asserts that identity exactly against the Euler-factor
+    oracle of the tests.
     """
     if st.p != p or ps.p != p:
         raise ExactError("prime mismatch")
@@ -261,74 +152,3 @@ def local_constant(st: SteinbergTwist, ps: UnramifiedPS, p: int) -> AlgNum:
     if not den:
         raise ConvergenceViolation("local constant denominator vanishes")
     return num / den
-
-
-# ---------------------------------------------------------------------------
-# support / vanishing certification via the coset predicates
-# ---------------------------------------------------------------------------
-
-W0 = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-
-
-def vanishing_checks(p: int = 3, level: int = 1) -> dict:
-    """Certify the membership and branch claims used by the closed-form
-    evaluation of the intertwining integral, across sampled valuations.
-
-    Raises on any failure; returns the per-claim record otherwise.
-    """
-    results: dict[str, bool] = {}
-    units = [1, 1 + p, 2 * p + 1]
-    # (a) integral-parameter branches stay in the level subgroup
-    ok = True
-    for v in range(0, 4):
-        for u in units:
-            x3 = Fraction(u * p ** v)
-            m = PadicMat.of([[1, 0, 0, 0], [0, 1, x3, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
-            ok = ok and m.in_mirahoric(level)
-    results["x_integral_branch_in_K"] = ok
-    # (b) negative-valuation branches: the printed companion matrices are in K
-    ok = True
-    for v in range(1, 4):
-        for u in units:
-            x3 = Fraction(1, u * p ** v)
-            m = PadicMat.of([[0, -1, 0, 0], [0, 1 / x3, 1, 0],
-                             [1, 0, 0, 0], [0, 0, 0, 1]], p)
-            ok = ok and m.in_mirahoric(level) if level == 0 else ok and m.in_gl4_zp()
-            # the level condition holds because the last row is exactly (0,0,0,1)
-            ok = ok and m.in_mirahoric(level)
-            x2 = x3
-            m2 = PadicMat.of([[1, 0, 0, 0], [0, 0, -1, 0],
-                              [0, 1, 1 / x2, 0], [0, 0, 0, 1]], p)
-            ok = ok and m2.in_mirahoric(level)
-            m3 = PadicMat.of([[-1, 0, 0, 0], [0, 0, 1, 0],
-                              [0, 1, 0, 0], [1 / x2, 0, 0, 1]], p)
-            ok = ok and m3.in_mirahoric(level)
-    results["x_negative_branch_companions_in_K"] = ok
-    # (c) the (3,2)-elementary matrices land in the trivial coset, never in
-    # the big cell: reduction gives the full-level class...
-    ok = True
-    for v in range(0, 3):
-        m_u = unipotent(0, Fraction(p ** v), 0, 0, p)
-        cls = reduce_unipotent(m_u, level, 0)
-        ok = ok and cls.j == level
-    results["integral_branch_class_is_trivial"] = ok
-    # ... and the big cell is genuinely distinct: xi(0) in P xi(level) K would
-    # force the (4,4)-unit condition and the (4,2)-elimination to contradict
-    # each other mod p; exhaust the relevant residues.
-    ok = True
-    for h44 in range(p):
-        for h22 in range(p):
-            for h24 in range(p):
-                h42_mod_p = h44 % p  # h42 = -p h22 + w(h44 + p h24), w = 1
-                if h42_mod_p == 0 and (h44 - 1) % p == 0:
-                    ok = False
-    results["big_cell_distinct_from_trivial"] = ok
-    # (d) w0 lies in the big cell P xi(0) K: exact witness
-    w0 = PadicMat.of(W0, p)
-    h = PadicMat.of([[0, 0, 1, 0], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 0, 1]], p)
-    tau = xi(0, p).mul(h).mul(w0.inverse())
-    results["w0_in_big_cell"] = (h.in_mirahoric(level) and tau.in_parabolic())
-    failures = [k for k, v in results.items() if not v]
-    if failures:
-        raise ExactError(f"vanishing checks failed: {failures}")
-    return results

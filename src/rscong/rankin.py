@@ -1,6 +1,7 @@
 """The Rankin-Selberg object: Dirichlet coefficients with the imprimitive
-Dirichlet-L correction, Euler factors, archimedean factor, critical set and
-the twist-range bookkeeping.
+Dirichlet-L correction, archimedean factor, critical set and the twist-range
+bookkeeping.  The Euler product the coefficients are checked against lives
+in the tests.
 
 Conventions: the pair is stored with weights k < k2.  The finite part is
 
@@ -21,32 +22,11 @@ from fractions import Fraction
 import mpmath
 
 from .exactnum import AlgNum, ExactError, QuadField, compositum, workdps
-from .forms import DirichletChar, NewformData, primes_upto
-
-
-class Unsupported(ExactError):
-    """Local situation outside the implemented ramification shapes."""
+from .forms import DirichletChar, NewformData
 
 
 class PoleError(ExactError):
     pass
-
-
-@dataclass(frozen=True)
-class LocalFactorGlobal:
-    """Inverse local factor: poly(t) with t = p^(-s), constant term 1."""
-
-    p: int
-    poly: tuple  # AlgNum coefficients, degree <= 4
-
-    def degree(self) -> int:
-        return len(self.poly) - 1
-
-    def eval_alg(self, t: AlgNum | Fraction) -> AlgNum:
-        acc = AlgNum.rational(0)
-        for c in reversed(self.poly):
-            acc = acc * t + c
-        return acc
 
 
 @dataclass(frozen=True)
@@ -78,12 +58,6 @@ class RankinSeries:
     @property
     def field(self) -> QuadField:
         return compositum(self.h.field, self.h2.field)
-
-    def conjugate_pair(self) -> "RankinSeries":
-        from .forms import conjugate_form
-
-        return rs_coefficients(conjugate_form(self.h), conjugate_form(self.h2),
-                               self.n_max)
 
 
 def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries:
@@ -119,72 +93,6 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
                 b[m2 * d] = b[m2 * d] + cm * raw[d]
     return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, char_prod=chi_prod,
                         gamma=(k, k2), Q=Fraction(M) ** 2, swapped=swapped)
-
-
-def euler_factor(h: NewformData, h2: NewformData, p: int) -> LocalFactorGlobal:
-    """Inverse local factor of the Rankin-Selberg L-function at p.
-
-    Away from the levels this is the degree-4 factor written in the symmetric
-    functions of the Hecke parameters, so no square roots appear.  At p
-    dividing exactly one square-free level the factor has degree 2; other
-    ramified shapes are not implemented.
-    """
-    if h.weight > h2.weight:
-        h, h2 = h2, h
-    one = AlgNum.rational(1)
-    N, N2 = h.level, h2.level
-    if N % p and N2 % p:
-        A1, A2 = h.a(p), h.char(p) * (Fraction(p) ** (h.weight - 1))
-        B1, B2 = h2.a(p), h2.char(p) * (Fraction(p) ** (h2.weight - 1))
-        c1 = -(A1 * B1)
-        c2 = A2 * B1 * B1 + B2 * A1 * A1 - 2 * A2 * B2
-        c3 = -(A1 * B1 * A2 * B2)
-        c4 = A2 * A2 * B2 * B2
-        return LocalFactorGlobal(p, (one, c1, c2, c3, c4))
-    # ramified side: require square-free, coprime levels
-    if math.gcd(N, N2) % p == 0 or N % (p * p) == 0 or N2 % (p * p) == 0:
-        raise Unsupported(
-            f"local factor at {p}: levels must be square-free and relatively prime")
-    g, f = (h, h2) if N % p == 0 else (h2, h)  # g carries the level at p
-    ap = g.a(p)
-    B1, B2 = f.a(p), f.char(p) * (Fraction(p) ** (f.weight - 1))
-    c1 = -(ap * B1)
-    c2 = ap * ap * B2
-    return LocalFactorGlobal(p, (one, c1, c2))
-
-
-def euler_expand(factors: list[LocalFactorGlobal], n_max: int) -> list[AlgNum]:
-    """Dirichlet coefficients of prod_p 1/poly_p(p^(-s)) up to n_max."""
-    zero, one = AlgNum.rational(0), AlgNum.rational(1)
-    out = [zero] * (n_max + 1)
-    out[1] = one
-    for loc in factors:
-        p = loc.p
-        # local expansion 1/poly(t) as a power series in t
-        depth = 0
-        pk = 1
-        while pk <= n_max:
-            pk *= p
-            depth += 1
-        inv = [one] + [zero] * depth
-        for i in range(1, depth + 1):
-            acc = zero
-            for j in range(1, min(i, loc.degree()) + 1):
-                acc = acc + loc.poly[j] * inv[i - j]
-            inv[i] = -acc
-        new = out[:]
-        for e in range(1, depth + 1):
-            pe = p ** e
-            if pe > n_max:
-                break
-            if not inv[e]:
-                continue
-            for n in range(1, n_max // pe + 1):
-                if out[n] and n % p:
-                    new[n * pe] = new[n * pe] + inv[e] * out[n]
-        # merge: out had only p-free support updated multiplicatively
-        out = new
-    return out
 
 
 def archimedean_factor(s, k: int, P: int = 50):
@@ -224,7 +132,6 @@ class TheoremRanges:
     left_pairs: tuple[tuple[int, int], ...]
     lower_weight_twists: tuple[int, ...]
     lower_weight_pairs: tuple[tuple[int, int], ...]
-    ratio_checks_possible: bool
 
 
 def translate_argument(m: int, k2: int) -> tuple[int, int]:
@@ -262,5 +169,4 @@ def theorem_ranges(k: int, k2: int) -> TheoremRanges:
         right_twists=tuple(right), right_pairs=right_pairs,
         left_twists=tuple(left), left_pairs=left_pairs,
         lower_weight_twists=tuple(lw), lower_weight_pairs=lw_pairs,
-        ratio_checks_possible=possible,
     )

@@ -20,7 +20,7 @@ from mpmath import mp
 
 from .congruence import check_congruent, eisenstein_screen, excluded_primes
 from .exactnum import (AlgNum, ExactError, GUARD_DIGITS, PrimeIdeal, QuadField,
-                       RATIONAL, compositum, valuation, workdps)
+                       compositum, valuation, workdps)
 from .forms import NewformData
 from .lvalue import get_engine
 from .rankin import (RankinSeries, critical_set, gamma_ratio, rs_coefficients,
@@ -55,17 +55,16 @@ def height_bits(x: AlgNum) -> int:
 
 
 def reconstruct_algebraic(x, F: QuadField, height_cap: int = 10 ** 40,
-                          P: int = 120, tol=None) -> tuple[AlgNum, object]:
+                          P: int = 120) -> tuple[AlgNum, object]:
     """Find y in F with |iota(y) - x| minimal and small height.
 
     Returns (y, residual); raises ReconstructionFailed when nothing under the
-    height cap reproduces x to the tolerance (default 10^(-P/2)).  P should
-    be generous relative to the height cap (around twice its digit count).
+    height cap reproduces x to the tolerance 10^(-P/2).  P should be generous
+    relative to the height cap (around twice its digit count).
     """
     with workdps(P):
         x = mpmath.mpc(x)
-        if tol is None:
-            tol = mp.mpf(10) ** (-Fraction(P, 2))
+        tol = mp.mpf(10) ** (-Fraction(P, 2))
 
         def finish(y: AlgNum):
             res = abs(y.embed(P + GUARD_DIGITS) - x)
@@ -229,7 +228,7 @@ def _squarefree(n: int) -> bool:
 
 def full_report(h: NewformData, h1: NewformData, h2: NewformData,
                 P_ideal: PrimeIdeal, P: int = 120, n_extra: int = 50,
-                n_coeffs: int | None = None, ms: list[int] | None = None,
+                ms: list[int] | None = None,
                 series: tuple[RankinSeries, RankinSeries] | None = None) -> dict:
     """Run the whole verification pipeline for an auxiliary form h and a
     congruent pair (h1, h2), reporting every critical successive ratio.
@@ -268,7 +267,7 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
         rs1, rs2 = series
         n_need = rs1.n_max
     else:
-        n_need = n_coeffs or min(h.n_max, h1.n_max, h2.n_max)
+        n_need = min(h.n_max, h1.n_max, h2.n_max)
         rs1 = rs_coefficients(h1, h, n_need)
         rs2 = rs_coefficients(h2, h, n_need)
     tr = theorem_ranges(rs1.k, rs1.k2)

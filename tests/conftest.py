@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from rscong.forms import delta_family_qexp
-from rscong.ingest import load_fixture, record_to_newform
+from rscong.ingest import load_fixture
 from rscong.rankin import rs_coefficients
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -13,12 +13,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 @pytest.fixture(scope="session")
 def h_prime():
-    return record_to_newform(load_fixture(FIXTURES / "3.13.b.a.json"))
+    return load_fixture(FIXTURES / "3.13.b.a.json")
 
 
 @pytest.fixture(scope="session")
 def h_dprime():
-    return record_to_newform(load_fixture(FIXTURES / "3.13.b.b.json"))
+    return load_fixture(FIXTURES / "3.13.b.b.json")
 
 
 @pytest.fixture(scope="session")

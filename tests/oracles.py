@@ -1,0 +1,398 @@
+"""Independent checks the tests compare the library against.
+
+Nothing in `rscong` calls these: they restate a result of the paper in a
+second way (the Euler product of the Rankin-Selberg series, the printed
+Kostant and w6 identities, the support claims behind the closed-form local
+constant, the local constant as a product of two geometric factors) so the
+pipeline's version can be checked against them.  Shared by several test
+modules; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
+from rscong.exactnum import AlgNum, ExactError, vp
+from rscong.forms import NewformData
+from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
+                             SteinbergTwist, UnramifiedPS)
+from rscong.rankin import RankinSeries, rs_coefficients
+
+
+# ---------------------------------------------------------------------------
+# conjugate forms
+# ---------------------------------------------------------------------------
+
+def conjugate_form(h: NewformData) -> NewformData:
+    """h^rho: conjugate coefficients, nebentypus replaced by its inverse."""
+    coeffs = tuple(c.conj() if isinstance(c, AlgNum) else c for c in h.coeffs)
+    return replace(h, coeffs=coeffs, char=h.char.inverse(),
+                   label=h.label + "-rho" if h.label else "")
+
+
+def conjugate_pair(rs: RankinSeries) -> RankinSeries:
+    """The Rankin-Selberg series of the conjugate pair, the dual side of the
+    functional equation."""
+    return rs_coefficients(conjugate_form(rs.h), conjugate_form(rs.h2), rs.n_max)
+
+
+# ---------------------------------------------------------------------------
+# Euler product of the Rankin-Selberg series
+# ---------------------------------------------------------------------------
+
+class Unsupported(ExactError):
+    """Local situation outside the implemented ramification shapes."""
+
+
+@dataclass(frozen=True)
+class LocalFactorGlobal:
+    """Inverse local factor: poly(t) with t = p^(-s), constant term 1."""
+
+    p: int
+    poly: tuple  # AlgNum coefficients, degree <= 4
+
+    def degree(self) -> int:
+        return len(self.poly) - 1
+
+    def eval_alg(self, t: AlgNum | Fraction) -> AlgNum:
+        acc = AlgNum.rational(0)
+        for c in reversed(self.poly):
+            acc = acc * t + c
+        return acc
+
+
+def euler_factor(h: NewformData, h2: NewformData, p: int) -> LocalFactorGlobal:
+    """Inverse local factor of the Rankin-Selberg L-function at p.
+
+    Away from the levels this is the degree-4 factor written in the symmetric
+    functions of the Hecke parameters, so no square roots appear.  At p
+    dividing exactly one square-free level the factor has degree 2; other
+    ramified shapes are not implemented.
+    """
+    if h.weight > h2.weight:
+        h, h2 = h2, h
+    one = AlgNum.rational(1)
+    N, N2 = h.level, h2.level
+    if N % p and N2 % p:
+        A1, A2 = h.a(p), h.char(p) * (Fraction(p) ** (h.weight - 1))
+        B1, B2 = h2.a(p), h2.char(p) * (Fraction(p) ** (h2.weight - 1))
+        c1 = -(A1 * B1)
+        c2 = A2 * B1 * B1 + B2 * A1 * A1 - 2 * A2 * B2
+        c3 = -(A1 * B1 * A2 * B2)
+        c4 = A2 * A2 * B2 * B2
+        return LocalFactorGlobal(p, (one, c1, c2, c3, c4))
+    # ramified side: require square-free, coprime levels
+    if math.gcd(N, N2) % p == 0 or N % (p * p) == 0 or N2 % (p * p) == 0:
+        raise Unsupported(
+            f"local factor at {p}: levels must be square-free and relatively prime")
+    g, f = (h, h2) if N % p == 0 else (h2, h)  # g carries the level at p
+    ap = g.a(p)
+    B1, B2 = f.a(p), f.char(p) * (Fraction(p) ** (f.weight - 1))
+    c1 = -(ap * B1)
+    c2 = ap * ap * B2
+    return LocalFactorGlobal(p, (one, c1, c2))
+
+
+def euler_expand(factors: list[LocalFactorGlobal], n_max: int) -> list[AlgNum]:
+    """Dirichlet coefficients of prod_p 1/poly_p(p^(-s)) up to n_max."""
+    zero, one = AlgNum.rational(0), AlgNum.rational(1)
+    out = [zero] * (n_max + 1)
+    out[1] = one
+    for loc in factors:
+        p = loc.p
+        # local expansion 1/poly(t) as a power series in t
+        depth = 0
+        pk = 1
+        while pk <= n_max:
+            pk *= p
+            depth += 1
+        inv = [one] + [zero] * depth
+        for i in range(1, depth + 1):
+            acc = zero
+            for j in range(1, min(i, loc.degree()) + 1):
+                acc = acc + loc.poly[j] * inv[i - j]
+            inv[i] = -acc
+        new = out[:]
+        for e in range(1, depth + 1):
+            pe = p ** e
+            if pe > n_max:
+                break
+            if not inv[e]:
+                continue
+            for n in range(1, n_max // pe + 1):
+                if out[n] and n % p:
+                    new[n * pe] = new[n * pe] + inv[e] * out[n]
+        # merge: out had only p-free support updated multiplicatively
+        out = new
+    return out
+
+
+# ---------------------------------------------------------------------------
+# printed GL4 identities: Kostant representatives, w6, Levi conjugation
+# ---------------------------------------------------------------------------
+
+_KOSTANT_PERMS = (
+    # images of (row of the 1 in each column) as printed 4x4 permutation mats
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]],
+    [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0]],
+    [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
+)
+
+
+def kostant_reps(p: int = 2) -> list[PadicMat]:
+    """The six minimal-length coset representatives for the (2,2) Levi."""
+    return [PadicMat.of(m, p) for m in _KOSTANT_PERMS]
+
+
+def is_kostant(wmat: PadicMat) -> bool:
+    """w^{-1} alpha > 0 for the two simple Levi roots e1-e2, e3-e4.
+
+    For a permutation matrix w with w e_j = e_{sigma(j)}, the root e_i - e_j
+    pulls back to e_{sigma^{-1}(i)} - e_{sigma^{-1}(j)}, positive iff
+    sigma^{-1}(i) < sigma^{-1}(j).
+    """
+    a = wmat.entries
+    sigma_inv = {}
+    for j in range(4):
+        i = next(i for i in range(4) if a[i][j] == 1)
+        sigma_inv[i] = j  # w e_j = e_i  =>  sigma(j) = i
+    return sigma_inv[0] < sigma_inv[1] and sigma_inv[2] < sigma_inv[3]
+
+
+def levi_blocks(g: PadicMat) -> tuple[tuple, tuple]:
+    """The two diagonal 2x2 blocks (A, D) of g."""
+    a = g.entries
+    return ((a[0][0], a[0][1]), (a[1][0], a[1][1])), \
+           ((a[2][2], a[2][3]), (a[3][2], a[3][3]))
+
+
+def _modulus_character(t: PadicMat) -> Fraction:
+    """delta_P(t) = |det A|_p^2 / |det D|_p^2 for t = diag(A, D) in the Levi."""
+    A, D = levi_blocks(t)
+    vA = vp(A[0][0] * A[1][1] - A[0][1] * A[1][0], t.p)
+    vD = vp(D[0][0] * D[1][1] - D[0][1] * D[1][0], t.p)
+    return Fraction(t.p) ** (2 * (vD - vA))
+
+
+def _conjugated_box_volume(t: PadicMat, exps: dict) -> Fraction:
+    """Haar volume of t B t^-1, for t diagonal and B the box of lower-block
+    unipotents whose (i, j) entry lies in p^exps[i, j] Z_p.  Each generator of
+    B is conjugated exactly and must stay on its own axis."""
+    p = t.p
+    tinv = t.inverse()
+    vol = Fraction(1)
+    for (i, j), e in exps.items():
+        rows = [[int(r == c) for c in range(4)] for r in range(4)]
+        rows[i][j] = Fraction(p) ** e
+        img = t.mul(PadicMat.of(rows, p)).mul(tinv)
+        off = [(r, c) for r in range(4) for c in range(4) if r != c and img[r, c] != 0]
+        if off != [(i, j)] or any(img[r, r] != 1 for r in range(4)):
+            raise ExactError("Levi conjugation moved a generator off its axis")
+        vol /= Fraction(p) ** vp(img[i, j], p)
+    return vol
+
+
+def w6_identities_check(p: int = 5) -> dict:
+    """Exact verification of the printed ground-truth identities: the
+    Kostant-representative relations, the factorization of w6 through the
+    distinguished unipotent representative, and the measure-scaling law for
+    Levi conjugation of boxes in the opposite unipotent radical.  Any failure
+    raises.  The symbolic block identities are checked by a sympy oracle in
+    `test_coset`."""
+    w = kostant_reps(p)
+    k1 = PadicMat.of([[0, 1, 0, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1]], p)
+    k2 = PadicMat.of([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], p)
+    results = {}
+    results["w4_eq_w6_k"] = w[3].entries == w[5].mul(k1).entries and k1.in_mirahoric(0)
+    results["w5_eq_w6_k"] = w[4].entries == w[5].mul(k2).entries and k2.in_mirahoric(0)
+    f1 = PadicMat.of([[1, 0, 0, 0], [0, -1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    f2 = xi(0, p)
+    f3 = PadicMat.of([[1, 0, 0, 0], [0, 1, 0, -1], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    f4 = PadicMat.of([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], p)
+    results["w6_factorization"] = (
+        w[5].entries == f1.mul(f2).mul(f3).mul(f4).entries
+        and f1.in_parabolic() and f3.in_gl4_zp() and f4.in_gl4_zp())
+    results["kostant_condition"] = all(is_kostant(wi) for wi in w)
+    bad = PadicMat.of([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+    results["levi_transposition_rejected"] = not is_kostant(bad)
+    # Levi conjugation scales the Haar measure of U_P^- by delta_P^(-1):
+    # conjugate a sampled box by a sampled diagonal Levi element
+    rng = random.Random(7)
+    ok = True
+    for _ in range(50):
+        t = _diag(*(rng.randrange(1, p) * Fraction(p) ** rng.randrange(-3, 4)
+                    for _ in range(4)), p)
+        exps = {(i, j): rng.randrange(0, 4) for i in (2, 3) for j in (0, 1)}
+        vol_before = Fraction(1, p ** sum(exps.values()))
+        ok = ok and _conjugated_box_volume(t, exps) == vol_before / _modulus_character(t)
+    results["levi_conjugation_measure"] = ok
+    failures = [k for k, v in results.items() if not v]
+    if failures:
+        raise ExactError(f"identity checks failed: {failures}")
+    return results
+
+
+# ---------------------------------------------------------------------------
+# the local constant as a product of two geometric factors
+# ---------------------------------------------------------------------------
+
+class UnsupportedLocal(ExactError):
+    pass
+
+
+def _rat_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    num = math.isqrt(q.numerator)
+    den = math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
+
+
+def _field_sqrt(x: AlgNum) -> AlgNum | None:
+    """A square root of x inside its own quadratic field, if one exists."""
+    if x.b == 0:
+        r = _rat_sqrt(x.a)
+        if r is not None:
+            return AlgNum(x.field, r)
+        if not x.field.is_rational:
+            # maybe x = d0 * square
+            r = _rat_sqrt(x.a / x.field.d0)
+            if r is not None:
+                return AlgNum(x.field, Fraction(0), r)
+    return None
+
+
+def satake_split(ps: UnramifiedPS) -> tuple[HalfPower, HalfPower]:
+    """The two values chi'_i(p) individually, when they lie in the
+    coefficient field (trace^2 - 4 det has a square root there)."""
+    t = ps.trace
+    disc = t.alg * t.alg - ps.det * (Fraction(ps.p) ** (-t.half)) * 4
+    root = _field_sqrt(disc)
+    if root is None:
+        raise UnsupportedLocal("Satake parameters are irrational over the field")
+    g1 = HalfPower(ps.p, (t.alg + root) / 2, t.half)
+    g2 = HalfPower(ps.p, (t.alg - root) / 2, t.half)
+    return g1, g2
+
+
+def steinberg_from_form(g: NewformData, p: int) -> SteinbergTwist:
+    if g.level % p != 0 or g.level % (p * p) == 0:
+        raise UnsupportedLocal(f"form must have level exactly divisible by {p}")
+    return SteinbergTwist(p=p, chi_p_at_p=g.a(p))
+
+
+def unramified_from_form(f: NewformData, p: int) -> UnramifiedPS:
+    if f.level % p == 0:
+        raise UnsupportedLocal(f"form must be unramified at {p}")
+    K = f.weight
+    rho = conjugate_form(f)
+    trace = HalfPower(p, rho.a(p), -1)
+    det = f.char(p).conj() * (Fraction(p) ** (K - 2))
+    return UnramifiedPS(p=p, trace=trace, det=det, weight=K)
+
+
+@dataclass(frozen=True)
+class GeomFactor:
+    X: HalfPower
+    value: AlgNum
+
+
+def geometric_factor(X, p: int) -> GeomFactor:
+    """(1 - p^(-1) X)/(1 - p^(-2) X), summed from the geometric series
+    1 - (p-1) sum_{M>=1} p^(-2M) X^M in closed form."""
+    X = HalfPower.of(p, X)
+    pinv = Fraction(1, p)
+    num = HalfPower.of(p, 1) + HalfPower(p, -pinv * X.alg, X.half)
+    den = HalfPower.of(p, 1) + HalfPower(p, -pinv * pinv * X.alg, X.half)
+    num_a, den_a = num.fold(), den.fold()
+    if not den_a:
+        raise ConvergenceViolation("geometric series does not converge: 1 - p^-2 X = 0")
+    return GeomFactor(X, num_a / den_a)
+
+
+def geometric_factor_for(st: SteinbergTwist, ps: UnramifiedPS, which: int) -> GeomFactor:
+    """The factor for chi'_1 (which=0) or chi'_2 (which=1); requires the
+    Satake values to split over the coefficient field."""
+    g = satake_split(ps)[which]
+    X = (HalfPower.of(st.p, st.chi_p_at_p) / g) * HalfPower(st.p, AlgNum.rational(1), EVAL_TWIST_HALF)
+    return geometric_factor(X, st.p)
+
+
+# ---------------------------------------------------------------------------
+# support and vanishing claims behind the closed-form local constant
+# ---------------------------------------------------------------------------
+
+W0 = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
+def vanishing_checks(p: int = 3, level: int = 1) -> dict:
+    """Certify the membership and branch claims used by the closed-form
+    evaluation of the intertwining integral, across sampled valuations.
+
+    Raises on any failure; returns the per-claim record otherwise.
+    """
+    results: dict[str, bool] = {}
+    units = [1, 1 + p, 2 * p + 1]
+    # (a) integral-parameter branches stay in the level subgroup
+    ok = True
+    for v in range(0, 4):
+        for u in units:
+            x3 = Fraction(u * p ** v)
+            m = PadicMat.of([[1, 0, 0, 0], [0, 1, x3, 0], [0, 0, 1, 0], [0, 0, 0, 1]], p)
+            ok = ok and m.in_mirahoric(level)
+    results["x_integral_branch_in_K"] = ok
+    # (b) negative-valuation branches: the printed companion matrices are in K
+    ok = True
+    for v in range(1, 4):
+        for u in units:
+            x3 = Fraction(1, u * p ** v)
+            m = PadicMat.of([[0, -1, 0, 0], [0, 1 / x3, 1, 0],
+                             [1, 0, 0, 0], [0, 0, 0, 1]], p)
+            ok = ok and m.in_mirahoric(level) if level == 0 else ok and m.in_gl4_zp()
+            # the level condition holds because the last row is exactly (0,0,0,1)
+            ok = ok and m.in_mirahoric(level)
+            x2 = x3
+            m2 = PadicMat.of([[1, 0, 0, 0], [0, 0, -1, 0],
+                              [0, 1, 1 / x2, 0], [0, 0, 0, 1]], p)
+            ok = ok and m2.in_mirahoric(level)
+            m3 = PadicMat.of([[-1, 0, 0, 0], [0, 0, 1, 0],
+                              [0, 1, 0, 0], [1 / x2, 0, 0, 1]], p)
+            ok = ok and m3.in_mirahoric(level)
+    results["x_negative_branch_companions_in_K"] = ok
+    # (c) the (3,2)-elementary matrices land in the trivial coset, never in
+    # the big cell: reduction gives the full-level class...
+    ok = True
+    for v in range(0, 3):
+        m_u = unipotent(0, Fraction(p ** v), 0, 0, p)
+        cls = reduce_unipotent(m_u, level, 0)
+        ok = ok and cls.j == level
+    results["integral_branch_class_is_trivial"] = ok
+    # ... and the big cell is genuinely distinct: xi(0) in P xi(level) K would
+    # force the (4,4)-unit condition and the (4,2)-elimination to contradict
+    # each other mod p; exhaust the relevant residues.
+    ok = True
+    for h44 in range(p):
+        for h22 in range(p):
+            for h24 in range(p):
+                h42_mod_p = h44 % p  # h42 = -p h22 + w(h44 + p h24), w = 1
+                if h42_mod_p == 0 and (h44 - 1) % p == 0:
+                    ok = False
+    results["big_cell_distinct_from_trivial"] = ok
+    # (d) w0 lies in the big cell P xi(0) K: exact witness
+    w0 = PadicMat.of(W0, p)
+    h = PadicMat.of([[0, 0, 1, 0], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 0, 1]], p)
+    tau = xi(0, p).mul(h).mul(w0.inverse())
+    results["w0_in_big_cell"] = (h.in_mirahoric(level) and tau.in_parabolic())
+    failures = [k for k, v in results.items() if not v]
+    if failures:
+        raise ExactError(f"vanishing checks failed: {failures}")
+    return results

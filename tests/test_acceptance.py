@@ -17,14 +17,18 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from oracles import (conjugate_pair, euler_expand, euler_factor,
+                     geometric_factor_for, steinberg_from_form,
+                     unramified_from_form, vanishing_checks, w6_identities_check)
+
 from rscong.congruence import check_congruent, eisenstein_screen
 from rscong.exactnum import (AlgNum, QuadField, RATIONAL,
                              factor_rational_prime, valuation)
 from rscong.forms import (char_from_kronecker, delta_family_qexp,
                           eisenstein_qexp, primes_upto)
 from rscong.lvalue import LEngine, get_engine
-from rscong.rankin import (archimedean_factor, critical_set, euler_expand, euler_factor,
-                           gamma_ratio, rs_coefficients, theorem_ranges)
+from rscong.rankin import (archimedean_factor, critical_set, gamma_ratio,
+                           rs_coefficients, theorem_ranges)
 from rscong.ratio import (CONGRUENT, NOT_CONGRUENT, full_report,
                           reconstruct_algebraic, report_text)
 
@@ -99,7 +103,7 @@ class TestCriterion1Reproduction:
 class TestCriterion2LocalConstant:
     def test_exact_identity_200_random(self):
         from rscong.localint import (HalfPower, SteinbergTwist, UnramifiedPS,
-                                     geometric_factor_for, local_constant)
+                                     local_constant)
 
         rng = random.Random(20240613)
         count = 0
@@ -130,8 +134,7 @@ class TestCriterion2LocalConstant:
         announce("2 local-constant = Euler-factor ratio (200 random, exact)", ok)
 
     def test_fixture_cross_check(self, h_prime, h_dprime, h_aux26):
-        from rscong.localint import (local_constant, steinberg_from_form,
-                                     unramified_from_form)
+        from rscong.localint import local_constant
 
         ok = True
         for g in (h_prime, h_dprime):
@@ -168,9 +171,6 @@ class TestCriterion3CosetOracle:
     def test_printed_identities(self):
         from test_coset import block_identities_sympy
 
-        from rscong.coset import w6_identities_check
-        from rscong.localint import vanishing_checks
-
         out = w6_identities_check(3)
         van = all(all(vanishing_checks(p, 1).values()) for p in (2, 3, 5))
         announce("3+ printed matrix identities and support claims",
@@ -206,7 +206,7 @@ class TestCriterion4LEngine:
         for rs in (rs_74_prime, rs_74_dprime):
             eng = get_engine(rs, P_WORK)
             root = eng.solve_root_number()
-            conj = get_engine(rs.conjugate_pair(), P_WORK) if not eng.is_self_dual() else eng
+            conj = get_engine(conjugate_pair(rs), P_WORK) if not eng.is_self_dual() else eng
             k, k2 = rs.gamma
             with mp.workdps(eng.dps):
                 for s in critical_set(k, k2):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rscong.cli import main
+from rscong.cli import build_parser, main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,6 +14,24 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_subcommands_take_only_the_shared_flags_they_read():
+    shared = {"--precision", "--fixtures", "--cache-dir", "--json-out", "--n-max"}
+    sub = next(a for a in build_parser()._actions if a.choices)
+    taken = {name: shared & {opt for act in sp._actions for opt in act.option_strings}
+             for name, sp in sub.choices.items()}
+    assert taken == {
+        "fetch": {"--cache-dir", "--json-out", "--n-max"},
+        "congruent": {"--fixtures", "--json-out", "--n-max"},
+        "lvalue": {"--precision", "--fixtures", "--json-out", "--n-max"},
+        "verify": {"--precision", "--fixtures", "--json-out", "--n-max"},
+        "coset-reduce": {"--json-out"},
+        "local-constant": {"--json-out"},
+    }
+    with pytest.raises(SystemExit):
+        main(["coset-reduce", "--p", "5", "--level-pair", "1,1", "--entries", "0,0,0,5",
+              "--precision", "30"])
 
 
 class TestCosetCli:

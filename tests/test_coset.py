@@ -5,12 +5,101 @@ from fractions import Fraction
 
 import pytest
 
-from rscong import coset
-from rscong.coset import (CosetClass, PadicMat, ReductionError, global_representatives,
-                          gl2_in_k1_level, is_kostant, kostant_reps,
-                          levi_projection_level, lift_levi_pair, reduce_unipotent,
-                          unipotent, w6_identities_check, xi)
-from rscong.exactnum import ExactError, vp
+import oracles
+from oracles import is_kostant, kostant_reps, levi_blocks, w6_identities_check
+
+from rscong.coset import CosetClass, PadicMat, ReductionError, reduce_unipotent, unipotent, xi
+from rscong.exactnum import ExactError, _factor_trial, vp
+
+
+# ---------------------------------------------------------------------------
+# Levi projections of the stabilizers, and the global representatives
+# ---------------------------------------------------------------------------
+
+def levi_projection_level(i: int, n_prime: int, n: int) -> tuple[int, int]:
+    """GL2 x GL2 level pair of the Levi projection of P cap xi K xi^{-1}."""
+    level = n_prime + n
+    if not 0 <= i <= level:
+        raise ExactError(f"need 0 <= i <= {level}")
+    return (level - i, i)
+
+
+def gl2_in_k1_level(block: tuple, p: int, m: int) -> bool:
+    """Is a 2x2 block in K_p(m): integral, unit det, last row = (0,1) mod p^m."""
+    (a, b), (c, d) = block
+    if any(vp(t, p) < 0 for t in (a, b, c, d)):
+        return False
+    if vp(a * d - b * c, p) != 0:
+        return False
+    return vp(c, p) >= m and vp(d - 1, p) >= m
+
+
+def lift_levi_pair(A, D, i: int, n_prime: int, n: int, p: int) -> PadicMat | None:
+    """Find g in P with Levi blocks (A, D) and xi^(-i) g xi^(i) in K.
+
+    Searches the off-diagonal block over residues mod p^(n'+n); used to verify
+    that the Levi projection really reaches K(n'+n-i) x K(i).
+    """
+    level = n_prime + n
+    x = xi(i, p)
+    xinv = x.inverse()
+    span = p ** level
+    vals = range(span)
+    for b11 in vals:
+        for b12 in vals:
+            for b21 in vals:
+                for b22 in vals:
+                    g = PadicMat.of([
+                        [A[0][0], A[0][1], b11, b12],
+                        [A[1][0], A[1][1], b21, b22],
+                        [0, 0, D[0][0], D[0][1]],
+                        [0, 0, D[1][0], D[1][1]]], p)
+                    if xinv.mul(g).mul(x).in_mirahoric(level):
+                        return g
+    return None
+
+
+def global_representatives(N: int, N2: int) -> list[dict]:
+    """Tuples (i_p) over p | N*N2 with the induced GL2 x GL2 level pairs.
+
+    Returns one record per tuple with levels (N*N2/N_i, N_i); the two
+    distinguished tuples corresponding to (n_p) and (n'_p) are flagged.
+    """
+    if N < 1 or N2 < 1:
+        raise ExactError("levels must be positive")
+    NN = N * N2
+    exps = _factor_trial(NN)
+    ps = sorted(exps)
+
+    def tuples(idx):
+        if idx == len(ps):
+            yield {}
+            return
+        q = ps[idx]
+        for rest in tuples(idx + 1):
+            for e in range(exps[q] + 1):
+                d = dict(rest)
+                d[q] = e
+                yield d
+
+    out = []
+    for tup in tuples(0):
+        Ni = 1
+        for q, e in tup.items():
+            Ni *= q ** e
+        rec = {
+            "i": dict(sorted(tup.items())),
+            "levels": (NN // Ni, Ni),
+            "is_xi_N": all(tup[q] == vp(Fraction(N), q) for q in ps),
+            "is_xi_N2": all(tup[q] == vp(Fraction(N2), q) for q in ps),
+        }
+        out.append(rec)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the double-coset oracle
+# ---------------------------------------------------------------------------
 
 
 def membership_witness(u: PadicMat, j: int, level: int, rng: random.Random,
@@ -215,7 +304,7 @@ class TestLeviProjection:
             if not g.in_parabolic():
                 continue
             found += 1
-            A, D = g.levi_blocks()
+            A, D = levi_blocks(g)
             assert gl2_in_k1_level(A, p, level - i)
             assert gl2_in_k1_level(D, p, i)
         assert found >= 2000
@@ -256,11 +345,11 @@ class TestIdentities:
         assert block_identities_sympy()
 
     def test_wrong_measure_law_fails(self, monkeypatch):
-        true_law = coset._modulus_character
+        true_law = oracles._modulus_character
         wrong_laws = (lambda t: Fraction(1),  # volume kept
                       lambda t: 1 / true_law(t),  # inverse character
                       lambda t: Fraction(t.p) ** (vp(true_law(t), t.p) // 2))  # delta^(1/2)
         for law in wrong_laws:
-            monkeypatch.setattr(coset, "_modulus_character", law)
+            monkeypatch.setattr(oracles, "_modulus_character", law)
             with pytest.raises(ExactError, match="levi_conjugation_measure"):
                 w6_identities_check(5)

@@ -30,17 +30,27 @@ def minimal_obj(an=None):
     }
 
 
+def read_record(path: Path) -> FormRecord:
+    return parse_record(json.loads(path.read_bytes()))
+
+
 class TestSchema:
     def test_fixture_loads(self):
-        rec = load_fixture(FIXTURES / "3.13.b.a.json")
-        assert rec.level == 3 and rec.weight == 13
-        form = record_to_newform(rec)
-        assert form.a(1) == 1
+        form = load_fixture(FIXTURES / "3.13.b.a.json")
+        assert isinstance(form, NewformData)
+        assert form.level == 3 and form.weight == 13 and form.a(1) == 1
+
+    def test_fixture_load_is_gated(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(minimal_obj(an=[[2, 1, 0, 1]])))
+        with pytest.raises(IntegrityError):
+            load_fixture(path)
 
     def test_quadratic_field_normalized(self):
-        rec = load_fixture(FIXTURES / "3.13.b.b.json")
+        rec = read_record(FIXTURES / "3.13.b.b.json")
         assert rec.field_disc == -8424
         assert rec.field() == QuadField(-26)
+        assert load_fixture(FIXTURES / "3.13.b.b.json").field == QuadField(-26)
 
     def test_missing_field_pointer(self):
         obj = minimal_obj()
@@ -81,10 +91,10 @@ class TestSchema:
 
 class TestRoundTrip:
     def test_save_load_byte_identical(self, tmp_path):
-        rec = load_fixture(FIXTURES / "3.13.b.a.json")
+        rec = read_record(FIXTURES / "3.13.b.a.json")
         p1 = tmp_path / "a.json"
         save_fixture(rec, p1)
-        rec2 = load_fixture(p1)
+        rec2 = read_record(p1)
         p2 = tmp_path / "b.json"
         save_fixture(rec2, p2)
         assert p1.read_bytes() == p2.read_bytes()

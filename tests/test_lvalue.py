@@ -9,6 +9,8 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from oracles import conjugate_pair
+
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError
 from rscong.forms import delta_family_qexp, trivial_char
@@ -257,7 +259,7 @@ class TestEngineSmallPair:
 
     def test_functional_equation_residual(self, engine_small, rs_small):
         root = engine_small.solve_root_number()
-        conj = LEngine(rs_small.conjugate_pair(), 40)
+        conj = LEngine(conjugate_pair(rs_small), 40)
         k, k2 = rs_small.gamma
         with mp.workdps(60):
             for s in range(k, k2):

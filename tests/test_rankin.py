@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import Unsupported, euler_expand, euler_factor
+
 from rscong.exactnum import AlgNum
 from rscong.forms import delta_family_qexp, primes_upto
-from rscong.rankin import (PoleError, Unsupported, archimedean_factor,
-                           critical_set, euler_expand, euler_factor,
+from rscong.rankin import (PoleError, archimedean_factor, critical_set,
                            gamma_ratio, rs_coefficients, theorem_ranges,
                            translate_argument)
 

@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rscong.exactnum import (AlgNum, QuadField, congruent_mod,
                              factor_rational_prime, quad_normalize)
 from rscong.forms import char_from_kronecker, eisenstein_qexp, sigma_chi_coeffs
-from rscong.ingest import FormRecord, newform_record, record_to_newform, save_fixture
+from rscong.ingest import load_fixture, newform_record, save_fixture
 
 CHI = char_from_kronecker(-3)
 WEIGHT = 13
@@ -288,9 +288,7 @@ def main():
     save_fixture(rec_pp, args.out / "3.13.b.b.json")
     # round-trip sanity
     for name in ("3.13.b.a.json", "3.13.b.b.json"):
-        from rscong.ingest import load_fixture
-        rec = load_fixture(args.out / name)
-        rt = record_to_newform(rec)
+        rt = load_fixture(args.out / name)
         assert rt.a(7) == (hp if name.startswith("3.13.b.a") else hpp).a(7)
     print(f"wrote fixtures to {args.out} (n_max={n_max})")
     print("a(2,h') =", hp.a(2), "  a(2,h'') =", hpp.a(2))
