@@ -114,10 +114,6 @@ class DirichletChar:
                 F = compositum(F, v.field)
         return F
 
-    def inverse(self) -> "DirichletChar":
-        vals = tuple(v.conj() if v else v for v in self.values)
-        return DirichletChar(self.modulus, vals)
-
     def times(self, other: "DirichletChar", modulus: int) -> "DirichletChar":
         """Product character viewed at the given modulus (lcm of the two)."""
         assert modulus % self.modulus == 0 and modulus % other.modulus == 0

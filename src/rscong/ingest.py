@@ -169,18 +169,15 @@ def record_to_newform(rec: FormRecord) -> NewformData:
                            coeffs=coeffs, label=rec.label)
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
-    if form.n_max >= 1:
-        if form.a(1) != 1:
-            raise IntegrityError(f"{rec.label}: a(1) != 1")
-        rng = random.Random(20240617)
-        pairs = []
-        while len(pairs) < 20 and form.n_max >= 6:
-            m = rng.randrange(2, max(3, form.n_max // 3))
-            n = rng.randrange(2, max(3, form.n_max // m + 1))
-            if m * n <= form.n_max and math.gcd(m, n) == 1:
-                pairs.append((m, n))
-        if not form.check_hecke_multiplicativity(pairs):
-            raise IntegrityError(f"{rec.label}: Hecke multiplicativity fails")
+    rng = random.Random(20240617)
+    pairs = []
+    while len(pairs) < 20 and form.n_max >= 6:
+        m = rng.randrange(2, max(3, form.n_max // 3))
+        n = rng.randrange(2, max(3, form.n_max // m + 1))
+        if m * n <= form.n_max and math.gcd(m, n) == 1:
+            pairs.append((m, n))
+    if not form.check_hecke_multiplicativity(pairs):
+        raise IntegrityError(f"{rec.label}: Hecke multiplicativity fails")
     return form
 
 

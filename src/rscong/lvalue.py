@@ -12,10 +12,12 @@ Bessel-K moment, computed by a stable three-term ladder from two Bessel
 values per summation point (`KernelLadder`).  A trapezoidal contour
 quadrature kept in the tests is an independent reference for this kernel.
 
-The functional-equation constant is never trusted from a formula: it is
-solved numerically from the AFE itself by evaluating at two smoothing scales
-(`LEngine.solve_root_number`), then validated through unitarity and
-two-probe consistency.
+The root number is exact: `rankin.root_number` takes it from the local
+types of the pair, and `LEngine.solve_root_number` returns that element of
+the coefficient field.  Only its embedding enters the AFE, so
+`LValueResult.err_bound` is the certified tails of the two smoothed sums,
+and a central value forced to vanish by root number -1 is an exact fact
+(`certified_zero`).  Both sums use the one smoothing scale delta = sqrt(Q).
 
 Each `RankinSeries` owns its engines, one per precision (`get_engine`), so
 an engine lives as long as its series.  Engines of the same weight k and
@@ -44,8 +46,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp
 
-from .exactnum import GUARD_DIGITS, ExactError
-from .rankin import RankinSeries, archimedean_factor
+from .exactnum import GUARD_DIGITS, AlgNum, ExactError
+from .rankin import RankinSeries, archimedean_factor, root_number
 
 #: extra digits on top of P + GUARD_DIGITS for kernel ladders and summation
 LADDER_GUARD = 45
@@ -66,19 +68,8 @@ class InsufficientCoefficients(ExactError):
         super().__init__(message or f"need Dirichlet coefficients up to n = {n_needed}")
 
 
-class NormalizationError(ExactError):
-    """Root-number solve failed unitarity: wrong conductor or normalization."""
-
-
 class KernelSpecError(ExactError):
     pass
-
-
-@dataclass(frozen=True)
-class RootNumber:
-    eps: object  # mpc
-    residual: object  # mpf
-    conductor: Fraction
 
 
 @dataclass(frozen=True)
@@ -324,7 +315,6 @@ class LEngine:
         self.ladder = ladder
         self._emb: list | None = None
         self._emb_conj: list | None = None
-        self._root: RootNumber | None = None
         self._pieces_cache: dict = {}
         self._self_dual: bool | None = None
         with mp.workdps(self.dps):
@@ -374,8 +364,7 @@ class LEngine:
         integral *= 8 * pref * 2 * CK * q ** mu
         return fterm(N + 1) + integral
 
-    def _smoothed_sum(self, s: int, delta_tag: str, delta, conj: bool,
-                      side_exponent: int):
+    def _smoothed_sum(self, s: int, delta, conj: bool, side_exponent: int):
         """sum_n c_n n^(-s) G_s(n * scale) with rigorous adaptive cutoff.
 
         delta enters as x_n = n/delta (outgoing side) or n*delta/Q (reflected
@@ -438,61 +427,28 @@ class LEngine:
         return n
 
     # -- the two-sided AFE ---------------------------------------------------
-    def _afe_pieces(self, s: int, delta_tag: str, delta):
-        """(A, B) with Lambda(s) = A + eps * Q^alpha(s) * B at this delta."""
-        key = (s, delta_tag)
+    def _afe_pieces(self, s: int):
+        """(A, B, tail) with Lambda(s) = A + eps * Q^alpha(s) * B at delta =
+        sqrt(Q); tail bounds the error of A plus Q^alpha(s) B."""
         cached = self._pieces_cache
-        if key in cached:
-            return cached[key]
+        if s in cached:
+            return cached[s]
         shat = self.k + self.k2 - 1 - s
         if not (self.k <= s <= self.k2 - 1 and self.k <= shat <= self.k2 - 1):
             raise ExactError(f"AFE window is {self.k} <= s <= {self.k2 - 1}")
-        A, tail_a = self._smoothed_sum(s, delta_tag, delta, conj=False, side_exponent=+1)
-        B, tail_b = self._smoothed_sum(shat, delta_tag, delta, conj=True, side_exponent=-1)
-        cached[key] = (A, B, tail_a + tail_b)
-        return cached[key]
+        A, tail_a = self._smoothed_sum(s, self.sqrtQ, conj=False, side_exponent=+1)
+        B, tail_b = self._smoothed_sum(shat, self.sqrtQ, conj=True, side_exponent=-1)
+        cached[s] = (A, B, tail_a + abs(self._alpha_pow(s)) * tail_b)
+        return cached[s]
 
     def _alpha_pow(self, s: int):
         # Q^((k + k2 - 1)/2 - s)
         e2 = self.k + self.k2 - 1 - 2 * s  # twice the exponent
         return self.sqrtQ ** e2
 
-    def solve_root_number(self) -> RootNumber:
-        """Solve the AFE constant from two smoothing scales and two probes."""
-        if self._root is not None:
-            return self._root
-        with mp.workdps(self.dps):
-            deltas = {"d0": self.sqrtQ,
-                      "d1": self.sqrtQ * mp.mpf(27) / 20,
-                      "d2": self.sqrtQ * mp.mpf(16) / 21}
-            s_lo = max(self.k, (self.k + self.k2 - 1) // 2 + 1)
-            s_probe1 = self.k2 - 1
-            s_probe2 = max(self.k2 - 2, s_lo)
-            probes = [(s_probe1, "d0", "d1"), (s_probe2, "d0", "d2")]
-
-            def solve_at(s0, ta, tb):
-                A0, B0, _ = self._afe_pieces(s0, ta, deltas[ta])
-                A1, B1, _ = self._afe_pieces(s0, tb, deltas[tb])
-                dB = B0 - B1
-                if abs(dB) == 0:
-                    raise NormalizationError("degenerate smoothing-scale probe")
-                return -(A0 - A1) / dB / self._alpha_pow(s0)
-
-            e0 = solve_at(*probes[0])
-            e1 = solve_at(*probes[1])
-            residual = abs(e0 - e1)
-            eps = e0
-            s0 = probes[0][0]
-            tol = mp.mpf(10) ** (-Fraction(self.P, 3))
-            if abs(abs(eps) - 1) > tol:
-                raise NormalizationError(
-                    f"|eps| = {mpmath.nstr(abs(eps), 10)} is not 1 to 10^-P/3: "
-                    "wrong conductor Q or normalization")
-            if residual > tol:
-                raise NormalizationError(
-                    f"eps probes disagree by {mpmath.nstr(residual, 5)}")
-            self._root = RootNumber(eps=eps, residual=residual, conductor=self.rs.Q)
-        return self._root
+    def solve_root_number(self) -> AlgNum:
+        """The exact root number of the series (`rankin.root_number`)."""
+        return root_number(self.rs)
 
     def is_self_dual(self) -> bool:
         """Coefficients fixed by conjugation, so Lambda-tilde = Lambda."""
@@ -509,17 +465,13 @@ class LEngine:
         with root number -1 forces the central value to vanish."""
         if s != self.central_point() or not self.is_self_dual():
             return False
-        eps = self.solve_root_number().eps
-        with mp.workdps(self.dps):
-            return abs(eps + 1) < mp.mpf(10) ** (-Fraction(self.P, 3))
+        return self.solve_root_number() == -1
 
     def lambda_afe(self, s: int):
-        root = self.solve_root_number()
+        eps = self.solve_root_number()
         with mp.workdps(self.dps):
-            A, B, tails = self._afe_pieces(s, "d0", self.sqrtQ)
-            val = A + root.eps * self._alpha_pow(s) * B
-            err = tails + abs(B) * root.residual * abs(self._alpha_pow(s))
-            return val, err
+            A, B, tail = self._afe_pieces(s)
+            return A + eps.embed(self.dps) * self._alpha_pow(s) * B, tail
 
     # -- direct summation -----------------------------------------------------
     def _direct_converges(self, s) -> bool:

@@ -1,6 +1,6 @@
 """The Rankin-Selberg object: Dirichlet coefficients with the imprimitive
-Dirichlet-L correction, archimedean factor, critical set and the twist-range
-bookkeeping.  The Euler product the coefficients are checked against lives
+Dirichlet-L correction, the exact root number, archimedean factor, critical
+set and the twist-range bookkeeping.  The Euler product the coefficients are checked against lives
 in the tests.
 
 Conventions: the pair is stored with weights k < k2.  The finite part is
@@ -21,12 +21,17 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactnum import AlgNum, ExactError, QuadField, compositum, workdps
+from .exactnum import AlgNum, ExactError, QuadField, _factor_trial, compositum, workdps
 from .forms import DirichletChar, NewformData
 
 
 class PoleError(ExactError):
     pass
+
+
+class NormalizationError(ExactError):
+    """The root number is not given by a local type this code covers, or the
+    series' conductor Q is not the product of the local conductors."""
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,52 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
                 b[m2 * d] = b[m2 * d] + cm * raw[d]
     return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, char_prod=chi_prod,
                         gamma=(k, k2), Q=Fraction(M) ** 2, swapped=swapped)
+
+
+def root_number(rs: RankinSeries) -> AlgNum:
+    """The root number eps of Lambda(s) = eps Q^((k+k2-1)/2 - s) Lambda~(k+k2-1-s),
+    exactly, as the product of local factors eps_p over p | M (eps_inf = 1).
+
+    Each p | M must divide exactly one level, once; call that form f and the
+    p-part of its nebentypus chi_p.  For trivial chi_p (a Steinberg twist,
+    a_p(f) = +-p^((k_f-2)/2)) eps_p = 1.  For quadratic chi_p (a ramified
+    principal series) eps_p = chi_p(-1) conj(a_p(f))^2 / p^(k_f-1), the sign
+    coming from tau(chi_p)^2 = chi_p(-1) p (W. Li, "L-series of Rankin type
+    and their functional equations", Math. Ann. 244, 1979).  Any other local
+    type, and a conductor Q other than the product of the p^2, raises
+    NormalizationError.
+    """
+    eps = AlgNum.rational(1).promote(rs.field)
+    conductor = 1
+    for p in sorted(_factor_trial(rs.M)):
+        owners = [g for g in (rs.h, rs.h2) if g.level % p == 0]
+        if len(owners) > 1:
+            raise NormalizationError(
+                f"p = {p} divides both levels {rs.h.level} and {rs.h2.level}")
+        f = owners[0]
+        if f.level % (p * p) == 0:
+            raise NormalizationError(f"p = {p}: p^2 divides the level {f.level}")
+        chi_p = _local_char(f.char, p)
+        if any(v * v != 1 for v in chi_p.values()):
+            raise NormalizationError(f"p = {p}: nebentypus of order greater than 2 at p")
+        if any(v != 1 for v in chi_p.values()):
+            ap = f.a(p).conj()
+            sign = chi_p[max(chi_p)]  # chi_p(-1): -1 is the largest unit residue
+            eps = eps * sign * ap * ap / Fraction(p) ** (f.weight - 1)
+        conductor *= p * p
+    if rs.Q != conductor:
+        raise NormalizationError(
+            f"conductor Q = {rs.Q} is not the product {conductor} of the local conductors")
+    return eps
+
+
+def _local_char(chi: DirichletChar, p: int) -> dict[int, AlgNum]:
+    """chi_p on the units r mod p^e, p^e the p-part of chi's modulus."""
+    pe = p ** _factor_trial(chi.modulus).get(p, 0)
+    rest = chi.modulus // pe
+    # chi at the residue that is r mod p^e and 1 mod the rest of the modulus
+    return {r: chi(r * rest * pow(rest, -1, pe) + pe * pow(pe, -1, rest))
+            for r in range(1, pe) if r % p}
 
 
 def archimedean_factor(s, k: int, P: int = 50):

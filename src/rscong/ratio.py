@@ -199,6 +199,9 @@ def compare_ratios(v1: RatioVerdict, v2: RatioVerdict, P: PrimeIdeal) -> str:
 
 REPORT_SCHEMA = "rscong-report/v1"
 
+#: coefficients the report's congruence check compares at least
+CONGRUENCE_TERMS = 50
+
 
 @dataclass
 class PairVerdict:
@@ -227,7 +230,7 @@ def _squarefree(n: int) -> bool:
 
 
 def full_report(h: NewformData, h1: NewformData, h2: NewformData,
-                P_ideal: PrimeIdeal, P: int = 120, n_extra: int = 50,
+                P_ideal: PrimeIdeal, P: int = 120,
                 ms: list[int] | None = None,
                 series: tuple[RankinSeries, RankinSeries] | None = None) -> dict:
     """Run the whole verification pipeline for an auxiliary form h and a
@@ -244,7 +247,7 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
     l = P_ideal.l
     N, N2 = h.level, h1.level
 
-    congruence = check_congruent(h1, h2, P_ideal, n_extra=n_extra)
+    congruence = check_congruent(h1, h2, P_ideal, n_extra=CONGRUENCE_TERMS)
     alarm = eisenstein_screen(h1, P_ideal) or eisenstein_screen(h2, P_ideal)
     excluded = excluded_primes(min(k_pair, k_aux), max(k_pair, k_aux), N, N2)
 

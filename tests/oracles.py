@@ -1,10 +1,11 @@
 """Independent checks the tests compare the library against.
 
 Nothing in `rscong` calls these: they restate a result of the paper in a
-second way (the Euler product of the Rankin-Selberg series, the printed
-Kostant and w6 identities, the support claims behind the closed-form local
-constant, the local constant as a product of two geometric factors) so the
-pipeline's version can be checked against them.  Shared by several test
+second way (the root number solved numerically from the approximate
+functional equation, the Euler product of the Rankin-Selberg series, the
+printed Kostant and w6 identities, the support claims behind the closed-form
+local constant, the local constant as a product of two geometric factors) so
+the pipeline's version can be checked against them.  Shared by several test
 modules; pytest does not collect this file.
 """
 
@@ -15,11 +16,14 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from mpmath import mp
+
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
 from rscong.exactnum import AlgNum, ExactError, vp
-from rscong.forms import NewformData
+from rscong.forms import DirichletChar, NewformData
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
                              SteinbergTwist, UnramifiedPS)
+from rscong.lvalue import LEngine
 from rscong.rankin import RankinSeries, rs_coefficients
 
 
@@ -27,10 +31,16 @@ from rscong.rankin import RankinSeries, rs_coefficients
 # conjugate forms
 # ---------------------------------------------------------------------------
 
+def char_inverse(chi: DirichletChar) -> DirichletChar:
+    """The inverse character: its values are roots of unity, so conjugates."""
+    vals = tuple(v.conj() if v else v for v in chi.values)
+    return DirichletChar(chi.modulus, vals)
+
+
 def conjugate_form(h: NewformData) -> NewformData:
     """h^rho: conjugate coefficients, nebentypus replaced by its inverse."""
     coeffs = tuple(c.conj() if isinstance(c, AlgNum) else c for c in h.coeffs)
-    return replace(h, coeffs=coeffs, char=h.char.inverse(),
+    return replace(h, coeffs=coeffs, char=char_inverse(h.char),
                    label=h.label + "-rho" if h.label else "")
 
 
@@ -38,6 +48,32 @@ def conjugate_pair(rs: RankinSeries) -> RankinSeries:
     """The Rankin-Selberg series of the conjugate pair, the dual side of the
     functional equation."""
     return rs_coefficients(conjugate_form(rs.h), conjugate_form(rs.h2), rs.n_max)
+
+
+# ---------------------------------------------------------------------------
+# the root number solved from the AFE at two smoothing scales
+# ---------------------------------------------------------------------------
+
+def probe_root_number(eng: LEngine):
+    """(eps, residual): the root number solved numerically from the AFE.
+
+    Lambda(s) does not depend on the smoothing scale delta, so at a probe s
+    the pieces at delta = sqrt(Q) and at a second delta give eps; the two
+    probes (s = k2 - 1 against 27/20 sqrt(Q), and the next s down, not left
+    of the centre, against 16/21 sqrt(Q)) disagree by `residual`.
+    """
+    with mp.workdps(eng.dps):
+        s_lo = max(eng.k, (eng.k + eng.k2 - 1) // 2 + 1)
+        probes = [(eng.k2 - 1, eng.sqrtQ * mp.mpf(27) / 20),
+                  (max(eng.k2 - 2, s_lo), eng.sqrtQ * mp.mpf(16) / 21)]
+        solved = []
+        for s0, delta in probes:
+            A0, B0, _ = eng._afe_pieces(s0)
+            A1, _ = eng._smoothed_sum(s0, delta, conj=False, side_exponent=+1)
+            B1, _ = eng._smoothed_sum(eng.k + eng.k2 - 1 - s0, delta, conj=True,
+                                      side_exponent=-1)
+            solved.append(-(A0 - A1) / (B0 - B1) / eng._alpha_pow(s0))
+        return solved[0], abs(solved[0] - solved[1])
 
 
 # ---------------------------------------------------------------------------

@@ -205,13 +205,13 @@ class TestCriterion4LEngine:
         worst = mp.mpf(0)
         for rs in (rs_74_prime, rs_74_dprime):
             eng = get_engine(rs, P_WORK)
-            root = eng.solve_root_number()
             conj = get_engine(conjugate_pair(rs), P_WORK) if not eng.is_self_dual() else eng
             k, k2 = rs.gamma
             with mp.workdps(eng.dps):
+                eps = eng.solve_root_number().embed(eng.dps)
                 for s in critical_set(k, k2):
                     lhs = eng.lambda_afe(s)[0]
-                    rhs = root.eps * eng._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
+                    rhs = eps * eng._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
                     scale = abs(eng.ladder.G_zero_limit(s))
                     res = abs(lhs - rhs) / scale
                     worst = max(worst, res)
@@ -220,16 +220,11 @@ class TestCriterion4LEngine:
                  ok, f"worst {mpmath.nstr(worst, 3)}")
 
     def test_unitarity(self, rs_74_prime, rs_74_dprime):
-        ok = True
-        details = []
-        for rs in (rs_74_prime, rs_74_dprime):
-            root = get_engine(rs, P_WORK).solve_root_number()
-            with mp.workdps(P_WORK):
-                dev = abs(abs(root.eps) - 1)
-                ok = ok and dev <= mp.mpf(10) ** (-P_WORK // 3)
-                details.append(mpmath.nstr(dev, 3))
-        announce("4iii root-number unitarity ||eps|-1| <= 1e-40", ok,
-                 "deviations " + ", ".join(details))
+        roots = [get_engine(rs, P_WORK).solve_root_number()
+                 for rs in (rs_74_prime, rs_74_dprime)]
+        announce("4iii root-number unitarity eps * conj(eps) = 1 (exact)",
+                 all(eps * eps.conj() == 1 for eps in roots),
+                 "eps " + ", ".join(map(repr, roots)))
 
     def test_precision_monotonicity(self, rs_74_prime):
         lo = LEngine(rs_74_prime, 60)

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import conjugate_form
+from oracles import char_inverse, conjugate_form
 
-from rscong.exactnum import AlgNum, ExactError
+from rscong.exactnum import AlgNum, ExactError, QuadField
 from rscong.forms import (DELTA_WEIGHTS, DirichletChar, bernoulli, bernoulli_chi,
                           char_from_kronecker, delta_family_qexp, eisenstein_qexp,
                           eta_series, primes_upto, trivial_char)
@@ -41,7 +41,11 @@ class TestCharacters:
             char_from_kronecker(-6)  # -6 = 2 mod 4
 
     def test_inverse_is_conjugate(self):
-        assert CHI3.inverse()(2) == CHI3(2)  # real character
+        assert char_inverse(CHI3)(2) == CHI3(2)  # real character
+        i = AlgNum(QuadField(-1), 0, 1)
+        quartic = DirichletChar(5, (AlgNum.rational(0), AlgNum.rational(1), i, -i,
+                                    AlgNum.rational(-1)))  # 2 -> i
+        assert all(char_inverse(quartic)(r) * quartic(r) == 1 for r in range(1, 5))
 
 
 class TestBernoulli:

@@ -72,7 +72,7 @@ class TestSchema:
 
     def test_a1_not_one(self):
         obj = minimal_obj(an=[[2, 1, 0, 1]])
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match=r"a\(1\) must be 1"):
             record_to_newform(parse_record(obj))
 
     def test_multiplicativity_gate(self):

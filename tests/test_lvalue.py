@@ -2,22 +2,23 @@ from __future__ import annotations
 
 import gc
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from oracles import conjugate_pair
+from oracles import conjugate_pair, probe_root_number
 
 from rscong import lvalue
-from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError
-from rscong.forms import delta_family_qexp, trivial_char
+from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
+from rscong.forms import (DirichletChar, NewformData, delta_family_qexp, eta_series,
+                          trivial_char)
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
-                           LEngine, NormalizationError, besselk_pair, d4_upto,
-                           get_engine, tree_sum)
-from rscong.rankin import RankinSeries, archimedean_factor, rs_coefficients
+                           LEngine, besselk_pair, d4_upto, get_engine, tree_sum)
+from rscong.rankin import (NormalizationError, RankinSeries, archimedean_factor,
+                           root_number, rs_coefficients)
 
 
 @dataclass(frozen=True)
@@ -228,8 +229,8 @@ class TestTaperedKernel:
         for s in range(12, k2):
             res = lo.L_at(s)
             exact = hi.L_at(s).value
-            A, B, bound = lo._afe_pieces(s, "d0", lo.sqrtQ)
-            A2, B2, _ = hi._afe_pieces(s, "d0", hi.sqrtQ)
+            A, B, bound = lo._afe_pieces(s)
+            A2, B2, _ = hi._afe_pieces(s)
             with mp.workdps(hi.dps):
                 assert abs(res.value - exact) <= res.err_bound, s
                 assert abs(A - A2) + abs(B - B2) <= bound, s
@@ -237,11 +238,7 @@ class TestTaperedKernel:
 
 class TestEngineSmallPair:
     def test_root_number_real_unitary(self, engine_small):
-        root = engine_small.solve_root_number()
-        with mp.workdps(50):
-            assert abs(abs(root.eps) - 1) < mp.mpf(10) ** -14
-            assert abs(root.eps.imag) < mp.mpf(10) ** -14
-            assert root.residual < mp.mpf(10) ** -14
+        assert engine_small.solve_root_number() == 1
 
     def test_direct_vs_afe_cross_method(self):
         # rightmost critical point of (12,22), inside the certified direct
@@ -258,13 +255,13 @@ class TestEngineSmallPair:
             assert abs(afe - direct) <= 2 * bound + abs(afe) * mp.mpf(10) ** -20
 
     def test_functional_equation_residual(self, engine_small, rs_small):
-        root = engine_small.solve_root_number()
+        eps = engine_small.solve_root_number().embed(60)
         conj = LEngine(conjugate_pair(rs_small), 40)
         k, k2 = rs_small.gamma
         with mp.workdps(60):
             for s in range(k, k2):
                 lhs = engine_small.lambda_afe(s)[0]
-                rhs = root.eps * engine_small._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
+                rhs = eps * engine_small._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
                 scale = abs(engine_small.ladder.G_zero_limit(s))
                 assert abs(lhs - rhs) <= scale * mp.mpf(10) ** -(40 // 3)
 
@@ -287,6 +284,92 @@ class TestEngineSmallPair:
         assert engine_small.L_at(14).method == "afe"
         eng80 = LEngine(rs_small, 12)
         assert eng80.L_at(40).method == "direct"
+
+
+def eta_quotient(N: int, r: int, n: int) -> NewformData:
+    """q prod_m (1 - q^m)^r (1 - q^(N m))^r to q^n: for (N, r) = (5, 4) and
+    (3, 6) the newform of level N, weight r and trivial character."""
+    eta = [(j, c) for j, c in enumerate(eta_series(n)) if c]
+    g = [1] + [0] * (n - 1)  # coefficients of q^0 .. q^(n-1) of the product
+    for step in [1] * r + [N] * r:
+        new = [0] * n
+        for j, c in eta:
+            for i in range(n - j * step):
+                new[i + j * step] += c * g[i]
+        g = new
+    return NewformData(level=N, weight=r, char=trivial_char(N),
+                       coeffs=tuple(AlgNum.rational(c) for c in [0] + g), label=f"eta-{N}.{r}")
+
+
+@pytest.fixture(scope="module")
+def root_number_forms(h_prime, h_dprime):
+    forms = {f"delta:{k}": delta_family_qexp(k, 800) for k in (12, 16, 22)}
+    forms["eta5"], forms["eta3"] = eta_quotient(5, 4, 2000), eta_quotient(3, 6, 800)
+    forms["3.13.b.a"], forms["3.13.b.b"] = h_prime, h_dprime
+    return forms
+
+
+#: eps of 3.13.b.b against a form of level prime to 3: -conj(a_3)^2 / 3^12
+#: with a_3 = -675 - 54 sqrt(-26)
+EPS_3_13_B_B = AlgNum(QuadField(-26), Fraction(-521, 729), Fraction(100, 729))
+
+
+class TestRootNumber:
+    """The exact root number against the two-probe AFE solve (`oracles`)."""
+
+    def test_eta_quotients_are_the_newforms(self, root_number_forms):
+        assert root_number_forms["eta5"].a(5) == -5
+        assert root_number_forms["eta3"].a(3) == 9
+
+    @pytest.mark.parametrize("pair, n, expected", [
+        (("delta:12", "delta:16"), 800, 1),
+        (("delta:12", "delta:22"), 800, 1),
+        (("eta5", "delta:12"), 800, 1),
+        (("eta5", "delta:16"), 800, 1),
+        (("eta3", "delta:12"), 800, 1),
+        (("eta3", "delta:16"), 800, 1),
+        (("3.13.b.a", "delta:16"), 800, -1),
+        (("3.13.b.b", "delta:16"), 800, EPS_3_13_B_B),
+        (("3.13.b.a", "eta5"), 2000, -1),
+        (("3.13.b.b", "eta5"), 2000, EPS_3_13_B_B),
+    ])
+    def test_matches_the_probe_solve(self, root_number_forms, pair, n, expected):
+        rs = rs_coefficients(*(root_number_forms[name] for name in pair), n)
+        eps = root_number(rs)
+        assert eps == expected and eps.field == rs.field
+        probe, residual = probe_root_number(LEngine(rs, 20))
+        with mp.workdps(40):
+            assert abs(probe - eps.embed(40)) < mp.mpf(10) ** -25
+            assert residual < mp.mpf(10) ** -25
+
+    @pytest.mark.parametrize("shape, message", [
+        ("shared level", "p = 3 divides both levels"),
+        ("square level", "p = 3: p\\^2 divides"),
+        ("quartic character", "p = 5: nebentypus of order greater than 2"),
+    ])
+    def test_uncovered_local_types_are_typed(self, root_number_forms, shape, message):
+        forms = root_number_forms
+        if shape == "shared level":
+            pair = forms["eta3"], forms["3.13.b.a"]
+        elif shape == "square level":
+            pair = replace(forms["eta3"], level=9, char=trivial_char(9)), forms["delta:12"]
+        else:
+            i = AlgNum(QuadField(-1), 0, 1)
+            quartic = DirichletChar(5, (AlgNum.rational(0), AlgNum.rational(1), i, -i,
+                                        AlgNum.rational(-1)))
+            pair = replace(forms["eta5"], char=quartic), forms["delta:12"]
+        with pytest.raises(NormalizationError, match=message):
+            root_number(rs_coefficients(*pair, 100))
+
+    def test_certified_zero_needs_no_bessel(self, h_prime, monkeypatch):
+        # (13,16) has centre 14; 3.13.b.a x delta:16 is self-dual with eps = -1
+        def no_bessel(*_):
+            raise AssertionError("Bessel pair computed for an exact root number")
+
+        monkeypatch.setattr(lvalue, "besselk_pair", no_bessel)
+        monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
+        rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
+        assert get_engine(rs, 12).certified_zero(14)
 
 
 class TestHelpers:
