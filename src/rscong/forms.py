@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .exactnum import (AlgNum, ExactError, QuadField, RATIONAL, compositum,
                        kronecker, quad_normalize, workdps)
@@ -196,8 +196,10 @@ class NewformData:
             raise ExactError(f"coefficient a({n}) not available (n_max={self.n_max})")
         return self.coeffs[n]
 
-    @property
+    @cached_property
     def field(self) -> QuadField:
+        """The field of the character values and the coefficients, computed
+        on first use: the data are frozen."""
         F = self.char.field
         for c in self.coeffs[1:]:
             F = compositum(F, c.field)

@@ -2,7 +2,11 @@
 
 Direct summation where the Dirichlet series converges absolutely with a
 certifiable tail, and a smoothed two-sided approximate functional equation at
-the critical integers.  The smoothing kernel
+the critical integers.  The direct tail is bounded by sum_{n>N} d4(n)
+n^(w/2 - s): its first stretch past N is one exact sum of integers scaled by
+a power of two, each term rounded up, and the rest an integral comparison;
+the sum is converted and added rounding up, so the bound is never below the
+tail it bounds.  The smoothing kernel
 
     G_s(x) = (1/2 pi i) int_(c) L_inf(s + w) x^(-w) dw / w
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .exactnum import GUARD_DIGITS, AlgNum, ExactError
 from .rankin import RankinSeries, archimedean_factor, root_number
@@ -479,12 +483,37 @@ class LEngine:
         return 2 * s > self.k + self.k2 + 2
 
     def _direct_tail_bound(self, s, N: int):
-        """sum_{n>N} d4(n) n^(w/2 - s): exact sieve stretch + crude integral."""
+        """An upper bound of sum_{n>N} d4(n) n^(w/2 - s).
+
+        The stretch N < n <= N2 = `_sieve_end(N)` is one exact integer sum at
+        scale 2^B, B = mp.prec + 20 + ceil(sigma log2(N + 1)) with
+        sigma = s - w/2, so each term is an integer rounded up: the ceiling of
+        d4(n) 2^B / n^sigma for integer sigma, and for half-integer sigma the
+        ceiling of the square root of the ceiling of d4(n)^2 4^B / n^(2 sigma).
+        The sum times 2^-B is rounded up to mp.prec bits and added, rounding
+        up, to `_tail_beyond(s, N2)`; every step rounds up, so the result is
+        never below the true tail.  The first term carries at least
+        mp.prec + 20 bits and each of the at most 2^18 terms is at most two
+        units high, so the terms add under 2^-mp.prec of the stretch, and
+        each conversion at most one unit in the last place.
+        """
         N2 = _sieve_end(N)
         d4 = d4_upto(N2)
-        exact = tree_sum([mp.mpf(d4[n]) * mp.mpf(n) ** (Fraction(self.w, 2) - s)
-                          for n in range(N + 1, N2 + 1)])
-        return exact + self._tail_beyond(s, N2)
+        two_sigma = 2 * s - self.w
+        B = mp.prec + 20 + math.ceil(two_sigma * math.log2(N + 1) / 2)
+        if two_sigma % 2 == 0:
+            sigma, scale = two_sigma // 2, 1 << B
+            S = sum(-(-d4[n] * scale // n ** sigma) for n in range(N + 1, N2 + 1))
+        else:
+            scale = 1 << (2 * B)
+            S = 0
+            for n in range(N + 1, N2 + 1):
+                sq = -(-d4[n] ** 2 * scale // n ** two_sigma)
+                r = math.isqrt(sq)
+                S += r + (r * r < sq)
+        exact = libmp.from_man_exp(S, -B, mp.prec, "c")
+        beyond = self._tail_beyond(s, N2)._mpf_
+        return mp.make_mpf(libmp.mpf_add(exact, beyond, mp.prec, "c"))
 
     def _tail_beyond(self, s, N2: int):
         """Certified bound of the tail past the sieve stretch."""

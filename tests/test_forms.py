@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 
 from oracles import char_inverse, conjugate_form
 
+from rscong import forms
 from rscong.exactnum import AlgNum, ExactError, QuadField
 from rscong.forms import (DELTA_WEIGHTS, DirichletChar, bernoulli, bernoulli_chi,
                           char_from_kronecker, delta_family_qexp, eisenstein_qexp,
@@ -180,6 +182,20 @@ class TestFixtureForms:
         assert h_dprime.field.d0 == -26
         assert h_prime.weight == h_dprime.weight == 13
         assert h_prime.level == h_dprime.level == 3
+
+    def test_field_is_computed_once_outside_equality_hash_and_repr(self, h_dprime,
+                                                                   monkeypatch):
+        form = dataclasses.replace(h_dprime)  # a fresh object: no field yet
+        before = (repr(form), hash(form))
+        assert form.field.d0 == -26
+
+        def rescan(*_):
+            raise AssertionError("coefficients rescanned for the field")
+
+        monkeypatch.setattr(forms, "compositum", rescan)
+        assert form.field.d0 == -26
+        assert (repr(form), hash(form)) == before
+        assert form == h_dprime
 
     def test_a2_values(self, h_prime, h_dprime):
         assert h_prime.a(2) == 0

@@ -5,10 +5,11 @@ tracer look up (`bench/workloads.py`, `bench/spans.py`) and the fixture
 generator `tools/gen_level3_fixtures.py`.  Reachability is by bare name: a
 reached definition reaches every top-level function, class, method and
 constant of the package whose name it mentions, as a variable, an attribute
-or a `from . import` name.  A reached class reaches its decorators, bases,
-class-level statements and dunder methods; its other methods are reached by
-name like functions.  Oracles the tests compare the library against belong
-in `tests/`, not in the library.
+or a `from . import` name.  The one exception is `self.<name>` inside a class
+that defines a method of that name: it reaches only that method.  A reached
+class reaches its decorators, bases, class-level statements and dunder
+methods; its other methods are reached by name like functions.  Oracles the
+tests compare the library against belong in `tests/`, not in the library.
 """
 
 from __future__ import annotations
@@ -33,21 +34,33 @@ def _assigned_names(stmt) -> list[str]:
     return names
 
 
-def _mentions(nodes) -> set[str]:
-    """Names, attributes and `from . import` names mentioned in `nodes`."""
+def _mentions(nodes, own: dict[str, str] | None = None) -> set[str]:
+    """Names, attributes and `from . import` names mentioned in `nodes`.
+
+    `own` maps the method names of the enclosing class to their qualified
+    names; `self.<name>` mentions the qualified name where it has one.
+    """
+    own = own or {}
     out: set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute):
-                out.add(sub.attr)
+                on_self = isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                out.add(own.get(sub.attr, sub.attr) if on_self else sub.attr)
             elif isinstance(sub, ast.ImportFrom) and sub.level == 1 and sub.module is None:
                 out.update(alias.name for alias in sub.names)
     return out
 
 
-def _class_body_mentions(cls: ast.ClassDef) -> set[str]:
+def _methods(cls: ast.ClassDef) -> list:
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not _is_dunder(stmt.name)]
+
+
+def _class_body_mentions(cls: ast.ClassDef, own: dict[str, str]) -> set[str]:
     nodes = [*cls.decorator_list, *cls.bases, *cls.keywords]
     for stmt in cls.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,11 +68,15 @@ def _class_body_mentions(cls: ast.ClassDef) -> set[str]:
                 nodes.append(stmt)
         else:
             nodes.append(stmt)
-    return _mentions(nodes)
+    return _mentions(nodes, own)
 
 
 def library_definitions() -> dict[str, list[tuple[str, set[str]]]]:
-    """Bare name -> [(qualified name, names its body mentions)]."""
+    """Reach key -> [(qualified name, keys its body mentions)].
+
+    A key is a bare name; a method is also under its qualified name, the key
+    `self.<name>` in its own class mentions.
+    """
     defs: dict[str, list[tuple[str, set[str]]]] = {}
 
     def add(name, qual, mentions):
@@ -71,11 +88,12 @@ def library_definitions() -> dict[str, list[tuple[str, set[str]]]]:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 add(stmt.name, f"{mod}.{stmt.name}", _mentions([stmt]))
             elif isinstance(stmt, ast.ClassDef):
-                add(stmt.name, f"{mod}.{stmt.name}", _class_body_mentions(stmt))
-                for item in stmt.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                            and not _is_dunder(item.name):
-                        add(item.name, f"{mod}.{stmt.name}.{item.name}", _mentions([item]))
+                own = {item.name: f"{mod}.{stmt.name}.{item.name}" for item in _methods(stmt)}
+                add(stmt.name, f"{mod}.{stmt.name}", _class_body_mentions(stmt, own))
+                for item in _methods(stmt):
+                    mentions = _mentions([item], own)
+                    add(item.name, own[item.name], mentions)
+                    add(own[item.name], own[item.name], mentions)
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 for name in _assigned_names(stmt):
                     add(name, f"{mod}.{name}", _mentions([stmt.value]))
@@ -106,8 +124,8 @@ def unreached() -> list[str]:
         seen.add(name)
         for _, mentions in defs.get(name, ()):
             todo.extend(mentions - seen)
-    return sorted(qual for name, entries in defs.items() if name not in seen
-                  for qual, _ in entries)
+    reached = {qual for key in seen for qual, _ in defs.get(key, ())}
+    return sorted({qual for entries in defs.values() for qual, _ in entries} - reached)
 
 
 def test_every_library_definition_is_reached_from_a_root():
@@ -123,5 +141,17 @@ def test_the_walk_finds_an_unreached_definition(tmp_path, monkeypatch):
     for path in PACKAGE.glob("*.py"):
         (pkg / path.name).write_text(path.read_text())
     (pkg / "extra.py").write_text("def orphan_check():\n    return 1\n")
+    # `Live.main` is reached through the root name `main`; the only caller of
+    # `Dead.orphan_method` is `self.orphan_method` in `Live`, which reaches
+    # `Live.orphan_method` alone
+    (pkg / "extra_methods.py").write_text(
+        "class Live:\n"
+        "    def main(self):\n        return self.orphan_method()\n"
+        "    def orphan_method(self):\n        return 1\n"
+        "class Dead:\n"
+        "    def orphan_method(self):\n        return 2\n")
     monkeypatch.setitem(globals(), "PACKAGE", pkg)
-    assert "extra.orphan_check" in unreached()
+    dead = unreached()
+    assert "extra.orphan_check" in dead
+    assert "extra_methods.Dead.orphan_method" in dead
+    assert "extra_methods.Live.orphan_method" not in dead

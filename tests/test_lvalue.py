@@ -167,6 +167,48 @@ class TestDirect:
             LEngine(rs, 30).direct_finite(20)
         assert err.value.n_needed == 1 << 40
 
+    @pytest.fixture(scope="class")
+    def engine_p120(self):
+        n = 2000
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        return LEngine(rs, 120)
+
+    @staticmethod
+    def reference_tail(eng, s, N):
+        """sum_{n>N} d4(n) n^(w/2 - s) with the sieve stretch summed 40 digits
+        above the engine's precision, plus the engine's own `_tail_beyond`."""
+        N2 = lvalue._sieve_end(N)
+        d4 = d4_upto(N2)
+        with mp.workdps(eng.dps):
+            beyond = eng._tail_beyond(s, N2)
+        with mp.workdps(eng.dps + 40):
+            e = Fraction(eng.w, 2) - s
+            return mpmath.fsum(d4[n] * mp.mpf(n) ** e for n in range(N + 1, N2 + 1)) + beyond
+
+    @pytest.mark.parametrize("case", ["even", "odd"])
+    def test_tail_bound_is_an_upper_bound(self, case, engine_p120, h_prime):
+        # sigma = s - w/2 an integer on (12,16), a half-integer on 3.13.b.a x delta:16
+        if case == "even":
+            eng, s, N = engine_p120, 51, 2000
+        else:
+            n = 1200
+            eng = LEngine(rs_coefficients(h_prime, delta_family_qexp(16, n), n), 30)
+            s, N = 32, n
+        assert (2 * s - eng.w) % 2 == (case == "odd")
+        with mp.workdps(eng.dps):
+            bound = eng._direct_tail_bound(s, N)
+        ref = self.reference_tail(eng, s, N)
+        with mp.workdps(eng.dps + 40):
+            assert bound >= ref
+            assert bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
+
+    def test_tail_bound_value_is_pinned(self, engine_p120):
+        # the value the rounded mpf sum of the sieve stretch gave
+        with mp.workdps(engine_p120.dps):
+            bound = engine_p120._direct_tail_bound(51, 2000)
+            pinned = mp.mpf("3.080765016350320682313274139546132729654e-122")
+            assert abs(bound / pinned - 1) < mp.mpf(10) ** -30
+
     def test_edge_point_even_weight_sum_uses_afe(self, engine_small):
         # s = (k + k2)/2 + 1 = 15 on (12,16): no certified direct tail there
         res = engine_small.L_at(15)
