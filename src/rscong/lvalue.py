@@ -16,12 +16,19 @@ Bessel-K moment, computed by a stable three-term ladder from two Bessel
 values per summation point (`KernelLadder`).  A trapezoidal contour
 quadrature kept in the tests is an independent reference for this kernel.
 
-The root number is exact: `rankin.root_number` takes it from the local
-types of the pair, and `LEngine.solve_root_number` returns that element of
-the coefficient field.  Only its embedding enters the AFE, so
-`LValueResult.err_bound` is the certified tails of the two smoothed sums,
-and a central value forced to vanish by root number -1 is an exact fact
-(`certified_zero`).  Both sums use the one smoothing scale delta = sqrt(Q).
+The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
+
+    A(s) = sum_n c_n n^(-s) G_s(n / sqrt(Q)),
+
+computed once per s.  The dual series of the functional equation has the
+complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
+conj(A(s^)), and Lambda(s) = A(s) + eps Q^alpha(s) conj(A(s^)) with the
+bound tail(s) + |Q^alpha(s)| tail(s^).  The root number is exact:
+`rankin.root_number` takes it from the local types of the pair, and
+`LEngine.solve_root_number` returns that element of the coefficient field.
+Only its embedding enters the AFE, so `LValueResult.err_bound` is the
+certified tails alone, and a central value forced to vanish by root number
+-1 is an exact fact (`certified_zero`).
 
 Each `RankinSeries` owns its engines, one per precision (`get_engine`), so
 an engine lives as long as its series.  Engines of the same weight k and
@@ -248,11 +255,6 @@ class KernelLadder:
         pref = (2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (self.k + 1 - 2 * s)
         return pref * self.J(mu, x_val, digits)
 
-    def G_zero_limit(self, s: int):
-        """G_s(0+) = L_inf(s), used as the kernel mass scale."""
-        return ((2 * mpmath.pi) ** (-2 * s) * mpmath.gamma(s)
-                * mpmath.gamma(s + 1 - self.k))
-
 
 # ---------------------------------------------------------------------------
 # divisor bound helpers for rigorous tails
@@ -318,25 +320,22 @@ class LEngine:
             ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
         self.ladder = ladder
         self._emb: list | None = None
-        self._emb_conj: list | None = None
-        self._pieces_cache: dict = {}
-        self._self_dual: bool | None = None
+        self._sums: dict = {}  # s -> (A(s), its bound)
         with mp.workdps(self.dps):
             self.sqrtQ = mpmath.sqrt(mp.mpf(rs.Q.numerator) / rs.Q.denominator)
+            self.scale = 1 / self.sqrtQ  # the grid x_n = n / sqrt(Q)
+            self.q = 4 * mpmath.pi * mpmath.sqrt(self.scale)
 
     # -- coefficient embeddings ---------------------------------------------
-    def _embeddings(self, conj: bool) -> list:
-        attr = "_emb_conj" if conj else "_emb"
-        if getattr(self, attr) is None:
+    def _embeddings(self) -> list:
+        if self._emb is None:
             with mp.workdps(self.dps):
                 out = [mpmath.mpc(0)]
                 for n in range(1, self.rs.n_max + 1):
                     c = self.rs.b[n]
-                    if conj:
-                        c = c.conj()
                     out.append(c.embed(self.dps) if c else mpmath.mpc(0))
-            setattr(self, attr, out)
-        return getattr(self, attr)
+            self._emb = out
+        return self._emb
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
     def _afe_tail_bound(self, s: int, q, N: int):
@@ -368,12 +367,9 @@ class LEngine:
         integral *= 8 * pref * 2 * CK * q ** mu
         return fterm(N + 1) + integral
 
-    def _smoothed_sum(self, s: int, delta, conj: bool, side_exponent: int):
-        """sum_n c_n n^(-s) G_s(n * scale) with rigorous adaptive cutoff.
-
-        delta enters as x_n = n/delta (outgoing side) or n*delta/Q (reflected
-        side); `side_exponent` +1/-1 selects which, and q = 4 pi sqrt(1/delta)
-        or 4 pi sqrt(delta/Q) accordingly.
+    def _smoothed_sum(self, s: int):
+        """A(s) = sum_n c_n n^(-s) G_s(n / sqrt(Q)) with rigorous adaptive
+        cutoff.
 
         Returns (sum, bound): the bound covers the truncated tail and the
         rounding budget of the terms, each evaluated at the digits it needs
@@ -381,15 +377,10 @@ class LEngine:
         the first G and each G computed bounds the next.
         """
         rs = self.rs
-        emb = self._embeddings(conj)
+        emb = self._embeddings()
+        scale, q = self.scale, self.q
         with mp.workdps(self.dps):
-            Q = mp.mpf(rs.Q.numerator) / rs.Q.denominator
-            if side_exponent > 0:
-                scale = 1 / delta
-            else:
-                scale = delta / Q
-            q = 4 * mpmath.pi * mpmath.sqrt(scale)
-            mass = abs(self.ladder.G_zero_limit(s))
+            mass = abs(archimedean_factor(s, self.k, self.dps))
             target = mass * mp.mpf(10) ** (-(self.P + 8))
             # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
@@ -431,20 +422,6 @@ class LEngine:
         return n
 
     # -- the two-sided AFE ---------------------------------------------------
-    def _afe_pieces(self, s: int):
-        """(A, B, tail) with Lambda(s) = A + eps * Q^alpha(s) * B at delta =
-        sqrt(Q); tail bounds the error of A plus Q^alpha(s) B."""
-        cached = self._pieces_cache
-        if s in cached:
-            return cached[s]
-        shat = self.k + self.k2 - 1 - s
-        if not (self.k <= s <= self.k2 - 1 and self.k <= shat <= self.k2 - 1):
-            raise ExactError(f"AFE window is {self.k} <= s <= {self.k2 - 1}")
-        A, tail_a = self._smoothed_sum(s, self.sqrtQ, conj=False, side_exponent=+1)
-        B, tail_b = self._smoothed_sum(shat, self.sqrtQ, conj=True, side_exponent=-1)
-        cached[s] = (A, B, tail_a + abs(self._alpha_pow(s)) * tail_b)
-        return cached[s]
-
     def _alpha_pow(self, s: int):
         # Q^((k + k2 - 1)/2 - s)
         e2 = self.k + self.k2 - 1 - 2 * s  # twice the exponent
@@ -455,10 +432,8 @@ class LEngine:
         return root_number(self.rs)
 
     def is_self_dual(self) -> bool:
-        """Coefficients fixed by conjugation, so Lambda-tilde = Lambda."""
-        if self._self_dual is None:
-            self._self_dual = all(c == c.conj() for c in self.rs.b[1:])
-        return self._self_dual
+        """Every embedded coefficient is real, so Lambda-tilde = Lambda."""
+        return not any(c.imag for c in self._embeddings())
 
     def central_point(self) -> int | None:
         tot = self.k + self.k2 - 1
@@ -472,10 +447,20 @@ class LEngine:
         return self.solve_root_number() == -1
 
     def lambda_afe(self, s: int):
+        """(Lambda(s), bound) with Lambda(s) = A(s) + eps Q^alpha(s) conj(A(s^)),
+        s^ = k + k2 - 1 - s: the dual series has the complex-conjugate
+        coefficients.  The bound is tail(s) + |Q^alpha(s)| tail(s^)."""
         eps = self.solve_root_number()
+        shat = self.k + self.k2 - 1 - s
+        if not self.k <= s <= self.k2 - 1:
+            raise ExactError(f"AFE window is {self.k} <= s <= {self.k2 - 1}")
         with mp.workdps(self.dps):
-            A, B, tail = self._afe_pieces(s)
-            return A + eps.embed(self.dps) * self._alpha_pow(s) * B, tail
+            for t in (s, shat):
+                if t not in self._sums:
+                    self._sums[t] = self._smoothed_sum(t)
+            (A, tail_a), (B, tail_b) = self._sums[s], self._sums[shat]
+            alpha = self._alpha_pow(s)
+            return A + eps.embed(self.dps) * alpha * B.conjugate(), tail_a + abs(alpha) * tail_b
 
     # -- direct summation -----------------------------------------------------
     def _direct_converges(self, s) -> bool:
@@ -537,7 +522,7 @@ class LEngine:
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
         with mp.workdps(self.dps):
-            emb = self._embeddings(False)
+            emb = self._embeddings()
             tail = self._direct_tail_bound(s, rs.n_max)
             val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
                             for n in range(1, rs.n_max + 1) if emb[n]])

@@ -23,8 +23,8 @@ from .exactnum import (AlgNum, ExactError, GUARD_DIGITS, PrimeIdeal, QuadField,
                        compositum, valuation, workdps)
 from .forms import NewformData
 from .lvalue import get_engine
-from .rankin import (RankinSeries, critical_set, gamma_ratio, rs_coefficients,
-                     theorem_ranges)
+from .rankin import (RankinSeries, archimedean_factor, critical_set, gamma_ratio,
+                     rs_coefficients, theorem_ranges)
 
 CONGRUENT, NOT_CONGRUENT, INDETERMINATE = "Congruent", "NotCongruent", "Indeterminate"
 
@@ -150,7 +150,7 @@ def ratio_at(rs: RankinSeries, m: int, P: int,
     den = eng.L_at(m + 1)
     with workdps(P):
         floor = mp.mpf(10) ** (-Fraction(P, 2))
-        scale = abs(eng.ladder.G_zero_limit(m + 1))
+        scale = abs(archimedean_factor(m + 1, eng.k, P))
         if abs(den.value) <= floor * scale:
             return RatioVerdict((m, m + 1), mpmath.mpc(0), None, None, 0,
                                 indeterminate_reason="denominator value vanishes to working precision")

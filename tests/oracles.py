@@ -11,11 +11,13 @@ modules; pytest does not collect this file.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+import mpmath
 from mpmath import mp
 
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
@@ -31,15 +33,22 @@ from rscong.rankin import RankinSeries, rs_coefficients
 # conjugate forms
 # ---------------------------------------------------------------------------
 
+def complex_conj(c: AlgNum) -> AlgNum:
+    """The complex conjugate under `AlgNum.embed`: the Galois conjugate in an
+    imaginary quadratic field, and c itself in Q or a real quadratic field."""
+    return c.conj() if c.field.d0 < 0 else c
+
+
 def char_inverse(chi: DirichletChar) -> DirichletChar:
     """The inverse character: its values are roots of unity, so conjugates."""
-    vals = tuple(v.conj() if v else v for v in chi.values)
+    vals = tuple(complex_conj(v) if v else v for v in chi.values)
     return DirichletChar(chi.modulus, vals)
 
 
 def conjugate_form(h: NewformData) -> NewformData:
-    """h^rho: conjugate coefficients, nebentypus replaced by its inverse."""
-    coeffs = tuple(c.conj() if isinstance(c, AlgNum) else c for c in h.coeffs)
+    """h^rho: complex-conjugate coefficients, nebentypus replaced by its
+    inverse."""
+    coeffs = tuple(complex_conj(c) if isinstance(c, AlgNum) else c for c in h.coeffs)
     return replace(h, coeffs=coeffs, char=char_inverse(h.char),
                    label=h.label + "-rho" if h.label else "")
 
@@ -54,24 +63,36 @@ def conjugate_pair(rs: RankinSeries) -> RankinSeries:
 # the root number solved from the AFE at two smoothing scales
 # ---------------------------------------------------------------------------
 
+def smoothed_sum_at(eng: LEngine, s: int, scale):
+    """sum_n c_n n^(-s) G_s(n * scale) on a grid other than the engine's
+    n / sqrt(Q): the engine's own sum, run on a copy with the grid replaced."""
+    other = copy.copy(eng)
+    with mp.workdps(eng.dps):
+        other.scale, other.q = scale, 4 * mpmath.pi * mpmath.sqrt(scale)
+    return other._smoothed_sum(s)[0]
+
+
 def probe_root_number(eng: LEngine):
     """(eps, residual): the root number solved numerically from the AFE.
 
-    Lambda(s) does not depend on the smoothing scale delta, so at a probe s
-    the pieces at delta = sqrt(Q) and at a second delta give eps; the two
+    Lambda(s) does not depend on the smoothing scale delta: with
+    s^ = k + k2 - 1 - s it is A(s) + eps Q^alpha(s) conj(B(s^)), A summed on
+    the grid n/delta and B on n delta/Q.  So at a probe s the sums at
+    delta = sqrt(Q) (the engine's) and at a second delta give eps; the two
     probes (s = k2 - 1 against 27/20 sqrt(Q), and the next s down, not left
     of the centre, against 16/21 sqrt(Q)) disagree by `residual`.
     """
     with mp.workdps(eng.dps):
+        Q = mp.mpf(eng.rs.Q.numerator) / eng.rs.Q.denominator
         s_lo = max(eng.k, (eng.k + eng.k2 - 1) // 2 + 1)
         probes = [(eng.k2 - 1, eng.sqrtQ * mp.mpf(27) / 20),
                   (max(eng.k2 - 2, s_lo), eng.sqrtQ * mp.mpf(16) / 21)]
         solved = []
         for s0, delta in probes:
-            A0, B0, _ = eng._afe_pieces(s0)
-            A1, _ = eng._smoothed_sum(s0, delta, conj=False, side_exponent=+1)
-            B1, _ = eng._smoothed_sum(eng.k + eng.k2 - 1 - s0, delta, conj=True,
-                                      side_exponent=-1)
+            shat = eng.k + eng.k2 - 1 - s0
+            A0, B0 = eng._smoothed_sum(s0)[0], eng._smoothed_sum(shat)[0].conjugate()
+            A1 = smoothed_sum_at(eng, s0, 1 / delta)
+            B1 = smoothed_sum_at(eng, shat, delta / Q).conjugate()
             solved.append(-(A0 - A1) / (B0 - B1) / eng._alpha_pow(s0))
         return solved[0], abs(solved[0] - solved[1])
 

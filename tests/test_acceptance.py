@@ -212,7 +212,7 @@ class TestCriterion4LEngine:
                 for s in critical_set(k, k2):
                     lhs = eng.lambda_afe(s)[0]
                     rhs = eps * eng._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
-                    scale = abs(eng.ladder.G_zero_limit(s))
+                    scale = abs(archimedean_factor(s, k, eng.dps))
                     res = abs(lhs - rhs) / scale
                     worst = max(worst, res)
                     ok = ok and res <= mp.mpf(10) ** (-P_WORK // 3)

@@ -106,7 +106,7 @@ class TestKernel:
         with mp.workdps(55):
             for s in (13, 20, 25):
                 tiny = ladder.G(s, mp.mpf(10) ** -30, 40)
-                linf = ladder.G_zero_limit(s)
+                linf = archimedean_factor(s, 13, 55)
                 assert abs(tiny - linf) / abs(linf) < mp.mpf(10) ** -20
 
     def test_monotone_decay(self):
@@ -244,6 +244,14 @@ class TestEngineLifetime:
         assert [r() for r in refs] == [None, None]
 
 
+def afe_pieces(eng, s):
+    """(A(s), A(s^), tail(s) + |Q^alpha(s)| tail(s^)): the smoothed sums
+    behind `lambda_afe(s)` and its bound, s^ = k + k2 - 1 - s."""
+    eng.lambda_afe(s)
+    (A, tail_a), (B, tail_b) = eng._sums[s], eng._sums[eng.k + eng.k2 - 1 - s]
+    return A, B, tail_a + abs(eng._alpha_pow(s)) * tail_b
+
+
 class TestTaperedKernel:
     """Kernel points evaluated at the digits their terms need."""
 
@@ -271,8 +279,8 @@ class TestTaperedKernel:
         for s in range(12, k2):
             res = lo.L_at(s)
             exact = hi.L_at(s).value
-            A, B, bound = lo._afe_pieces(s)
-            A2, B2, _ = hi._afe_pieces(s)
+            A, B, bound = afe_pieces(lo, s)
+            A2, B2, _ = afe_pieces(hi, s)
             with mp.workdps(hi.dps):
                 assert abs(res.value - exact) <= res.err_bound, s
                 assert abs(A - A2) + abs(B - B2) <= bound, s
@@ -304,7 +312,7 @@ class TestEngineSmallPair:
             for s in range(k, k2):
                 lhs = engine_small.lambda_afe(s)[0]
                 rhs = eps * engine_small._alpha_pow(s) * conj.lambda_afe(k + k2 - 1 - s)[0]
-                scale = abs(engine_small.ladder.G_zero_limit(s))
+                scale = abs(archimedean_factor(s, k, 60))
                 assert abs(lhs - rhs) <= scale * mp.mpf(10) ** -(40 // 3)
 
     def test_precision_monotonicity(self, rs_small, engine_small):
@@ -412,6 +420,100 @@ class TestRootNumber:
         monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
         rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
         assert get_engine(rs, 12).certified_zero(14)
+
+
+def qmul(f: list[int], g: list[int]) -> list[int]:
+    """The product of two q-series with the same last power."""
+    out = [0] * len(f)
+    for i, a in enumerate(f):
+        if a:
+            for j in range(len(f) - i):
+                out[i + j] += a * g[j]
+    return out
+
+
+def weight24_eigenform(n: int) -> NewformData:
+    """A level-1 weight-24 eigenform, whose field is Q(sqrt(144169)).
+
+    g = e1 + t e2 with e1 = Delta E4^3 - a_2(Delta E4^3) Delta^2 and
+    e2 = Delta^2 has a_1 = 1 and a_2 = t; a_4 = a_2^2 - 2^23 is the
+    quadratic t^2 - a_4(e2) t - (a_4(e1) + 2^23) = 0, of discriminant
+    144169 * 24^2."""
+    delta = [int(c.a) for c in delta_family_qexp(12, n).coeffs]
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, n + 1)]
+    e2 = qmul(delta, delta)
+    de = qmul(delta, qmul(e4, qmul(e4, e4)))
+    e1 = [a - de[2] * b for a, b in zip(de, e2)]
+    assert e2[4] ** 2 + 4 * (e1[4] + 2 ** 23) == 144169 * 24 ** 2
+    t = AlgNum(QuadField(144169), Fraction(e2[4], 2), 12)
+    return NewformData(level=1, weight=24, char=trivial_char(1),
+                       coeffs=tuple(a + t * b for a, b in zip(e1, e2)), label="1.24.a.a")
+
+
+class TestDualSide:
+    """The dual side of the AFE is the complex conjugate of the direct side."""
+
+    def test_real_quadratic_coefficients(self):
+        # Galois conjugation is not complex conjugation in a real field: a
+        # dual sum over Galois conjugates misses the direct sum by 7e-4
+        n = 300
+        g = weight24_eigenform(n)
+        assert g.a(9) == g.a(3) * g.a(3) - 3 ** 23 and g.a(6) == g.a(2) * g.a(3)
+        eng = LEngine(rs_coefficients(delta_family_qexp(12, n), g, n), 20)
+        for s in (22, 23):
+            afe, afe_bound = eng.lambda_afe(s)
+            fin, tail = eng._direct_sum(s)
+            with mp.workdps(eng.dps):
+                linf = archimedean_factor(s, eng.k, eng.dps)
+                assert abs(afe - fin * linf) <= afe_bound + tail * abs(linf), s
+        assert eng.is_self_dual()
+
+    def test_one_embedding_and_one_sum_per_point(self, monkeypatch):
+        # every critical s of (12,16) needs A(s) and A(s^), both in the window
+        n = 120
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
+        calls = {"embed": 0, "sum": 0}
+        embed, smoothed_sum = AlgNum.embed, LEngine._smoothed_sum
+
+        def counted_embed(self, *args):
+            calls["embed"] += 1
+            return embed(self, *args)
+
+        def counted_sum(self, *args, **kwargs):
+            calls["sum"] += 1
+            return smoothed_sum(self, *args, **kwargs)
+
+        monkeypatch.setattr(AlgNum, "embed", counted_embed)
+        monkeypatch.setattr(LEngine, "_smoothed_sum", counted_sum)
+        eng = get_engine(rs, 20)
+        for s in range(12, 16):
+            assert eng.L_at(s).method == "afe"
+        assert calls["embed"] <= n + 8  # the coefficients, and eps once per s
+        assert calls["sum"] == 4
+
+    def test_non_self_dual_values_are_pinned(self, h_dprime):
+        # the values the second smoothed sum over Galois conjugates gave
+        n = 1200
+        eng = get_engine(rs_coefficients(h_dprime, delta_family_qexp(16, n), n), 30)
+        pinned = {
+            13: ("-3.03983847758522231422257740932392274706019977e-13",
+                 "2.08915681381171385614473516011463882258119936e-12",
+                 "2.627920391120654402999338201787101821223e-50"),
+            14: ("1.71816957428729956890841331831352155268619973e-13",
+                 "4.21200970526555212932406282281177181972016001e-13",
+                 "5.581738130286769264374116243865541796109e-51"),
+            15: ("1.86502167465373542949887599509245501872775527e-13",
+                 "1.42272327822303094146057233126086514799436513e-13",
+                 "2.919911545689616003332598001985668690248e-51"),
+        }
+        for s, (re, im, err) in pinned.items():
+            res = eng.L_at(s)
+            with mp.workdps(eng.dps):
+                assert res.method == "afe"
+                assert abs(res.value - mpmath.mpc(re, im)) <= abs(res.value) * mp.mpf(10) ** -40
+                assert abs(res.err_bound / mp.mpf(err) - 1) < mp.mpf(10) ** -30
 
 
 class TestHelpers:
