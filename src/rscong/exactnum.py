@@ -281,9 +281,6 @@ class AlgNum:
     def norm(self) -> Fraction:
         return self.a * self.a - self.field.d0 * self.b * self.b
 
-    def trace(self) -> Fraction:
-        return 2 * self.a
-
     def as_rat(self) -> Fraction:
         if self.b != 0:
             raise ExactError(f"{self} is irrational")
@@ -292,9 +289,11 @@ class AlgNum:
     def embed(self, P: int = 30) -> mpmath.mpc:
         """Complex embedding sending sqrt(d0) to the principal square root."""
         with workdps(P):
+            val = mpmath.mpc(mpmath.mpf(self.a.numerator) / self.a.denominator)
+            if not self.b:
+                return val
             root = mpmath.sqrt(mpmath.mpf(self.field.d0))
-            val = mpmath.mpf(self.a.numerator) / self.a.denominator
-            return mpmath.mpc(val) + root * mpmath.mpf(self.b.numerator) / self.b.denominator
+            return val + root * mpmath.mpf(self.b.numerator) / self.b.denominator
 
     def __repr__(self):
         if self.b == 0:

@@ -1,8 +1,9 @@
 """Numerical evaluation of the completed Rankin-Selberg L-function.
 
-Direct summation where the Dirichlet series converges absolutely with a
-certifiable tail, and a smoothed two-sided approximate functional equation at
-the critical integers.  The direct tail is bounded by sum_{n>N} d4(n)
+The method is chosen from s alone: a smoothed two-sided approximate
+functional equation in the critical window k <= s <= k2 - 1, and direct
+summation outside it, which needs 2s > k + k2 + 2 and enough coefficients to
+certify the tail below 10^-P.  The direct tail is bounded by sum_{n>N} d4(n)
 n^(w/2 - s): its first stretch past N is one exact sum of integers scaled by
 a power of two, each term rounded up, and the rest an integral comparison;
 the sum is converted and added rounding up, so the bound is never below the
@@ -432,8 +433,9 @@ class LEngine:
         return root_number(self.rs)
 
     def is_self_dual(self) -> bool:
-        """Every embedded coefficient is real, so Lambda-tilde = Lambda."""
-        return not any(c.imag for c in self._embeddings())
+        """Every coefficient is real, so Lambda-tilde = Lambda: none has a
+        sqrt(d0) part in an imaginary quadratic field."""
+        return not any(c.b and c.field.d0 < 0 for c in self.rs.b)
 
     def central_point(self) -> int | None:
         tot = self.k + self.k2 - 1
@@ -463,10 +465,6 @@ class LEngine:
             return A + eps.embed(self.dps) * alpha * B.conjugate(), tail_a + abs(alpha) * tail_b
 
     # -- direct summation -----------------------------------------------------
-    def _direct_converges(self, s) -> bool:
-        """The direct tail bound needs s - w/2 - 2 > 0."""
-        return 2 * s > self.k + self.k2 + 2
-
     def _direct_tail_bound(self, s, N: int):
         """An upper bound of sum_{n>N} d4(n) n^(w/2 - s).
 
@@ -505,19 +503,10 @@ class LEngine:
         margin = s - Fraction(self.w, 2) - 2
         return 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
 
-    def _direct_tail_floor(self, s, N: int):
-        """A lower bound of `_direct_tail_bound(s, N)` that needs no sieve:
-        d4 >= 1 and a decreasing n^(w/2 - s) put the sieve stretch above
-        int_{N+1}^{N2+1} x^(w/2 - s) dx."""
-        N2 = _sieve_end(N)
-        e = 1 + Fraction(self.w, 2) - s  # < -1 where the direct sum converges
-        stretch = (mp.mpf(N + 1) ** e - mp.mpf(N2 + 1) ** e) / float(-e)
-        return stretch + self._tail_beyond(s, N2)
-
     def _direct_sum(self, s):
         """(finite part, certified absolute tail) by direct summation over
         the available coefficients, at whatever accuracy they certify."""
-        if not self._direct_converges(s):
+        if 2 * s <= self.k + self.k2 + 2:  # the tail bound needs s - w/2 - 2 > 0
             raise ExactError(
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
@@ -528,53 +517,31 @@ class LEngine:
                             for n in range(1, rs.n_max + 1) if emb[n]])
             return val, tail
 
-    def direct_finite(self, s):
-        """Finite part by direct summation, with certified absolute tail
-        below 10^-P.  A sum whose tail floor already misses that target is
-        not run."""
-        with mp.workdps(self.dps):
-            target = mp.mpf(10) ** (-self.P)
-            if self._direct_converges(s):
-                floor = self._direct_tail_floor(s, self.rs.n_max)
-                if floor > target:
-                    raise self._insufficient(s, target, f"at least {mpmath.nstr(floor, 3)}")
-            val, tail = self._direct_sum(s)
-            if tail > target:
-                raise self._insufficient(s, target, mpmath.nstr(tail, 3))
-            return val, tail
-
-    def _insufficient(self, s, target, tail_text: str) -> InsufficientCoefficients:
-        """The error for a direct sum whose tail misses the target, with an
-        estimate of the n_max that would be needed."""
-        need = 1 << 12
-        while need < 1 << 40 and self._tail_beyond(s, need) >= target:
-            need <<= 1
-        return InsufficientCoefficients(
-            need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
-            f"certified tail with n_max={self.rs.n_max} is {tail_text}")
-
     def direct_lambda(self, s):
+        """(Lambda(s), bound) by direct summation, the tail of the finite part
+        certified below 10^-P."""
         with mp.workdps(self.dps):
-            fin, tail = self.direct_finite(s)
+            fin, tail = self._direct_sum(s)
+            target = mp.mpf(10) ** (-self.P)
+            if tail > target:
+                need = 1 << 12
+                while need < 1 << 40 and self._tail_beyond(s, need) >= target:
+                    need <<= 1
+                raise InsufficientCoefficients(
+                    need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
+                    f"certified tail with n_max={self.rs.n_max} is {mpmath.nstr(tail, 3)}")
             linf = archimedean_factor(s, self.k, self.dps)
             return fin * linf, tail * abs(linf)
 
     # -- public entry ----------------------------------------------------------
     def L_at(self, s: int) -> LValueResult:
-        """Completed Lambda(s) at an integer s, choosing the method."""
-        with mp.workdps(self.dps):
-            in_window = self.k <= s <= self.k2 - 1
-            if self._direct_converges(s):
-                try:
-                    val, err = self.direct_lambda(s)
-                    return LValueResult(s=s, value=val, err_bound=err, method="direct")
-                except InsufficientCoefficients:
-                    if not in_window:
-                        raise
-            if not in_window:
-                raise ExactError(f"s = {s} outside critical window and not certifiable directly")
+        """Completed Lambda(s) at an integer s: the AFE in the critical window
+        k <= s <= k2 - 1, the direct sum outside it."""
+        if self.k <= s <= self.k2 - 1:
             val, err = self.lambda_afe(s)
             return LValueResult(s=s, value=val, err_bound=err, method="afe")
+        val, err = self.direct_lambda(s)
+        return LValueResult(s=s, value=val, err_bound=err, method="direct")
 
 
 # ---------------------------------------------------------------------------

@@ -40,10 +40,8 @@ class RankinSeries:
     h2: NewformData
     b: tuple  # b[n] for 0 <= n <= n_max, AlgNum; b[0] unused
     M: int
-    char_prod: DirichletChar
     gamma: tuple[int, int]  # (k, k2) with k < k2
     Q: Fraction
-    swapped: bool = False
     #: L-value engines by precision, filled by `lvalue.get_engine`
     engines: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
@@ -69,8 +67,7 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
     """Build the Rankin-Selberg Dirichlet coefficients b_1..b_n_max."""
     if h.weight == h2.weight:
         raise ExactError("weights must differ (k2 > k)")
-    swapped = h.weight > h2.weight
-    if swapped:
+    if h.weight > h2.weight:
         h, h2 = h2, h
     if h.n_max < n_max or h2.n_max < n_max:
         need = max(n_max, 1)
@@ -96,8 +93,7 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
         for d in range(1, n_max // m2 + 1):
             if raw[d]:
                 b[m2 * d] = b[m2 * d] + cm * raw[d]
-    return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, char_prod=chi_prod,
-                        gamma=(k, k2), Q=Fraction(M) ** 2, swapped=swapped)
+    return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, gamma=(k, k2), Q=Fraction(M) ** 2)
 
 
 def root_number(rs: RankinSeries) -> AlgNum:
@@ -167,11 +163,6 @@ def gamma_ratio(m: int, k: int) -> Fraction:
 
 def critical_set(k: int, k2: int) -> list[int]:
     """Integers m with k <= m <= k2 - 1 (empty when k2 <= k)."""
-    if k2 <= k:
-        import warnings
-
-        warnings.warn(f"no critical points for weights ({k}, {k2})", stacklevel=2)
-        return []
     return list(range(k, k2))
 
 

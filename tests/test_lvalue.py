@@ -136,7 +136,7 @@ class TestDirect:
         f = delta_family_qexp(16, 8)
         rs = rs_coefficients(d, f, 8)
         rs = RankinSeries(h=rs.h, h2=rs.h2, b=(zero, one) + (zero,) * 7,
-                          M=1, char_prod=rs.char_prod, gamma=rs.gamma, Q=rs.Q)
+                          M=1, gamma=rs.gamma, Q=rs.Q)
         eng = LEngine(rs, 20)
         val, err = eng.direct_lambda(40)
         with mp.workdps(40):
@@ -145,7 +145,7 @@ class TestDirect:
 
     def test_convergence_precondition(self, engine_small):
         with pytest.raises(Exception):
-            engine_small.direct_finite(14)  # (k + k2)/2 = 14
+            engine_small.direct_lambda(14)  # (k + k2)/2 = 14
 
     def test_insufficient_reports_needed_n(self, rs_small):
         eng = LEngine(rs_small, 80)
@@ -153,19 +153,26 @@ class TestDirect:
             eng.direct_lambda(16)
         assert err.value.n_needed > rs_small.n_max
 
-    def test_doomed_sum_skipped_before_the_sieve(self, monkeypatch):
-        # (12,22) at n = 600 cannot certify s = 20 to 10^-30: the sieve-free
-        # tail floor already says so, with the n_needed of the full bound
+    def test_in_window_direct_sum_needs_too_many_coefficients(self):
+        # (12,22) at n = 600 cannot certify s = 20 to 10^-30 directly: inside
+        # the window a direct tail needs far more coefficients than the AFE
         n = 600
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(22, n), n)
-
-        def no_sieve(_):
-            raise AssertionError("d4 sieve run for a doomed sum")
-
-        monkeypatch.setattr(lvalue, "d4_upto", no_sieve)
         with pytest.raises(InsufficientCoefficients) as err:
-            LEngine(rs, 30).direct_finite(20)
+            LEngine(rs, 30).direct_lambda(20)
         assert err.value.n_needed == 1 << 40
+
+    def test_method_is_chosen_from_s_alone(self):
+        # (12,22) at n = 300, P = 8 certifies s = 21 directly too, but the
+        # window point takes the AFE; right of the window the direct sum
+        n = 300
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(22, n), n)
+        eng = LEngine(rs, 8)
+        assert eng.L_at(21).method == "afe"
+        assert eng.L_at(41).method == "direct"
+        with pytest.raises(ExactError) as err:
+            eng.L_at(11)  # left of the window, where the direct sum diverges
+        assert not isinstance(err.value, InsufficientCoefficients)
 
     @pytest.fixture(scope="class")
     def engine_p120(self):
@@ -219,7 +226,7 @@ class TestDirect:
         # (13,16) at s = 15: 2s = 30 <= k + k2 + 2, so no n_max certifies the tail
         rs = rs_coefficients(h_prime, delta_family_qexp(16, 400), 400)
         with pytest.raises(ExactError) as err:
-            LEngine(rs, 30).direct_finite(15)
+            LEngine(rs, 30).direct_lambda(15)
         assert not isinstance(err.value, InsufficientCoefficients)
 
     def test_edge_point_outside_window_is_typed(self):
@@ -324,8 +331,7 @@ class TestEngineSmallPair:
 
     def test_wrong_conductor_fails_unitarity(self, rs_small):
         bad = RankinSeries(h=rs_small.h, h2=rs_small.h2, b=rs_small.b,
-                           M=rs_small.M, char_prod=rs_small.char_prod,
-                           gamma=rs_small.gamma, Q=rs_small.Q * 4)
+                           M=rs_small.M, gamma=rs_small.gamma, Q=rs_small.Q * 4)
         eng = LEngine(bad, 40)
         with pytest.raises(NormalizationError):
             eng.solve_root_number()
@@ -421,6 +427,17 @@ class TestRootNumber:
         rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
         assert get_engine(rs, 12).certified_zero(14)
 
+    def test_self_duality_is_read_from_the_exact_coefficients(self, h_prime, h_dprime,
+                                                              monkeypatch):
+        def no_embeddings(_):
+            raise AssertionError("coefficients embedded to decide self-duality")
+
+        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
+        rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
+        assert LEngine(rs, 12).certified_zero(14)
+        rs = rs_coefficients(h_dprime, delta_family_qexp(16, 200), 200)
+        assert not LEngine(rs, 12).is_self_dual()
+
 
 def qmul(f: list[int], g: list[int]) -> list[int]:
     """The product of two q-series with the same last power."""
@@ -492,6 +509,20 @@ class TestDualSide:
             assert eng.L_at(s).method == "afe"
         assert calls["embed"] <= n + 8  # the coefficients, and eps once per s
         assert calls["sum"] == 4
+
+    def test_rational_coefficients_take_no_square_root(self, monkeypatch):
+        n = 200
+        eng = LEngine(rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n), 20)
+        calls = []
+        sqrt = mpmath.sqrt
+
+        def counted_sqrt(*args, **kwargs):
+            calls.append(args)
+            return sqrt(*args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "sqrt", counted_sqrt)
+        emb = eng._embeddings()
+        assert calls == [] and len(emb) == n + 1
 
     def test_non_self_dual_values_are_pinned(self, h_dprime):
         # the values the second smoothed sum over Galois conjugates gave

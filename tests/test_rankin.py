@@ -51,7 +51,7 @@ class TestCoefficients:
 
     def test_weight_ordering_normalized(self, h_prime, h_aux26):
         rs = rs_coefficients(h_aux26, h_prime, 100)
-        assert rs.gamma == (13, 26) and rs.swapped
+        assert rs.gamma == (13, 26) and rs.h is h_prime
 
 
 class TestEulerFactor:
