@@ -1,13 +1,16 @@
 """Numerical evaluation of the completed Rankin-Selberg L-function.
 
-The method is chosen from s alone: a smoothed two-sided approximate
-functional equation in the critical window k <= s <= k2 - 1, and direct
-summation outside it, which needs 2s > k + k2 + 2 and enough coefficients to
-certify the tail below 10^-P.  The direct tail is bounded by sum_{n>N} d4(n)
-n^(w/2 - s): its first stretch past N is one exact sum of integers scaled by
-a power of two, each term rounded up, and the rest an integral comparison;
-the sum is converted and added rounding up, so the bound is never below the
-tail it bounds.  The smoothing kernel
+A smoothed two-sided approximate functional equation in the critical window
+k <= s <= k2 - 1, and direct summation outside it, which needs
+2s > k + k2 + 2 and enough coefficients to certify the tail below 10^-P.  A
+window point whose AFE the coefficients cannot certify falls back to the
+direct sum: near the right edge of the window, at level 3 and weights 13
+and 26 for one, the AFE can need more coefficients than the direct sum.
+The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s): its first stretch
+past N is one exact sum of integers scaled by a power of two, each term
+rounded up, and the rest an integral comparison; the sum is converted and
+added rounding up, so the bound is never below the tail it bounds.  The
+smoothing kernel
 
     G_s(x) = (1/2 pi i) int_(c) L_inf(s + w) x^(-w) dw / w
 
@@ -503,16 +506,25 @@ class LEngine:
         margin = s - Fraction(self.w, 2) - 2
         return 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
 
-    def _direct_sum(self, s):
+    def _direct_sum(self, s, target=mp.inf):
         """(finite part, certified absolute tail) by direct summation over
-        the available coefficients, at whatever accuracy they certify."""
+        the available coefficients.  A tail above `target` raises
+        InsufficientCoefficients, with an estimate of the n_max needed,
+        before any term is summed."""
         if 2 * s <= self.k + self.k2 + 2:  # the tail bound needs s - w/2 - 2 > 0
             raise ExactError(
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
         with mp.workdps(self.dps):
-            emb = self._embeddings()
             tail = self._direct_tail_bound(s, rs.n_max)
+            if tail > target:
+                need = 1 << 12
+                while need < 1 << 40 and self._tail_beyond(s, need) >= target:
+                    need <<= 1
+                raise InsufficientCoefficients(
+                    need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
+                    f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
+            emb = self._embeddings()
             val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
                             for n in range(1, rs.n_max + 1) if emb[n]])
             return val, tail
@@ -521,26 +533,27 @@ class LEngine:
         """(Lambda(s), bound) by direct summation, the tail of the finite part
         certified below 10^-P."""
         with mp.workdps(self.dps):
-            fin, tail = self._direct_sum(s)
-            target = mp.mpf(10) ** (-self.P)
-            if tail > target:
-                need = 1 << 12
-                while need < 1 << 40 and self._tail_beyond(s, need) >= target:
-                    need <<= 1
-                raise InsufficientCoefficients(
-                    need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
-                    f"certified tail with n_max={self.rs.n_max} is {mpmath.nstr(tail, 3)}")
+            fin, tail = self._direct_sum(s, mp.mpf(10) ** (-self.P))
             linf = archimedean_factor(s, self.k, self.dps)
             return fin * linf, tail * abs(linf)
 
     # -- public entry ----------------------------------------------------------
     def L_at(self, s: int) -> LValueResult:
         """Completed Lambda(s) at an integer s: the AFE in the critical window
-        k <= s <= k2 - 1, the direct sum outside it."""
+        k <= s <= k2 - 1, the direct sum outside it.  A window point whose
+        AFE the coefficients cannot certify takes the direct sum if that
+        certifies, and raises the AFE's error if not."""
         if self.k <= s <= self.k2 - 1:
-            val, err = self.lambda_afe(s)
-            return LValueResult(s=s, value=val, err_bound=err, method="afe")
-        val, err = self.direct_lambda(s)
+            try:
+                val, err = self.lambda_afe(s)
+                return LValueResult(s=s, value=val, err_bound=err, method="afe")
+            except InsufficientCoefficients as short:
+                try:
+                    val, err = self.direct_lambda(s)
+                except ExactError:
+                    raise short from None
+        else:
+            val, err = self.direct_lambda(s)
         return LValueResult(s=s, value=val, err_bound=err, method="direct")
 
 

@@ -153,16 +153,22 @@ class TestDirect:
             eng.direct_lambda(16)
         assert err.value.n_needed > rs_small.n_max
 
-    def test_in_window_direct_sum_needs_too_many_coefficients(self):
+    def test_in_window_direct_sum_needs_too_many_coefficients(self, monkeypatch):
         # (12,22) at n = 600 cannot certify s = 20 to 10^-30 directly: inside
-        # the window a direct tail needs far more coefficients than the AFE
+        # the window a direct tail needs far more coefficients than the AFE.
+        # The tail is checked before any coefficient is embedded or summed.
         n = 600
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(22, n), n)
+
+        def no_embeddings(_):
+            raise AssertionError("terms summed for a tail that misses 10^-P")
+
+        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
         with pytest.raises(InsufficientCoefficients) as err:
             LEngine(rs, 30).direct_lambda(20)
         assert err.value.n_needed == 1 << 40
 
-    def test_method_is_chosen_from_s_alone(self):
+    def test_afe_in_the_window_direct_sum_outside(self):
         # (12,22) at n = 300, P = 8 certifies s = 21 directly too, but the
         # window point takes the AFE; right of the window the direct sum
         n = 300
@@ -173,6 +179,27 @@ class TestDirect:
         with pytest.raises(ExactError) as err:
             eng.L_at(11)  # left of the window, where the direct sum diverges
         assert not isinstance(err.value, InsufficientCoefficients)
+
+    def test_window_point_the_afe_cannot_certify_takes_the_direct_sum(self, h_prime):
+        # 3.13.b.a x delta:26 (level 3, weights 13 and 26) at n = 200: the AFE
+        # needs more coefficients at s = 24, 25, while the direct tail,
+        # ~N^(2 + w/2 - s), certifies 10^-8 there
+        rs = rs_coefficients(h_prime, delta_family_qexp(26, 200), 200)
+        eng = LEngine(rs, 8)
+        wide = LEngine(rs_coefficients(h_prime, delta_family_qexp(26, 400), 400), 8)
+        for s in (24, 25):
+            with pytest.raises(InsufficientCoefficients):
+                eng.lambda_afe(s)
+            res = eng.L_at(s)
+            assert res.method == "direct" and res.err_bound < abs(res.value) * 1e-8
+            afe, afe_bound = wide.lambda_afe(s)  # n = 400 certifies the AFE
+            assert abs(res.value - afe) <= res.err_bound + afe_bound, s
+        # where neither certifies, the error is the AFE's, with its n_max
+        eng = LEngine(rs, 20)
+        for s in (21, 25):
+            with pytest.raises(InsufficientCoefficients) as err:
+                eng.L_at(s)
+            assert err.value.n_needed == 1024 and "AFE" in str(err.value), s
 
     @pytest.fixture(scope="class")
     def engine_p120(self):
