@@ -50,10 +50,11 @@ def _load_config(path: str | None) -> dict:
 def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[NewformData, str | None]:
     """Returns (form, fixture_path_or_None)."""
     if ref.startswith("delta:"):
-        parts = ref.split(":")
-        k = int(parts[1])
-        nm = int(parts[2]) if len(parts) > 2 else n_max
-        return delta_family_qexp(k, nm), None
+        parts = ref.split(":")[1:]
+        if len(parts) > 2 or not all(x.isdecimal() for x in parts):
+            raise CliError(f"bad form reference {ref!r}: expected delta:<weight>[:<n_max>]")
+        nm = int(parts[1]) if len(parts) > 1 else n_max
+        return delta_family_qexp(int(parts[0]), nm), None
     path = Path(ref)
     if not path.exists() and fixtures_dir:
         cand = Path(fixtures_dir) / f"{ref}.json"

@@ -1,13 +1,15 @@
 """Dirichlet characters, newform q-expansion data, built-in generators.
 
-Coefficients are AlgNum throughout so rational and quadratic eigenforms share
-one code path.  The built-in generators cover what the verification pipeline
-needs internally: the sigma-type Eisenstein family E_k(chi) with exact
-constant term, and the one-dimensional level-1 cuspform family Delta * E_{k-12}.
-Delta comes from J.C.P. Miller's power recurrence for q * eta^24; each other
-member of the family is an eigenform, so only its a(p) are convolved and the
-Hecke recursion (`_hecke_fill`) supplies the rest.  The offline fixture
-generator in `tools/` carries its own general series product.
+`NewformData` holds AlgNum coefficients, so rational and quadratic
+eigenforms share one code path downstream.  The built-in generators cover
+what the verification pipeline needs internally: the sigma-type Eisenstein
+family E_k(chi) with exact constant term, and the one-dimensional level-1
+cuspform family Delta * E_{k-12}.  That family has integer coefficients and
+is built on Python ints, each wrapped as an AlgNum once at the end: Delta
+comes from J.C.P. Miller's power recurrence for q * eta^24; each other member
+of the family is an eigenform, so only its a(p) are convolved and the Hecke
+recursion (`_hecke_fill`) supplies the rest.  The offline fixture generator
+in `tools/` carries its own general series product.
 """
 
 from __future__ import annotations
@@ -309,25 +311,26 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
         raise ExactError(f"weight {k} is not in the one-dimensional family {DELTA_WEIGHTS}")
     tau = _delta_int(n_max)
     if k == 12:
-        coeffs = [AlgNum.rational(t) for t in tau]
+        coeffs = tau
     else:
         c = _E_SERIES[k - 12]
         e = [1] + [c * s for s in _sigma_int(k - 13, n_max)[1:]]
-        coeffs = [AlgNum.rational(0), AlgNum.rational(1)] + [None] * (n_max - 1)
+        coeffs = [0, 1] + [None] * (n_max - 1)
         for p in primes_upto(n_max):
-            coeffs[p] = AlgNum.rational(sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1]))))
+            coeffs[p] = sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1])))
         _hecke_fill(coeffs, k)
     return NewformData(level=1, weight=k, char=trivial_char(1),
-                       coeffs=tuple(coeffs[: n_max + 1]), label=f"1.{k}.a")
+                       coeffs=tuple(AlgNum.rational(c) for c in coeffs[: n_max + 1]),
+                       label=f"1.{k}.a")
 
 
 def _hecke_fill(a: list, weight: int) -> None:
-    """Fill the None entries of a level-1 eigenform's a(0..n), in place, from
-    a(1) and the a(p): a(p^r) = a(p) a(p^(r-1)) - p^(k-1) a(p^(r-2)), and
-    coprime factors multiply."""
+    """Fill the None entries of a level-1 eigenform's integer a(0..n), in
+    place, from a(1) and the a(p): a(p^r) = a(p) a(p^(r-1)) - p^(k-1)
+    a(p^(r-2)), and coprime factors multiply."""
     n_target = len(a) - 1
     for p in primes_upto(math.isqrt(n_target)):
-        tw = Fraction(p) ** (weight - 1)
+        tw = p ** (weight - 1)
         pk = p * p
         while pk <= n_target:
             a[pk] = a[p] * a[pk // p] - tw * a[pk // p // p]

@@ -10,6 +10,11 @@ The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s): its first stretch
 past N is one exact sum of integers scaled by a power of two, each term
 rounded up, and the rest an integral comparison; the sum is converted and
 added rounding up, so the bound is never below the tail it bounds.  The
+direct finite part is an exact integer sum too: with b_n = x_n + y_n
+sqrt(d0), each rational coordinate is summed as floors scaled by a power of
+two, and each sum is converted once; no coefficient is embedded.  What the
+floors and the conversions lose is charged to the returned tail, rounding
+up, so the bound covers the rounding of the finite part as well.  The
 smoothing kernel
 
     G_s(x) = (1/2 pi i) int_(c) L_inf(s + w) x^(-w) dw / w
@@ -314,6 +319,8 @@ class LEngine:
     """
 
     def __init__(self, rs: RankinSeries, P: int):
+        if P < 1:
+            raise ExactError(f"precision P = {P}: at least 1 digit is needed")
         self.rs = rs
         self.P = P
         self.dps = P + GUARD_DIGITS + LADDER_GUARD
@@ -510,7 +517,17 @@ class LEngine:
         """(finite part, certified absolute tail) by direct summation over
         the available coefficients.  A tail above `target` raises
         InsufficientCoefficients, with an estimate of the n_max needed,
-        before any term is summed."""
+        before any term is summed.
+
+        With b_n = x_n + y_n sqrt(d0), x_n and y_n rational, each coordinate
+        is one exact integer sum at scale 2^B, B = mp.prec + 20 +
+        bitlen(n_max), of the floors of num 2^B / (den n^s).  Each sum is
+        converted to an mpf once, and the sqrt(d0) one multiplied by
+        sqrt(d0), imaginary for d0 < 0.  The floors lose under
+        n_max 2^-B (1 + |sqrt(d0)|), and the conversions, the root and the
+        two operations after them at most 2^(3 - mp.prec) of the two sums'
+        magnitudes; both are added to the tail, rounding up.
+        """
         if 2 * s <= self.k + self.k2 + 2:  # the tail bound needs s - w/2 - 2 > 0
             raise ExactError(
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
@@ -524,10 +541,24 @@ class LEngine:
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
                     f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
-            emb = self._embeddings()
-            val = tree_sum([emb[n] * mp.mpf(n) ** (-s)
-                            for n in range(1, rs.n_max + 1) if emb[n]])
-            return val, tail
+            B = mp.prec + 20 + rs.n_max.bit_length()
+            sx = sy = 0
+            for n in range(1, rs.n_max + 1):
+                c = rs.b[n]
+                if c:
+                    ns = n ** s
+                    x, y = c.a, c.b
+                    sx += (x.numerator << B) // (x.denominator * ns)
+                    if y:
+                        sy += (y.numerator << B) // (y.denominator * ns)
+            d0 = rs.field.d0
+            root = math.isqrt(abs(d0) - 1) + 1  # |sqrt(d0)| rounded up
+            val = mpmath.mpc(mpmath.ldexp(sx, -B))
+            if sy:
+                val += mpmath.ldexp(sy, -B) * mpmath.sqrt(d0)
+            units = rs.n_max * (1 + root) + ((abs(sx) + root * abs(sy)) >> (mp.prec - 3)) + 1
+            charge = libmp.from_man_exp(units, -B, mp.prec, "c")
+            return val, mp.make_mpf(libmp.mpf_add(tail._mpf_, charge, mp.prec, "c"))
 
     def direct_lambda(self, s):
         """(Lambda(s), bound) by direct summation, the tail of the finite part

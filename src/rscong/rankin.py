@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactnum import AlgNum, ExactError, QuadField, _factor_trial, compositum, workdps
+from .exactnum import (RATIONAL, AlgNum, ExactError, QuadField, _factor_trial, compositum,
+                       workdps)
 from .forms import DirichletChar, NewformData
 
 
@@ -78,22 +79,51 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
     chi_prod = h.char.times(h2.char, M)
     k, k2 = h.weight, h2.weight
     w = k + k2 - 2
-    zero = AlgNum.rational(0)
-    b = [zero] * (n_max + 1)
-    raw = [zero] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        raw[n] = h.a(n) * h2.a(n)
-    for m in range(1, int(math.isqrt(n_max)) + 1):
-        if M > 1 and math.gcd(m, M) != 1:
-            continue
-        cm = chi_prod(m) * (Fraction(m) ** w) if m > 1 else AlgNum.rational(1)
+    F = compositum(h.field, h2.field)  # holds the character values too
+    d0 = F.d0
+    # a_d(h) a_d(h2) = (rx[d] + ry[d] sqrt(d0)) / (D1 D2), and whether a
+    # factor lies outside Q
+    x1, y1, D1 = _coordinates(h.coeffs[1 : n_max + 1])
+    x2, y2, D2 = _coordinates(h2.coeffs[1 : n_max + 1])
+    rx = [0] + [a * c + d0 * b * e for a, b, c, e in zip(x1, y1, x2, y2)]
+    ry = [0] + [a * e + b * c for a, b, c, e in zip(x1, y1, x2, y2)]
+    rq = [False] + [not (f.field.is_rational and g.field.is_rational)
+                    for f, g in zip(h.coeffs[1 : n_max + 1], h2.coeffs[1 : n_max + 1])]
+    # (chi*chi2)(m) = (cu + cv sqrt(d0)) / Dc
+    ms = [m for m in range(1, math.isqrt(n_max) + 1) if M == 1 or math.gcd(m, M) == 1]
+    chis = [chi_prod(m) if m > 1 else AlgNum.rational(1) for m in ms]
+    cu, cv, Dc = _coordinates(chis)
+    # b_n = (bx[n] + by[n] sqrt(d0)) / (Dc D1 D2); quad[n] is None until a
+    # term is added, then whether one of its terms lies outside Q
+    bx = [0] * (n_max + 1)
+    by = [0] * (n_max + 1)
+    quad: list = [None] * (n_max + 1)
+    for m, u, v, cm in zip(ms, cu, cv, chis):
         if not cm:
             continue
+        u, v, cq = u * m ** w, v * m ** w, not cm.field.is_rational
         m2 = m * m
         for d in range(1, n_max // m2 + 1):
-            if raw[d]:
-                b[m2 * d] = b[m2 * d] + cm * raw[d]
+            X, Y = rx[d], ry[d]
+            if X or Y:
+                n = m2 * d
+                bx[n] += u * X + d0 * v * Y
+                by[n] += u * Y + v * X
+                quad[n] = quad[n] or cq or rq[d]
+    D = Dc * D1 * D2
+    zero = AlgNum.rational(0)
+    b = [zero if q is None else AlgNum(F if q else RATIONAL, Fraction(x, D), Fraction(y, D))
+         for x, y, q in zip(bx, by, quad)]
     return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, gamma=(k, k2), Q=Fraction(M) ** 2)
+
+
+def _coordinates(vals) -> tuple[list[int], list[int], int]:
+    """Integers x, y and one denominator D with each value (x + y sqrt(d0)) / D."""
+    D = 1
+    for c in vals:
+        D = math.lcm(D, c.a.denominator, c.b.denominator)
+    return ([c.a.numerator * (D // c.a.denominator) for c in vals],
+            [c.b.numerator * (D // c.b.denominator) for c in vals], D)
 
 
 def root_number(rs: RankinSeries) -> AlgNum:

@@ -2,11 +2,14 @@
 
 Nothing in `rscong` calls these: they restate a result of the paper in a
 second way (the root number solved numerically from the approximate
-functional equation, the Euler product of the Rankin-Selberg series, the
-printed Kostant and w6 identities, the support claims behind the closed-form
-local constant, the local constant as a product of two geometric factors) so
-the pipeline's version can be checked against them.  Shared by several test
-modules; pytest does not collect this file.
+functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
+a time, the direct sum embedded and summed in mpmath, the Euler product of
+the Rankin-Selberg series, the printed Kostant and w6 identities, the
+support claims behind the closed-form local constant, the local constant as
+a product of two geometric factors) so the pipeline's version can be checked
+against them.  A level-1 eigenform with real quadratic coefficients is built
+here too.  Shared by several test modules; pytest does not collect this
+file.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import mpmath
 from mpmath import mp
 
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
-from rscong.exactnum import AlgNum, ExactError, vp
-from rscong.forms import DirichletChar, NewformData
+from rscong.exactnum import AlgNum, ExactError, QuadField, vp
+from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
                              SteinbergTwist, UnramifiedPS)
-from rscong.lvalue import LEngine
+from rscong.lvalue import LEngine, tree_sum
 from rscong.rankin import RankinSeries, rs_coefficients
 
 
@@ -95,6 +98,75 @@ def probe_root_number(eng: LEngine):
             B1 = smoothed_sum_at(eng, shat, delta / Q).conjugate()
             solved.append(-(A0 - A1) / (B0 - B1) / eng._alpha_pow(s0))
         return solved[0], abs(solved[0] - solved[1])
+
+
+# ---------------------------------------------------------------------------
+# the coefficient path one AlgNum at a time, and the direct sum in mpmath
+# ---------------------------------------------------------------------------
+
+def rs_coefficients_algnum(h: NewformData, h2: NewformData, n_max: int) -> tuple:
+    """b_0..b_n_max of `rs_coefficients(h, h2, n_max)` by AlgNum arithmetic,
+    one element at a time: b_n = sum_{m^2 d = n, gcd(m, M) = 1}
+    (chi*chi2)(m) m^(k+k2-2) a_d(h) a_d(h2), an entry no term reaches being
+    the rational 0."""
+    if h.weight > h2.weight:
+        h, h2 = h2, h
+    M = math.lcm(h.level, h2.level)
+    chi_prod = h.char.times(h2.char, M)
+    w = h.weight + h2.weight - 2
+    zero = AlgNum.rational(0)
+    b = [zero] * (n_max + 1)
+    raw = [zero] + [h.a(n) * h2.a(n) for n in range(1, n_max + 1)]
+    for m in range(1, math.isqrt(n_max) + 1):
+        if M > 1 and math.gcd(m, M) != 1:
+            continue
+        cm = chi_prod(m) * (Fraction(m) ** w) if m > 1 else AlgNum.rational(1)
+        if not cm:
+            continue
+        m2 = m * m
+        for d in range(1, n_max // m2 + 1):
+            if raw[d]:
+                b[m2 * d] = b[m2 * d] + cm * raw[d]
+    return tuple(b)
+
+
+def direct_sum_reference(eng: LEngine, s: int):
+    """sum_n b_n n^(-s) over the engine's coefficients, each b_n embedded and
+    multiplied by n^(-s) as an mpc, and the terms summed pairwise, all at
+    eng.dps + 40 digits."""
+    dps = eng.dps + 40
+    with mp.workdps(dps):
+        return tree_sum([c.embed(dps) * mp.mpf(n) ** (-s)
+                         for n, c in enumerate(eng.rs.b) if n and c])
+
+
+def qmul(f: list[int], g: list[int]) -> list[int]:
+    """The product of two q-series with the same last power."""
+    out = [0] * len(f)
+    for i, a in enumerate(f):
+        if a:
+            for j in range(len(f) - i):
+                out[i + j] += a * g[j]
+    return out
+
+
+def weight24_eigenform(n: int) -> NewformData:
+    """A level-1 weight-24 eigenform, whose field is Q(sqrt(144169)).
+
+    g = e1 + t e2 with e1 = Delta E4^3 - a_2(Delta E4^3) Delta^2 and
+    e2 = Delta^2 has a_1 = 1 and a_2 = t; a_4 = a_2^2 - 2^23 is the
+    quadratic t^2 - a_4(e2) t - (a_4(e1) + 2^23) = 0, of discriminant
+    144169 * 24^2."""
+    delta = [int(c.a) for c in delta_family_qexp(12, n).coeffs]
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+                for m in range(1, n + 1)]
+    e2 = qmul(delta, delta)
+    de = qmul(delta, qmul(e4, qmul(e4, e4)))
+    e1 = [a - de[2] * b for a, b in zip(de, e2)]
+    assert e2[4] ** 2 + 4 * (e1[4] + 2 ** 23) == 144169 * 24 ** 2
+    t = AlgNum(QuadField(144169), Fraction(e2[4], 2), 12)
+    return NewformData(level=1, weight=24, char=trivial_char(1),
+                       coeffs=tuple(a + t * b for a, b in zip(e1, e2)), label="1.24.a.a")
 
 
 # ---------------------------------------------------------------------------

@@ -107,6 +107,22 @@ class TestLvalueCli:
         assert code == 1
         assert "weight 14" in err
 
+    @pytest.mark.parametrize("ref", ["delta:12:x", "delta:x", "delta:", "delta:12:100:5",
+                                     "delta:12:-5"])
+    def test_malformed_delta_reference_is_named(self, capsys, ref):
+        code = main(["lvalue", "--pair", f"{ref},delta:16:100", "--s", "40"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(ref) in err and "delta:<weight>[:<n_max>]" in err
+
+    @pytest.mark.parametrize("precision", ["0", "-5"])
+    def test_precision_below_one_exit_1(self, capsys, precision):
+        code = main(["lvalue", "--pair", "delta:12:100,delta:16:100", "--s", "40",
+                     "--precision", precision])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"precision P = {precision}" in err
+
 
 class TestVerifyCli:
     def test_identical_forms_all_congruent_exit_0(self, capsys, tmp_path):
@@ -122,6 +138,15 @@ class TestVerifyCli:
         assert doc["hypothesis_violations"] == []
         manifest = json.loads(out_path.with_suffix(".manifest.json").read_text())
         assert manifest["command"] == "verify" and manifest["precision"] == 40
+
+    def test_precision_below_one_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--form1", "delta:16:100", "--form2", "delta:16:100",
+                     "--aux", "delta:26:100", "--prime", "23", "--precision", "0",
+                     "--m-list", "24", "--json-out", str(out_path)])
+        assert code == 1
+        assert "precision P = 0" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_report_bytes_deterministic(self, capsys, tmp_path):
         paths = []

@@ -9,7 +9,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from oracles import conjugate_pair, probe_root_number
+from oracles import conjugate_pair, direct_sum_reference, probe_root_number, weight24_eigenform
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
@@ -236,6 +236,34 @@ class TestDirect:
             assert bound >= ref
             assert bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
 
+    @pytest.mark.parametrize("case", ["even", "odd"])
+    def test_sum_is_within_its_charged_rounding(self, case, engine_p120, h_dprime):
+        # sigma = s - w/2 an integer on (12,16); on 3.13.b.b x delta:16 a
+        # half-integer, with imaginary sqrt(-26) parts
+        if case == "even":
+            eng, points = engine_p120, (51,)
+        else:
+            n = 1200
+            eng = LEngine(rs_coefficients(h_dprime, delta_family_qexp(16, n), n), 30)
+            points = (32, 33)
+        for s in points:
+            val, tail = eng._direct_sum(s)
+            with mp.workdps(eng.dps):
+                bound = eng._direct_tail_bound(s, eng.rs.n_max)
+            ref = direct_sum_reference(eng, s)
+            with mp.workdps(eng.dps + 40):
+                budget = tail - bound
+                assert (val.imag != 0) == (case == "odd"), s
+                assert abs(val - ref) <= budget, s
+                assert budget <= abs(ref) * mp.mpf(10) ** -(eng.dps - 2), s
+
+    def test_direct_sum_embeds_no_coefficient(self, engine_p120, monkeypatch):
+        def no_embeddings(_):
+            raise AssertionError("coefficients embedded for a direct sum")
+
+        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
+        assert engine_p120.L_at(51).method == "direct"
+
     def test_tail_bound_value_is_pinned(self, engine_p120):
         # the value the rounded mpf sum of the sieve stretch gave
         with mp.workdps(engine_p120.dps):
@@ -261,6 +289,12 @@ class TestDirect:
         rs = rs_coefficients(delta_family_qexp(18, n), delta_family_qexp(20, n), n)
         with pytest.raises(ExactError):
             LEngine(rs, 30).L_at(20)  # right of the window (18..19), at the direct edge
+
+
+def test_precision_below_one_is_rejected(rs_small):
+    for P in (0, -5):
+        with pytest.raises(ExactError, match=f"precision P = {P}"):
+            LEngine(rs_small, P)
 
 
 class TestEngineLifetime:
@@ -464,35 +498,6 @@ class TestRootNumber:
         assert LEngine(rs, 12).certified_zero(14)
         rs = rs_coefficients(h_dprime, delta_family_qexp(16, 200), 200)
         assert not LEngine(rs, 12).is_self_dual()
-
-
-def qmul(f: list[int], g: list[int]) -> list[int]:
-    """The product of two q-series with the same last power."""
-    out = [0] * len(f)
-    for i, a in enumerate(f):
-        if a:
-            for j in range(len(f) - i):
-                out[i + j] += a * g[j]
-    return out
-
-
-def weight24_eigenform(n: int) -> NewformData:
-    """A level-1 weight-24 eigenform, whose field is Q(sqrt(144169)).
-
-    g = e1 + t e2 with e1 = Delta E4^3 - a_2(Delta E4^3) Delta^2 and
-    e2 = Delta^2 has a_1 = 1 and a_2 = t; a_4 = a_2^2 - 2^23 is the
-    quadratic t^2 - a_4(e2) t - (a_4(e1) + 2^23) = 0, of discriminant
-    144169 * 24^2."""
-    delta = [int(c.a) for c in delta_family_qexp(12, n).coeffs]
-    e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
-                for m in range(1, n + 1)]
-    e2 = qmul(delta, delta)
-    de = qmul(delta, qmul(e4, qmul(e4, e4)))
-    e1 = [a - de[2] * b for a, b in zip(de, e2)]
-    assert e2[4] ** 2 + 4 * (e1[4] + 2 ** 23) == 144169 * 24 ** 2
-    t = AlgNum(QuadField(144169), Fraction(e2[4], 2), 12)
-    return NewformData(level=1, weight=24, char=trivial_char(1),
-                       coeffs=tuple(a + t * b for a, b in zip(e1, e2)), label="1.24.a.a")
 
 
 class TestDualSide:

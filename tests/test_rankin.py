@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import Unsupported, euler_expand, euler_factor
+from oracles import (Unsupported, euler_expand, euler_factor, rs_coefficients_algnum,
+                     weight24_eigenform)
 
 from rscong.exactnum import AlgNum
 from rscong.forms import delta_family_qexp, primes_upto
@@ -41,6 +43,28 @@ class TestCoefficients:
         facs = [euler_factor(rs_small.h, rs_small.h2, p) for p in primes_upto(500)]
         exp = euler_expand(facs, 500)
         assert all(exp[n] == rs_small.b[n] for n in range(1, 501))
+
+    @pytest.mark.parametrize("case", ["12,22", "3.13.b.a", "3.13.b.b", "24,12"])
+    def test_integer_convolution_matches_algnum(self, case, h_prime, h_dprime):
+        # entry by entry and field by field.  The weight-24 eigenform has
+        # integer coordinates in Q(sqrt(144169)); scaled by the integer
+        # (1 + sqrt(144169))/2 its coordinates are half-integers
+        if case == "12,22":
+            n = 600
+            h, h2 = delta_family_qexp(12, n), delta_family_qexp(22, n)
+        elif case == "24,12":
+            n = 300
+            g = weight24_eigenform(n)
+            half = AlgNum(g.field, Fraction(1, 2), Fraction(1, 2))
+            h = replace(g, coeffs=tuple(c * half for c in g.coeffs), is_eigenform=False)
+            h2 = delta_family_qexp(12, n)
+        else:
+            n = 1200
+            h, h2 = {"3.13.b.a": h_prime, "3.13.b.b": h_dprime}[case], delta_family_qexp(16, n)
+        got = rs_coefficients(h, h2, n).b
+        want = rs_coefficients_algnum(h, h2, n)
+        assert [(c.field, c.a, c.b) for c in got] == [(c.field, c.a, c.b) for c in want]
+        assert any(c.a.denominator == 2 for c in got) == (case == "24,12")
 
     def test_insufficient_coefficients(self):
         d = delta_family_qexp(12, 10)
