@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .congruence import check_congruent
-from .exactnum import AlgNum, ExactError, factor_rational_prime, QuadField, RATIONAL
+from .exactnum import AlgNum, ExactError, factor_rational_prime, is_prime, QuadField, RATIONAL
 from .forms import NewformData, delta_family_qexp
 from .ingest import fetch_newform, load_fixture, save_fixture
 from .lvalue import L_at
@@ -54,6 +54,8 @@ def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[Newfor
         if len(parts) > 2 or not all(x.isdecimal() for x in parts):
             raise CliError(f"bad form reference {ref!r}: expected delta:<weight>[:<n_max>]")
         nm = int(parts[1]) if len(parts) > 1 else n_max
+        if nm < 1:
+            raise CliError(f"bad form reference {ref!r}: n_max = {nm}, at least 1 is needed")
         return delta_family_qexp(int(parts[0]), nm), None
     path = Path(ref)
     if not path.exists() and fixtures_dir:
@@ -154,13 +156,23 @@ def cmd_lvalue(args) -> int:
     return 0
 
 
+def _m_list(text: str | None) -> list[int] | None:
+    """The left endpoints m of --m-list, or None for every critical pair."""
+    if not text:
+        return None
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"--m-list takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     t0 = time.time()
+    ms = _m_list(args.m_list)
     aux, p_aux = resolve_form(args.aux, args.fixtures, args.n_max)
     f1, p1 = resolve_form(args.form1, args.fixtures, args.n_max)
     f2, p2 = resolve_form(args.form2, args.fixtures, args.n_max)
     P = _prime_ideal(args.prime, _common_field(aux, f1, f2))
-    ms = [int(x) for x in args.m_list.split(",")] if args.m_list else None
     report = full_report(aux, f1, f2, P, P=args.precision, ms=ms)
     verdicts = report.pop("_verdicts")
     checksums = {ref: _checksum(pth) for ref, pth in
@@ -206,6 +218,8 @@ def cmd_local_constant(args) -> int:
     k, k2 = (int(x) for x in args.weights.split(","))
     K = max(k, k2)
     p = args.p
+    if not is_prime(p):
+        raise CliError(f"--p {p} is not prime")
     st = SteinbergTwist(p=p, chi_p_at_p=AlgNum.rational(Fraction(args.steinberg)))
     trace = HalfPower(p, AlgNum.rational(Fraction(args.ps_trace)), -1)
     det = AlgNum.rational(Fraction(args.ps_det))

@@ -329,7 +329,7 @@ class PrimeIdeal:
         return f"({self.l}, {self.generator2})[{self.kind}]"
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     return _factor_trial(n) == {n: 1}
@@ -384,7 +384,7 @@ def _hensel_sqrt(d0: int, p: int, prec: int) -> int:
 
 def factor_rational_prime(l: int, F: QuadField) -> list[PrimeIdeal]:
     """Primes of O_F above l, classified by the Kronecker symbol (disc|l)."""
-    if not _is_prime(l):
+    if not is_prime(l):
         raise ExactError(f"{l} is not prime")
     if F.is_rational:
         return [PrimeIdeal(F, l, SPLIT, AlgNum.rational(l), 1)]

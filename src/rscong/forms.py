@@ -282,8 +282,10 @@ def _sigma_int(r: int, n_max: int) -> list[int]:
     return out
 
 
-def _delta_int(n_max: int) -> list[int]:
-    """tau(0..n_max) of Delta = q * eta^24.
+@lru_cache(maxsize=1)
+def _delta_int(n_max: int) -> tuple[int, ...]:
+    """tau(0..n_max) of Delta = q * eta^24, kept for the last n_max asked
+    for: every weight of the family at one n_max shares it.
 
     J.C.P. Miller's power recurrence over the sparse pentagonal eta series:
     g = eta^24 has g_0 = 1 and n g_n = sum_{j>=1} (25 j - n) eta_j g_{n-j},
@@ -296,7 +298,7 @@ def _delta_int(n_max: int) -> list[int]:
         while live < len(terms) and terms[live][0] <= n:
             live += 1
         g[n] = sum((25 * j - n) * c * g[n - j] for j, c in terms[:live]) // n
-    return [0] + g
+    return (0, *g)
 
 
 def delta_family_qexp(k: int, n_max: int) -> NewformData:

@@ -22,8 +22,19 @@ smoothing kernel
 is the inverse Mellin transform of the archimedean factor divided by w; for
 integer s in the critical window it reduces exactly to an incomplete
 Bessel-K moment, computed by a stable three-term ladder from two Bessel
-values per summation point (`KernelLadder`).  A trapezoidal contour
-quadrature kept in the tests is an independent reference for this kernel.
+values per summation point (`KernelLadder`), times a prefactor the ladder
+keeps per s and working precision.  A trapezoidal contour quadrature kept
+in the tests is an independent reference for this kernel.
+
+The Bessel pair K_nu, K_{nu+1} (`besselk_pair`) comes from the expansion in
+1/x where that reaches the digits asked for, and otherwise from the
+ascending series for K_0 and K_1 and the upward recurrence.  Both branches
+add Python integers scaled by 2^-p, as the direct sum does, and make two
+mpf values once, at the end: at these sizes an mpf operation costs several
+integer ones.  The expansion stops by the DLMF 10.40(ii) remainder bound,
+and the series only where its tail is geometric with ratio at most 1/2, so
+each omitted tail is at most a small multiple of a term computed; the guard
+digits of each branch hold what the fixed-point floors lose.
 
 The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
 
@@ -104,95 +115,147 @@ class LValueResult:
 # fast Bessel K for integer order, real argument
 # ---------------------------------------------------------------------------
 
-def _besselk01_series(x):
-    """(K_0(x), K_1(x)) by the ascending series at boosted precision.
-
-    The series has cancellation of order e^(2x); callers must already have
-    raised mp.dps accordingly.  With z = x^2/4 and H_j the harmonic numbers:
-
-        K_0 = -(log(x/2) + gamma) I_0(x) + sum_{j>=1} H_j z^j / (j!)^2
-        K_1 = 1/x + log(x/2) I_1(x)
-              - (x/4) sum_{j>=0} (H_j + H_{j+1} - 2 gamma) z^j / (j! (j+1)!)
-    """
-    half = x / 2
-    lh = mpmath.log(half)
-    z = half * half
-    tol = mpmath.eps * 4
-    term = mp.mpf(1)
-    i0 = mp.mpf(1)
-    s0 = mp.mpf(0)
-    h = mp.mpf(0)
-    j = 0
-    while True:
-        j += 1
-        term = term * z / (j * j)
-        h += mp.mpf(1) / j
-        i0 += term
-        s0 += term * h
-        if term < tol * i0 and j > 4:
-            break
-    k0 = -(lh + mpmath.euler) * i0 + s0
-    term = mp.mpf(1)  # z^j / (j! (j+1)!), starting at j = 0
-    i1s = term
-    comp = term * (0 + 1 - 2 * mpmath.euler)  # H_0 + H_1 - 2 gamma
-    hj, hj1 = mp.mpf(0), mp.mpf(1)
-    j = 0
-    while True:
-        j += 1
-        term = term * z / (j * (j + 1))
-        hj += mp.mpf(1) / j
-        hj1 += mp.mpf(1) / (j + 1)
-        i1s += term
-        comp += term * (hj + hj1 - 2 * mpmath.euler)
-        if term < tol * i1s and j > 4:
-            break
-    i1 = half * i1s
-    k1 = 1 / x + lh * i1 - half / 2 * comp
-    return k0, k1
+#: bits on top of digits + 12 for the fixed-point asymptotic sums
+ASYMPTOTIC_GUARD_BITS = 20
 
 
-def _besselk_asymptotic(nu: int, x, digits: int):
-    """K_nu(x) from its asymptotic expansion in 1/x, or None when the
-    expansion cannot reach `digits`.
+def _asymptotic_sum(nu: int, X: int, p: int, digits: int):
+    """S = sqrt(2x/pi) e^x K_nu(x) from its expansion in 1/x, as an integer
+    at scale 2^p, for x = X 2^-p; or None when the expansion cannot reach
+    `digits`.
 
+    Term j is term j-1 times (4 nu^2 - (2j - 1)^2) / (8 x j), one floor.
     The terms may grow while 2j - 1 < 2 nu; past that they fall until they
     turn and grow for good, so only a rise there ends the expansion.  Once
     j >= nu - 1/2 terms are summed, the remainder is smaller than the first
     term omitted (DLMF 10.40(ii), real nu and x > 0), and the sum is accepted
-    when that term is below 10^-digits of it.
+    when that term times 10^digits is below the sum, compared as integers.
     """
     mu4 = 4 * nu * nu
-    eps = mp.mpf(10) ** (-digits)
-    term = acc = mp.mpf(1)
+    ten = 10 ** digits
+    term = acc = 1 << p
     j = 0
     while True:
         j += 1
-        nxt = term * (mu4 - (2 * j - 1) ** 2) / (8 * x * j)
-        if 2 * j >= 2 * nu - 1 and abs(nxt) < eps * abs(acc):
-            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x) * acc
+        nxt = (term * (mu4 - (2 * j - 1) ** 2) << p) // (8 * j * X)
+        if 2 * j >= 2 * nu - 1 and abs(nxt) * ten < abs(acc):
+            return acc
         if 2 * j - 1 > 2 * nu and abs(nxt) >= abs(term):
             return None  # divergence point reached
         acc += nxt
         term = nxt
 
 
+def _besselk_series(nu: int, x, p: int):
+    """(K_nu(x), K_{nu+1}(x)) as integers at scale 2^p, from the ascending
+    series for K_0 and K_1 and the upward recurrence
+    K_{n+1} = K_{n-1} + (2n/x) K_n.
+
+    With z = x^2/4, H_j the harmonic numbers, t_j = z^j / (j!)^2 and
+    u_j = t_j / (j + 1):
+
+        K_0 = -(log(x/2) + gamma) sum_j t_j + sum_{j>=1} H_j t_j
+        K_1 = 1/x + (x/2) log(x/2) sum_j u_j
+              - (x/4) sum_j (H_j + H_{j+1} - 2 gamma) u_j
+
+    The sums cancel to about e^(-2x) of their size; `besselk_pair` picks p
+    for that.  They stop after a term j > 4 with (j + 1)^2 >= 2z,
+    t_j < 2^(3-p) sum t and u_j < 2^(3-p) sum u.
+    """
+    one = 1 << p
+    X = libmp.to_fixed(x._mpf_, p)
+    inv = (one << p) // X  # 1/x
+    half = X >> 1
+    z = X * X >> (p + 2)
+    # m_geom >= x / sqrt(2): from term m_geom - 1 on, each ratio is <= 1/2
+    m_geom = (math.isqrt((X + 1) ** 2 >> 1) >> p) + 1
+    lh = libmp.to_fixed(mpmath.log(x / 2)._mpf_, p)
+    gamma = libmp.euler_fixed(p)
+    t = i0 = i1 = one
+    s0 = 0
+    w = one - 2 * gamma  # H_j + H_{j+1} - 2 gamma at j = 0
+    c1 = w
+    h = 0
+    j = 0
+    while True:
+        j += 1
+        t = (t * z >> p) // (j * j)
+        u = t // (j + 1)
+        h += one // j
+        w += one // j + one // (j + 1)
+        i0 += t
+        i1 += u
+        s0 += t * h >> p
+        c1 += u * w >> p
+        if j > 4 and j + 1 >= m_geom and t << (p - 3) < i0 and u << (p - 3) < i1:
+            break
+    km = (-(lh + gamma) * i0 >> p) + s0
+    kc = inv + (lh * (half * i1 >> p) >> p) - (half * c1 >> (p + 1))
+    for n in range(1, nu + 1):
+        km, kc = kc, km + (2 * n * kc * inv >> p)
+    return km, kc
+
+
 def besselk_pair(nu: int, x, digits: int):
     """(K_nu(x), K_{nu+1}(x)) for integer nu >= 0 and real x > 0, each with a
-    relative error below 10^-digits."""
+    relative error below 10^-digits.
+
+    Both branches add integers at scale 2^p, where every step is a floor
+    that loses under one unit 2^-p; the pair becomes two mpf values once,
+    at the end.
+
+    Asymptotic branch, p = the bits of digits + 12 digits plus
+    ASYMPTOTIC_GUARD_BITS: the expansions in 1/x (`_asymptotic_sum`) of
+    K_nu and K_{nu+1}, each stopped by the DLMF 10.40(ii) remainder bound
+    (the omitted sum is below the first omitted term, itself below
+    10^-digits of the sum), then multiplied by sqrt(pi/2x) e^(-x) at
+    digits + 12 digits.  Floors: term j is one floor from the exact product
+    of its predecessor, so it is off by at most j units or j 2^-p of
+    itself, whichever is more (the rounding of x adds 2^-p / x a term); a
+    sum of J terms is off by under J^2 units and J (1 + 1/x) 2^-p of the
+    terms' absolute sum.  For J < 2^10 the guard bits keep both under one
+    unit of digits + 12 digits.
+
+    Series branch, where either expansion cannot reach `digits`: K_0 and
+    K_1 by the ascending series at p = the bits of digits + 0.8686x + 30
+    digits, since the sums cancel to about e^(-2x) of their size, then the
+    stable upward recurrence, one floor a step (`_besselk_series`).
+      Truncation: a sum stops after term j only once (j + 1)^2 >= 2z, so
+    every later ratio t_{i+1}/t_i (and u_{i+1}/u_i) is at most 1/2, and
+    H_{j+m} <= H_j + m/(j+1).  The omitted tails are then at most t_j of
+    sum t, (H_j + 2/(j+1)) t_j of sum H t, u_j of sum u and
+    (H_j + H_{j+1} + 2 gamma + 4/(j+1)) u_j of sum (H + H' - 2 gamma) u,
+    where t_j and u_j are below 2^(3-p) of their sums.  K_0 and K_1
+    therefore lose at most (|log(x/2)| + 2 H_{j+1} + 2 gamma + 2) 2^(3-p)
+    of the size of sum t (of (x/2) sum u).
+      Floors: t_j is two floors from the exact product of its predecessor
+    (the product by z, the division) and u_j one more; z is within
+    x/2 + 1 units.  So t_j is off by at most 3j units or 3j 2^-p of itself,
+    whichever is more, plus j times the relative error of z; H_j holds j
+    floors, and each weighted product one more.  Each of the four sums of
+    J terms is then off by under 3 (1 + H_J)(J + 1)^2 units and
+    3 (1 + H_J)(J + 1)(1 + (x + 2)/z) 2^-p of its size.  With the 30 guard
+    digits (about 100 bits) both stay more than 20 digits below
+    10^-digits of K_0 and K_1 for J < 2^10 and x > 10^-2, and so do the nu
+    floors of the recurrence.
+    """
     x = mp.mpf(x)
     with mp.workdps(digits + 12):
-        a = _besselk_asymptotic(nu, x, digits)
+        p = mp.prec + ASYMPTOTIC_GUARD_BITS
+        X = libmp.to_fixed(x._mpf_, p)
+        a = _asymptotic_sum(nu, X, p, digits)
         if a is not None:
-            b = _besselk_asymptotic(nu + 1, x, digits)
+            b = _asymptotic_sum(nu + 1, X, p, digits)
             if b is not None:
-                return +a, +b
+                fac = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
+                return (fac * mp.make_mpf(libmp.from_man_exp(a, -p)),
+                        fac * mp.make_mpf(libmp.from_man_exp(b, -p)))
     boost = int(0.8686 * float(x)) + 30
     with mp.workdps(digits + boost):
-        k0, k1 = _besselk01_series(x)
-        km, kc = k0, k1
-        for n in range(1, nu + 1):
-            km, kc = kc, km + (2 * n / x) * kc
-        return +km, +kc
+        p = mp.prec
+        km, kc = _besselk_series(nu, x, p)
+        return (mp.make_mpf(libmp.from_man_exp(km, -p, p, "n")),
+                mp.make_mpf(libmp.from_man_exp(kc, -p, p, "n")))
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +279,8 @@ class KernelLadder:
 
     An entry is keyed by the exact bits of x and the digits asked for.
     `digits` is the engine's working precision, the ceiling of those and
-    the precision of a.
+    the precision of a.  The prefactor (2 pi)^(-2s) 2^(k+1-2s) is kept per
+    s and working precision.
     """
 
     def __init__(self, k: int, digits: int):
@@ -224,6 +288,7 @@ class KernelLadder:
         self.nu = k - 1
         self.digits = digits
         self._cache: dict = {}
+        self._pref: dict = {}
 
     def _entry(self, x_val, digits: int):
         key = (mpmath.mpf(x_val)._mpf_, digits)  # exact bits: shared by every engine
@@ -258,11 +323,19 @@ class KernelLadder:
                 top += 2
         return J[mu]
 
+    def prefactor(self, s: int):
+        """(2 pi)^(-2s) 2^(k+1-2s) at the working precision, computed once
+        per (s, mp.prec)."""
+        key = (s, mp.prec)
+        pref = self._pref.get(key)
+        if pref is None:
+            pref = self._pref[key] = ((2 * mpmath.pi) ** (-2 * s)
+                                      * mp.mpf(2) ** (self.k + 1 - 2 * s))
+        return pref
+
     def G(self, s: int, x_val, digits: int):
         """G_s(x) with a relative error below about 10^-digits."""
-        mu = 2 * s - self.k
-        pref = (2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (self.k + 1 - 2 * s)
-        return pref * self.J(mu, x_val, digits)
+        return self.prefactor(s) * self.J(2 * s - self.k, x_val, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +438,7 @@ class LEngine:
         # only a constant of the bound: the floor precision, inflated by its error
         a0, k0, _ = self.ladder.bessel_at(xN, KERNEL_FLOOR_DIGITS)
         CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
-        pref = (2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (self.k + 1 - 2 * s)
+        pref = self.ladder.prefactor(s)
         # single term at n = N+1 plus integral comparison for the rest
         def fterm(n):
             an = q * mpmath.sqrt(n)

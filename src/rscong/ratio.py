@@ -244,6 +244,10 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
     k_pair, k_aux = h1.weight, h.weight
     if abs(k_aux - k_pair) < 2:
         raise ExactError("weights must differ by at least 2 for ratio checks")
+    starts = critical_set(min(k_pair, k_aux), max(k_pair, k_aux))[:-1]  # of (m, m + 1)
+    if ms is not None and not set(ms) & set(starts):
+        raise ExactError(f"m in {sorted(set(ms))} selects no critical pair: "
+                         f"m runs over {starts[0]}..{starts[-1]}")
     l = P_ideal.l
     N, N2 = h.level, h1.level
 
@@ -281,9 +285,8 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
         regions.setdefault((a, b), "left")
     lower_orientation = h.weight > h1.weight
 
-    cs = critical_set(rs1.k, rs1.k2)
     pairs = []
-    for m in cs[:-1]:
+    for m in starts:
         if ms is not None and m not in ms:
             continue
         v1 = ratio_at(rs1, m, P)
@@ -321,7 +324,7 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
         "pairs": [p.to_json_obj() for p in pairs],
         "gamma_ratio_note": {
             str(m): [gamma_ratio(m, rs1.k).numerator, gamma_ratio(m, rs1.k).denominator]
-            for m in cs[:-1]
+            for m in starts
         },
     }
     report["_verdicts"] = pairs  # in-process convenience, stripped on save

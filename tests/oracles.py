@@ -3,7 +3,8 @@
 Nothing in `rscong` calls these: they restate a result of the paper in a
 second way (the root number solved numerically from the approximate
 functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
-a time, the direct sum embedded and summed in mpmath, the Euler product of
+a time, the direct sum embedded and summed in mpmath, the Bessel K series
+and asymptotic expansion in mpf arithmetic, the Euler product of
 the Rankin-Selberg series, the printed Kostant and w6 identities, the
 support claims behind the closed-form local constant, the local constant as
 a product of two geometric factors) so the pipeline's version can be checked
@@ -60,6 +61,83 @@ def conjugate_pair(rs: RankinSeries) -> RankinSeries:
     """The Rankin-Selberg series of the conjugate pair, the dual side of the
     functional equation."""
     return rs_coefficients(conjugate_form(rs.h), conjugate_form(rs.h2), rs.n_max)
+
+
+# ---------------------------------------------------------------------------
+# Bessel K in mpf arithmetic
+# ---------------------------------------------------------------------------
+
+def besselk01_series(x):
+    """(K_0(x), K_1(x)) by the ascending series, in mpf arithmetic at the
+    working precision.
+
+    The series has cancellation of order e^(2x); callers must already have
+    raised mp.dps accordingly.  With z = x^2/4 and H_j the harmonic numbers:
+
+        K_0 = -(log(x/2) + gamma) I_0(x) + sum_{j>=1} H_j z^j / (j!)^2
+        K_1 = 1/x + log(x/2) I_1(x)
+              - (x/4) sum_{j>=0} (H_j + H_{j+1} - 2 gamma) z^j / (j! (j+1)!)
+    """
+    half = x / 2
+    lh = mpmath.log(half)
+    z = half * half
+    tol = mpmath.eps * 4
+    term = mp.mpf(1)
+    i0 = mp.mpf(1)
+    s0 = mp.mpf(0)
+    h = mp.mpf(0)
+    j = 0
+    while True:
+        j += 1
+        term = term * z / (j * j)
+        h += mp.mpf(1) / j
+        i0 += term
+        s0 += term * h
+        if term < tol * i0 and j > 4:
+            break
+    k0 = -(lh + mpmath.euler) * i0 + s0
+    term = mp.mpf(1)  # z^j / (j! (j+1)!), starting at j = 0
+    i1s = term
+    comp = term * (0 + 1 - 2 * mpmath.euler)  # H_0 + H_1 - 2 gamma
+    hj, hj1 = mp.mpf(0), mp.mpf(1)
+    j = 0
+    while True:
+        j += 1
+        term = term * z / (j * (j + 1))
+        hj += mp.mpf(1) / j
+        hj1 += mp.mpf(1) / (j + 1)
+        i1s += term
+        comp += term * (hj + hj1 - 2 * mpmath.euler)
+        if term < tol * i1s and j > 4:
+            break
+    i1 = half * i1s
+    k1 = 1 / x + lh * i1 - half / 2 * comp
+    return k0, k1
+
+
+def besselk_asymptotic(nu: int, x, digits: int):
+    """K_nu(x) from its asymptotic expansion in 1/x, in mpf arithmetic at
+    the working precision, or None when the expansion cannot reach `digits`.
+
+    The terms may grow while 2j - 1 < 2 nu; past that they fall until they
+    turn and grow for good, so only a rise there ends the expansion.  Once
+    j >= nu - 1/2 terms are summed, the remainder is smaller than the first
+    term omitted (DLMF 10.40(ii), real nu and x > 0), and the sum is accepted
+    when that term is below 10^-digits of it.
+    """
+    mu4 = 4 * nu * nu
+    eps = mp.mpf(10) ** (-digits)
+    term = acc = mp.mpf(1)
+    j = 0
+    while True:
+        j += 1
+        nxt = term * (mu4 - (2 * j - 1) ** 2) / (8 * x * j)
+        if 2 * j >= 2 * nu - 1 and abs(nxt) < eps * abs(acc):
+            return mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x) * acc
+        if 2 * j - 1 > 2 * nu and abs(nxt) >= abs(term):
+            return None  # divergence point reached
+        acc += nxt
+        term = nxt
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,14 @@ class TestLocalCli:
         assert Fraction(num, den) == local_constant(st, ps, 3).as_rat()
 
 
+    def test_composite_p_exit_1(self, capsys):
+        code = main(["local-constant", "--p", "4", "--steinberg", "27", "--ps-trace", "-48",
+                     "--ps-det", str(3 ** 24), "--weights", "13,26"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "--p 4 is not prime" in err
+
+
 class TestCongruentCli:
     def test_74_pair_json(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"
@@ -115,6 +123,13 @@ class TestLvalueCli:
         assert code == 1
         assert repr(ref) in err and "delta:<weight>[:<n_max>]" in err
 
+    @pytest.mark.parametrize("ref", ["delta:12:0", "delta:12:00"])
+    def test_delta_n_max_below_one_is_named(self, capsys, ref):
+        code = main(["lvalue", "--pair", f"{ref},delta:16:100", "--s", "40"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(ref) in err and "n_max = 0" in err
+
     @pytest.mark.parametrize("precision", ["0", "-5"])
     def test_precision_below_one_exit_1(self, capsys, precision):
         code = main(["lvalue", "--pair", "delta:12:100,delta:16:100", "--s", "40",
@@ -146,6 +161,26 @@ class TestVerifyCli:
                      "--m-list", "24", "--json-out", str(out_path)])
         assert code == 1
         assert "precision P = 0" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_m_list_not_integers_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--form1", "delta:16:100", "--form2", "delta:16:100",
+                     "--aux", "delta:26:100", "--prime", "23", "--precision", "10",
+                     "--m-list", "24,x", "--json-out", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--m-list" in err and "comma-separated integers" in err and "'24,x'" in err
+        assert not out_path.exists()
+
+    def test_m_list_selecting_no_pair_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--form1", "delta:16:100", "--form2", "delta:16:100",
+                     "--aux", "delta:26:100", "--prime", "23", "--precision", "10",
+                     "--m-list", "99", "--json-out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert "m in [99] selects no critical pair" in err and "16..24" in err
         assert not out_path.exists()
 
     def test_report_bytes_deterministic(self, capsys, tmp_path):

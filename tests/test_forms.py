@@ -92,6 +92,15 @@ class TestDeltaFamily:
         assert [int(d.a(n).as_rat()) for n in range(1, 8)] == \
             [1, -24, 252, -1472, 4830, -6048, -16744]
 
+    def test_tau_is_computed_once_per_n_max(self):
+        forms._delta_int.cache_clear()
+        family = [delta_family_qexp(k, 300) for k in DELTA_WEIGHTS]
+        info = forms._delta_int.cache_info()
+        assert (info.misses, info.hits) == (1, len(DELTA_WEIGHTS) - 1)
+        tau = forms._delta_int(300)
+        assert isinstance(tau, tuple)  # shared by every weight: immutable
+        assert family[DELTA_WEIGHTS.index(12)].coeffs == tuple(AlgNum.rational(t) for t in tau)
+
     def test_weight_26_within_deligne(self):
         f = delta_family_qexp(26, 6)
         assert abs(f.a(2).embed(30)) <= 2 * 2 ** 12.5

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import gc
 import weakref
 from dataclasses import dataclass, replace
@@ -9,7 +10,8 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from oracles import conjugate_pair, direct_sum_reference, probe_root_number, weight24_eigenform
+from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direct_sum_reference,
+                     probe_root_number, weight24_eigenform)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
@@ -61,6 +63,22 @@ def engine_small(rs_small):
     return LEngine(rs_small, 40)
 
 
+#: the arguments of the Bessel grid test, and the digits of its reference
+BESSEL_GRID = (3, 10, 26, 40, 49, 60, 80, 111, 150, 250)
+BESSEL_REF_DPS = 160
+
+
+@functools.lru_cache(maxsize=None)
+def _mpmath_besselk(a) -> list:
+    """K_11(a) .. K_26(a): mpmath at orders 11 and 12, then the stable
+    upward recurrence, at BESSEL_REF_DPS digits."""
+    with mp.workdps(BESSEL_REF_DPS):
+        ks = [mpmath.besselk(11, a), mpmath.besselk(12, a)]
+        for n in range(12, 26):
+            ks.append(ks[-2] + 2 * n / mp.mpf(a) * ks[-1])
+    return ks
+
+
 class TestBesselK:
     def test_against_mpmath(self):
         # mpmath at orders 11 and 12, the stable upward recurrence for the rest
@@ -76,10 +94,37 @@ class TestBesselK:
                         for g, w in zip(got, ref[nu - 11:nu - 9]):
                             assert abs(g - w) <= abs(w) * mp.mpf(10) ** -d, (nu, a, d)
 
+    @pytest.mark.parametrize("a", BESSEL_GRID)
+    def test_grid_against_mpmath_and_oracles(self, a):
+        # every value within 10^-digits of mpmath; a series-branch value
+        # within 10^-(digits + 20) of mpmath and of the mpf series, an
+        # asymptotic one within 10^-(digits + 10) of the mpf expansion
+        ref = _mpmath_besselk(a)
+        for nu in (11, 12, 25):
+            for d in (20, 40, 50, 100, 130):
+                got = besselk_pair(nu, a, d)
+                with mp.workdps(d + 12):
+                    oracle = [besselk_asymptotic(n, mp.mpf(a), d) for n in (nu, nu + 1)]
+                series = None in oracle
+                if series:
+                    with mp.workdps(d + int(0.8686 * a) + 30):
+                        km, kc = besselk01_series(mp.mpf(a))
+                        for n in range(1, nu + 1):
+                            km, kc = kc, km + 2 * n / mp.mpf(a) * kc
+                    oracle = [km, kc]
+                with mp.workdps(BESSEL_REF_DPS):
+                    tol = mp.mpf(10) ** -(d + 20 if series else d)
+                    tol_oracle = mp.mpf(10) ** -(d + 20 if series else d + 10)
+                    for g, w, o in zip(got, ref[nu - 11:nu - 9], oracle):
+                        assert abs(g - w) <= abs(w) * tol, (nu, d, series)
+                        assert abs(g - o) <= abs(o) * tol_oracle, (nu, d, series)
+
     def test_asymptotic_past_growing_terms(self):
         # for nu = 12 and a < 72 the first terms grow before they fall
-        assert lvalue._besselk_asymptotic(12, mp.mpf(50), 30) is not None
-        assert lvalue._besselk_asymptotic(12, mp.mpf(70), 30) is not None
+        with mp.workdps(30 + 12):
+            p = mp.prec + lvalue.ASYMPTOTIC_GUARD_BITS
+        assert lvalue._asymptotic_sum(12, 50 << p, p, 30) is not None
+        assert lvalue._asymptotic_sum(12, 70 << p, p, 30) is not None
 
     def test_precision_scales(self):
         x = mp.mpf(50)
@@ -120,6 +165,18 @@ class TestKernel:
             afe_kernel(mp.mpf(1), 13, AfeKernelSpec(c=-0.5), 13)
         with pytest.raises(KernelSpecError):
             afe_kernel(mp.mpf(1), 5, AfeKernelSpec(c=1.0), 13)  # s + c <= k - 1
+
+    def test_prefactor_is_kept_per_precision(self):
+        # one ladder, G under two working precisions in turn: each must have
+        # the bits of a fresh computation at its own precision
+        k, x = 13, mp.mpf(2)
+        ladder = KernelLadder(k, 40)
+        for dps in (45, 60, 45, 60):
+            with mp.workdps(dps):
+                for s in (13, 19):
+                    fresh = ((2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (k + 1 - 2 * s)
+                             * ladder.J(2 * s - k, x, 40))
+                    assert ladder.G(s, x, 40)._mpf_ == fresh._mpf_, (dps, s)
 
     def test_ladder_parity_guard(self):
         ladder = KernelLadder(13, 30)
