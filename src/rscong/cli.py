@@ -156,19 +156,23 @@ def cmd_lvalue(args) -> int:
     return 0
 
 
-def _m_list(text: str | None) -> list[int] | None:
-    """The left endpoints m of --m-list, or None for every critical pair."""
-    if not text:
-        return None
+def _values(flag: str, text: str, want: str, count: int | None = None, kind=int,
+            least: int | None = None) -> list:
+    """The comma-separated values of `flag`, each read by `kind`: `count` of
+    them if given, none below `least`; a CliError naming the flag if not."""
     try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise CliError(f"--m-list takes comma-separated integers, got {text!r}") from None
+        vals = [kind(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        vals = []
+    if not vals or count not in (None, len(vals)) or least is not None and min(vals) < least:
+        raise CliError(f"{flag} takes {want}, got {text!r}")
+    return vals
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    ms = _m_list(args.m_list)
+    # the left endpoints m of the pairs to check; None checks all
+    ms = _values("--m-list", args.m_list, "comma-separated integers") if args.m_list else None
     aux, p_aux = resolve_form(args.aux, args.fixtures, args.n_max)
     f1, p1 = resolve_form(args.form1, args.fixtures, args.n_max)
     f2, p2 = resolve_form(args.form2, args.fixtures, args.n_max)
@@ -195,10 +199,10 @@ def cmd_verify(args) -> int:
 def cmd_coset_reduce(args) -> int:
     from .coset import reduce_unipotent, unipotent
 
-    np_, n_ = (int(x) for x in args.level_pair.split(","))
-    entries = [Fraction(x) for x in args.entries.split(",")]
-    if len(entries) != 4:
-        raise CliError("--entries takes x,y,z,w")
+    if not is_prime(args.p):
+        raise CliError(f"--p {args.p} is not prime")
+    np_, n_ = _values("--level-pair", args.level_pair, "two levels n',n >= 0", 2, least=0)
+    entries = _values("--entries", args.entries, "x,y,z,w, four rationals", 4, Fraction)
     u = unipotent(*entries, args.p)
     cls = reduce_unipotent(u, np_, n_)
     _emit({
@@ -215,15 +219,19 @@ def cmd_coset_reduce(args) -> int:
 def cmd_local_constant(args) -> int:
     from .localint import HalfPower, SteinbergTwist, UnramifiedPS, local_constant
 
-    k, k2 = (int(x) for x in args.weights.split(","))
-    K = max(k, k2)
     p = args.p
     if not is_prime(p):
         raise CliError(f"--p {p} is not prime")
-    st = SteinbergTwist(p=p, chi_p_at_p=AlgNum.rational(Fraction(args.steinberg)))
-    trace = HalfPower(p, AlgNum.rational(Fraction(args.ps_trace)), -1)
-    det = AlgNum.rational(Fraction(args.ps_det))
-    ps = UnramifiedPS(p=p, trace=trace, det=det, weight=K)
+    k, k2 = _values("--weights", args.weights, "two weights k,k' >= 1", 2, least=1)
+    K = max(k, k2)
+    (ap,) = _values("--steinberg", args.steinberg, "one rational", 1, Fraction)
+    (tr,) = _values("--ps-trace", args.ps_trace, "one rational", 1, Fraction)
+    (det,) = _values("--ps-det", args.ps_det, "one rational", 1, Fraction)
+    if not det:
+        raise CliError(f"--ps-det is chi_f^(-1)(p) p^(K-2), never 0, got {args.ps_det!r}")
+    st = SteinbergTwist(p=p, chi_p_at_p=AlgNum.rational(ap))
+    trace = HalfPower(p, AlgNum.rational(tr), -1)
+    ps = UnramifiedPS(p=p, trace=trace, det=AlgNum.rational(det), weight=K)
     c = local_constant(st, ps, p)
     _emit({
         "schema": "rscong-local/v1",
@@ -317,6 +325,9 @@ _CONFIGURABLE_DEFAULTS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    for key, val in vars(args).items():
+        if val == []:  # argparse of some Python versions reads the value "--" as []
+            setattr(args, key, "--")
     try:
         cfg = _load_config(args.config)
         for key, val in cfg.items():

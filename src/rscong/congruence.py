@@ -74,17 +74,19 @@ def check_congruent(h1: NewformData, h2: NewformData, P: PrimeIdeal,
 
 
 def eisenstein_screen(h: NewformData, P: PrimeIdeal) -> str | None:
-    """Label of a sigma-type Eisenstein series congruent to h mod P, if any.
+    """Label of a sigma-type Eisenstein series congruent to h mod P; None
+    when the screen is clear; "unchecked: <reason>" when no series of the
+    family exists for h's weight and character to compare with.
 
     Comparison runs over 1 <= n <= Sturm bound + 1 (one spare index since the
     constant terms are not compared).  A hit means the mod-P representation
-    is reducible-suspect.
+    is reducible-suspect, and an unchecked screen is not a clear one.
     """
     try:
         bound = sturm_bound(h.weight, h.level) + 1
         E = eisenstein_qexp(h.weight, h.char, min(bound, h.n_max))
-    except ExactError:
-        return None  # family does not cover this weight/character
+    except ExactError as exc:
+        return f"unchecked: {exc}"
     F = compositum(compositum(h.field, P.field), E.field)
     for n in range(1, min(bound, h.n_max) + 1):
         d = h.a(n).promote(F) - E.a(n).promote(F)

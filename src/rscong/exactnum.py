@@ -117,6 +117,8 @@ def kronecker(a: int, n: int) -> int:
 
 def vp(x: Fraction | int, p: int) -> int | float:
     """p-adic valuation of a rational; +inf for 0."""
+    if p < 2:
+        raise ExactError(f"valuation at p = {p}: p must be at least 2")
     x = Fraction(x)
     if x == 0:
         return math.inf

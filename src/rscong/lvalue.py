@@ -10,9 +10,9 @@ The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s): its first stretch
 past N is one exact sum of integers scaled by a power of two, each term
 rounded up, and the rest an integral comparison; the sum is converted and
 added rounding up, so the bound is never below the tail it bounds.  The
-direct finite part is an exact integer sum too: with b_n = x_n + y_n
-sqrt(d0), each rational coordinate is summed as floors scaled by a power of
-two, and each sum is converted once; no coefficient is embedded.  What the
+direct finite part is an exact integer sum too: with the series'
+b_n = (x_n + y_n sqrt(d0)) / D, each integer coordinate is summed as the
+floors of x_n 2^B / (D n^s), and each sum is converted once.  What the
 floors and the conversions lose is charged to the returned tail, rounding
 up, so the bound covers the rounding of the finite part as well.  The
 smoothing kernel
@@ -40,7 +40,11 @@ The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
 
     A(s) = sum_n c_n n^(-s) G_s(n / sqrt(Q)),
 
-computed once per s.  The dual series of the functional equation has the
+computed once per s.  Its terms are real: x_n / (D n^s) and y_n / (D n^s),
+each one correctly rounded division of integers, times G_s.  The two
+coordinates are summed apart with `mpmath.fsum`, and A(s) = Sx + sqrt(d0) Sy.
+Neither sum embeds a coefficient; only the root number is embedded, once per
+s.  The dual series of the functional equation has the
 complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
 conj(A(s^)), and Lambda(s) = A(s) + eps Q^alpha(s) conj(A(s^)) with the
 bound tail(s) + |Q^alpha(s)| tail(s^).  The root number is exact:
@@ -362,19 +366,6 @@ def _sieve_end(N: int) -> int:
     return min(max(4 * N, 1 << 14), 1 << 18)
 
 
-def tree_sum(vals):
-    """Deterministic pairwise summation (reproducible parallel-safe order)."""
-    vals = list(vals)
-    if not vals:
-        return mp.mpf(0)
-    while len(vals) > 1:
-        nxt = [vals[i] + vals[i + 1] for i in range(0, len(vals) - 1, 2)]
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
-
-
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -403,23 +394,11 @@ class LEngine:
         if ladder is None:
             ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
         self.ladder = ladder
-        self._emb: list | None = None
         self._sums: dict = {}  # s -> (A(s), its bound)
         with mp.workdps(self.dps):
             self.sqrtQ = mpmath.sqrt(mp.mpf(rs.Q.numerator) / rs.Q.denominator)
             self.scale = 1 / self.sqrtQ  # the grid x_n = n / sqrt(Q)
             self.q = 4 * mpmath.pi * mpmath.sqrt(self.scale)
-
-    # -- coefficient embeddings ---------------------------------------------
-    def _embeddings(self) -> list:
-        if self._emb is None:
-            with mp.workdps(self.dps):
-                out = [mpmath.mpc(0)]
-                for n in range(1, self.rs.n_max + 1):
-                    c = self.rs.b[n]
-                    out.append(c.embed(self.dps) if c else mpmath.mpc(0))
-            self._emb = out
-        return self._emb
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
     def _afe_tail_bound(self, s: int, q, N: int):
@@ -461,9 +440,10 @@ class LEngine:
         the first G and each G computed bounds the next.
         """
         rs = self.rs
-        emb = self._embeddings()
+        d0 = rs.field.d0
         scale, q = self.scale, self.q
         with mp.workdps(self.dps):
+            root = mpmath.sqrt(abs(d0))
             mass = abs(archimedean_factor(s, self.k, self.dps))
             target = mass * mp.mpf(10) ** (-(self.P + 8))
             # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
@@ -472,7 +452,7 @@ class LEngine:
                     - float(mpmath.log10(mass)))
             g_bound = mass
             excess = 0.0  # digits a term needed above the working precision
-            terms = []
+            sx, sy = [], []  # the terms of each coordinate
             n = 0
             check_every = 64
             while True:
@@ -481,20 +461,27 @@ class LEngine:
                     est = self._estimate_needed(s, q, target)
                     raise InsufficientCoefficients(
                         est, f"AFE at s={s} needs roughly n_max >= {est}, have {rs.n_max}")
-                if emb[n]:
+                X, Y = rs.x[n], rs.y[n]
+                if X or Y:
                     x = mp.mpf(n) * scale
-                    c = emb[n] * mp.mpf(n) ** (-s)
-                    need = base + math.log10(2) * mpmath.mag(abs(c) * g_bound)
+                    den = rs.D * n ** s
+                    cx = mp.make_mpf(libmp.from_rational(X, den, mp.prec, "n"))
+                    cy = mp.make_mpf(libmp.from_rational(Y, den, mp.prec, "n"))
+                    c = mpmath.hypot(cx, root * cy) if d0 < 0 else abs(cx + root * cy)
+                    need = base + math.log10(2) * mpmath.mag(c * g_bound)
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
                     g = self.ladder.G(s, x, digits)
-                    terms.append(c * g)
+                    sx.append(cx * g)
+                    sy.append(cy * g)
                     g_bound = g
                 if n % check_every == 0 or n == rs.n_max:
                     tail = self._afe_tail_bound(s, q, n)
                     if tail < target:
-                        return tree_sum(terms), tail + target * mp.mpf(10) ** excess
+                        Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
+                        A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
+                        return A, tail + target * mp.mpf(10) ** excess
             # unreachable
 
     def _estimate_needed(self, s: int, q, target) -> int:
@@ -516,9 +503,9 @@ class LEngine:
         return root_number(self.rs)
 
     def is_self_dual(self) -> bool:
-        """Every coefficient is real, so Lambda-tilde = Lambda: none has a
-        sqrt(d0) part in an imaginary quadratic field."""
-        return not any(c.b and c.field.d0 < 0 for c in self.rs.b)
+        """Every coefficient is real, so Lambda-tilde = Lambda: the field is
+        real, or no coefficient has a sqrt(d0) part."""
+        return self.rs.field.d0 > 0 or not any(self.rs.y)
 
     def central_point(self) -> int | None:
         tot = self.k + self.k2 - 1
@@ -592,9 +579,9 @@ class LEngine:
         InsufficientCoefficients, with an estimate of the n_max needed,
         before any term is summed.
 
-        With b_n = x_n + y_n sqrt(d0), x_n and y_n rational, each coordinate
-        is one exact integer sum at scale 2^B, B = mp.prec + 20 +
-        bitlen(n_max), of the floors of num 2^B / (den n^s).  Each sum is
+        With b_n = (x_n + y_n sqrt(d0)) / D as the series keeps it, each
+        coordinate is one exact integer sum at scale 2^B, B = mp.prec + 20 +
+        bitlen(n_max), of the floors of x_n 2^B / (D n^s).  Each sum is
         converted to an mpf once, and the sqrt(d0) one multiplied by
         sqrt(d0), imaginary for d0 < 0.  The floors lose under
         n_max 2^-B (1 + |sqrt(d0)|), and the conversions, the root and the
@@ -616,14 +603,11 @@ class LEngine:
                     f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
             B = mp.prec + 20 + rs.n_max.bit_length()
             sx = sy = 0
-            for n in range(1, rs.n_max + 1):
-                c = rs.b[n]
-                if c:
-                    ns = n ** s
-                    x, y = c.a, c.b
-                    sx += (x.numerator << B) // (x.denominator * ns)
-                    if y:
-                        sy += (y.numerator << B) // (y.denominator * ns)
+            for n, (x, y) in enumerate(zip(rs.x, rs.y)):
+                if x or y:
+                    den = rs.D * n ** s
+                    sx += (x << B) // den
+                    sy += (y << B) // den
             d0 = rs.field.d0
             root = math.isqrt(abs(d0) - 1) + 1  # |sqrt(d0)| rounded up
             val = mpmath.mpc(mpmath.ldexp(sx, -B))

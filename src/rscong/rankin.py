@@ -10,6 +10,11 @@ Conventions: the pair is stored with weights k < k2.  The finite part is
 i.e. the correction enters with its argument shifted so that away from M the
 series has a degree-4 Euler product; coefficientwise this is the convolution
 b_n = sum_{m^2 d = n, gcd(m, M) = 1} (chi*chi2)(m) m^(k+k2-2) a_d(h) a_d(h2).
+
+The convolution runs on Python integers, and its result is what the series
+keeps: b_n = (x_n + y_n sqrt(d0)) / D with integer coordinates x_n, y_n and
+one denominator D for all n, d0 that of the coefficient field.  Both
+L-value sums read those integers; no b_n is an `AlgNum`.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .exactnum import (RATIONAL, AlgNum, ExactError, QuadField, _factor_trial, compositum,
-                       workdps)
+from .exactnum import AlgNum, ExactError, QuadField, _factor_trial, compositum, workdps
 from .forms import DirichletChar, NewformData
 
 
@@ -39,7 +43,11 @@ class NormalizationError(ExactError):
 class RankinSeries:
     h: NewformData
     h2: NewformData
-    b: tuple  # b[n] for 0 <= n <= n_max, AlgNum; b[0] unused
+    #: b_n = (x[n] + y[n] sqrt(d0)) / D for 0 <= n <= n_max, d0 that of
+    #: `field`; x[0] = y[0] = 0 and y is all zero over Q
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    D: int
     M: int
     gamma: tuple[int, int]  # (k, k2) with k < k2
     Q: Fraction
@@ -49,7 +57,7 @@ class RankinSeries:
 
     @property
     def n_max(self) -> int:
-        return len(self.b) - 1
+        return len(self.x) - 1
 
     @property
     def k(self) -> int:
@@ -79,29 +87,22 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
     chi_prod = h.char.times(h2.char, M)
     k, k2 = h.weight, h2.weight
     w = k + k2 - 2
-    F = compositum(h.field, h2.field)  # holds the character values too
-    d0 = F.d0
-    # a_d(h) a_d(h2) = (rx[d] + ry[d] sqrt(d0)) / (D1 D2), and whether a
-    # factor lies outside Q
+    d0 = compositum(h.field, h2.field).d0  # holds the character values too
+    # a_d(h) a_d(h2) = (rx[d] + ry[d] sqrt(d0)) / (D1 D2)
     x1, y1, D1 = _coordinates(h.coeffs[1 : n_max + 1])
     x2, y2, D2 = _coordinates(h2.coeffs[1 : n_max + 1])
     rx = [0] + [a * c + d0 * b * e for a, b, c, e in zip(x1, y1, x2, y2)]
     ry = [0] + [a * e + b * c for a, b, c, e in zip(x1, y1, x2, y2)]
-    rq = [False] + [not (f.field.is_rational and g.field.is_rational)
-                    for f, g in zip(h.coeffs[1 : n_max + 1], h2.coeffs[1 : n_max + 1])]
     # (chi*chi2)(m) = (cu + cv sqrt(d0)) / Dc
     ms = [m for m in range(1, math.isqrt(n_max) + 1) if M == 1 or math.gcd(m, M) == 1]
-    chis = [chi_prod(m) if m > 1 else AlgNum.rational(1) for m in ms]
-    cu, cv, Dc = _coordinates(chis)
-    # b_n = (bx[n] + by[n] sqrt(d0)) / (Dc D1 D2); quad[n] is None until a
-    # term is added, then whether one of its terms lies outside Q
+    cu, cv, Dc = _coordinates([chi_prod(m) if m > 1 else AlgNum.rational(1) for m in ms])
+    # b_n = (bx[n] + by[n] sqrt(d0)) / (Dc D1 D2)
     bx = [0] * (n_max + 1)
     by = [0] * (n_max + 1)
-    quad: list = [None] * (n_max + 1)
-    for m, u, v, cm in zip(ms, cu, cv, chis):
-        if not cm:
+    for m, u, v in zip(ms, cu, cv):
+        if not (u or v):
             continue
-        u, v, cq = u * m ** w, v * m ** w, not cm.field.is_rational
+        u, v = u * m ** w, v * m ** w
         m2 = m * m
         for d in range(1, n_max // m2 + 1):
             X, Y = rx[d], ry[d]
@@ -109,12 +110,8 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
                 n = m2 * d
                 bx[n] += u * X + d0 * v * Y
                 by[n] += u * Y + v * X
-                quad[n] = quad[n] or cq or rq[d]
-    D = Dc * D1 * D2
-    zero = AlgNum.rational(0)
-    b = [zero if q is None else AlgNum(F if q else RATIONAL, Fraction(x, D), Fraction(y, D))
-         for x, y, q in zip(bx, by, quad)]
-    return RankinSeries(h=h, h2=h2, b=tuple(b), M=M, gamma=(k, k2), Q=Fraction(M) ** 2)
+    return RankinSeries(h=h, h2=h2, x=tuple(bx), y=tuple(by), D=Dc * D1 * D2, M=M,
+                        gamma=(k, k2), Q=Fraction(M) ** 2)
 
 
 def _coordinates(vals) -> tuple[list[int], list[int], int]:

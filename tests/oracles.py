@@ -29,7 +29,7 @@ from rscong.exactnum import AlgNum, ExactError, QuadField, vp
 from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
                              SteinbergTwist, UnramifiedPS)
-from rscong.lvalue import LEngine, tree_sum
+from rscong.lvalue import LEngine
 from rscong.rankin import RankinSeries, rs_coefficients
 
 
@@ -208,14 +208,21 @@ def rs_coefficients_algnum(h: NewformData, h2: NewformData, n_max: int) -> tuple
     return tuple(b)
 
 
+def coefficients(rs: RankinSeries) -> tuple:
+    """b_0..b_n_max of `rs` as elements of its field, from the integer
+    coordinates the series keeps: b_n = (x_n + y_n sqrt(d0)) / D."""
+    F = rs.field
+    return tuple(AlgNum(F, Fraction(x, rs.D), Fraction(y, rs.D)) for x, y in zip(rs.x, rs.y))
+
+
 def direct_sum_reference(eng: LEngine, s: int):
     """sum_n b_n n^(-s) over the engine's coefficients, each b_n embedded and
-    multiplied by n^(-s) as an mpc, and the terms summed pairwise, all at
-    eng.dps + 40 digits."""
+    multiplied by n^(-s) as an mpc, and the terms summed by `mpmath.fsum`,
+    all at eng.dps + 40 digits."""
     dps = eng.dps + 40
     with mp.workdps(dps):
-        return tree_sum([c.embed(dps) * mp.mpf(n) ** (-s)
-                         for n, c in enumerate(eng.rs.b) if n and c])
+        return mpmath.fsum(c.embed(dps) * mp.mpf(n) ** (-s)
+                           for n, c in enumerate(coefficients(eng.rs)) if n and c)
 
 
 def qmul(f: list[int], g: list[int]) -> list[int]:

@@ -9,15 +9,17 @@ printed tolerance.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from oracles import (conjugate_pair, euler_expand, euler_factor,
+from oracles import (coefficients, conjugate_pair, euler_expand, euler_factor,
                      geometric_factor_for, steinberg_from_form,
                      unramified_from_form, vanishing_checks, w6_identities_check)
 
@@ -33,6 +35,8 @@ from rscong.ratio import (CONGRUENT, NOT_CONGRUENT, full_report,
                           reconstruct_algebraic, report_text)
 
 P_WORK = 120
+#: the flagship's report.json as `rscong verify --json-out` writes it
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report_flagship_p120.json"
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
 
@@ -89,6 +93,13 @@ class TestCriterion1Reproduction:
         announce("1+ hypothesis flags (l = 13 <= pair weight; Eisenstein alarm)",
                  viols == {"l_greater_than_pair_weight", "irreducibility_screen_clear"}
                  and report74["eisenstein_alarm"] == "eis-13-3")
+
+    def test_report_bytes_match_golden(self, report74):
+        # what `verify --json-out` writes: the in-process `_` keys dropped
+        doc = {k: v for k, v in report74.items() if not k.startswith("_")}
+        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        announce("1+ report.json bytes equal the committed golden",
+                 text == GOLDEN_REPORT.read_text())
 
     def test_exit_semantics(self, report74):
         # every verdict is informational here (hypotheses violated), so a
@@ -245,7 +256,8 @@ class TestCriterion5AlgebraSuites:
         for rs in (rs_74_prime, rs_74_dprime, rs3):
             facs = [euler_factor(rs.h, rs.h2, p) for p in primes_upto(1000)]
             exp = euler_expand(facs, 1000)
-            ok = ok and all(exp[n] == rs.b[n] for n in range(1, 1001))
+            b = coefficients(rs)
+            ok = ok and all(exp[n] == b[n] for n in range(1, 1001))
         announce("5a Euler product = Dirichlet coefficients to n=1000 (exact)", ok)
 
     def test_gamma_ratio_exact(self):

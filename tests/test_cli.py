@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rscong.cli import build_parser, main
 
@@ -48,6 +52,31 @@ class TestCosetCli:
                       "--entries", "1,2,3")
         assert code == 1
 
+    @pytest.mark.parametrize("p", ["1", "0", "-5", "4"])
+    def test_non_prime_p_exit_1(self, capsys, p):
+        # no valuation exists at p = 1 or p = 0: refused before one is taken
+        code = main(["coset-reduce", f"--p={p}", "--level-pair", "1,1",
+                     "--entries", "0,0,0,5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"--p {p} is not prime" in err
+
+    @pytest.mark.parametrize("value", ["1", "1,x", "1,2,3", "1,-1", "--"])
+    def test_malformed_level_pair_is_named(self, capsys, value):
+        code = main(["coset-reduce", "--p", "5", f"--level-pair={value}",
+                     "--entries", "0,0,0,5"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: --level-pair") and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["0,0,1/0,5", "0,a,0,5", "0,0,0,5,0"])
+    def test_malformed_entries_is_named(self, capsys, value):
+        code = main(["coset-reduce", "--p", "5", "--level-pair", "1,1",
+                     f"--entries={value}"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: --entries") and repr(value) in err
+
 
 class TestLocalCli:
     def test_exact_fraction_printed(self, capsys):
@@ -74,6 +103,67 @@ class TestLocalCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert "--p 4 is not prime" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--weights", "13"), ("--weights", "13,x"), ("--weights", "0,26"),
+        ("--steinberg", "1/0"), ("--steinberg", "27,1"),
+        ("--ps-trace", "1/0"), ("--ps-trace", ""),
+        ("--ps-det", "x"), ("--ps-det", "0"), ("--ps-det", "--"),
+    ])
+    def test_malformed_value_is_named(self, capsys, flag, value):
+        args = {"--steinberg": "27", "--ps-trace": "-48", "--ps-det": str(3 ** 24),
+                "--weights": "13,26", flag: value}
+        code = main(["local-constant", "--p", "3"] + [f"{k}={v}" for k, v in args.items()])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {flag}") and repr(value) in err
+
+
+SMALL = st.integers(-9, 9)
+PRIME = st.one_of(st.sampled_from([2, 3, 5, 7]), st.integers(-5, 40))
+RATIONAL = st.one_of(SMALL.map(str), st.tuples(SMALL, st.integers(0, 9)).map(
+    lambda t: f"{t[0]}/{t[1]}"))
+#: short junk over the characters the values are written with
+JUNK = st.text(alphabet="0123456789,/-x ", max_size=12)
+
+
+def listed(item, n: int):
+    return st.lists(item, min_size=n, max_size=n).map(",".join)
+
+
+def argv_of(cmd: str, fields: dict):
+    """argv of `cmd`: an integer --p (argparse refuses any other), and each
+    other flag's value drawn from its strategy, at most one of them replaced
+    by junk."""
+    def build(p, values, i, junk):
+        values = list(values)
+        if i:
+            values[i - 1] = junk
+        return [cmd, f"--p={p}"] + [f"{flag}={v}" for flag, v in zip(fields, values)]
+
+    return st.builds(build, PRIME, st.tuples(*fields.values()), st.integers(0, len(fields)),
+                     JUNK)
+
+
+COSET_ARGV = argv_of("coset-reduce", {
+    "--level-pair": listed(st.integers(-1, 6).map(str), 2),
+    "--entries": listed(RATIONAL, 4)})
+LOCAL_ARGV = argv_of("local-constant", {
+    "--weights": listed(st.integers(-1, 30).map(str), 2),
+    "--steinberg": RATIONAL, "--ps-trace": RATIONAL, "--ps-det": RATIONAL})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(COSET_ARGV, LOCAL_ARGV))
+def test_cheap_subcommands_fail_only_with_an_error_line(argv):
+    # small integers keep the trial factoring of --p cheap
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error:") and out.getvalue() == ""
 
 
 class TestCongruentCli:
@@ -129,6 +219,12 @@ class TestLvalueCli:
         err = capsys.readouterr().err
         assert code == 1
         assert repr(ref) in err and "n_max = 0" in err
+
+    def test_double_dash_value_is_a_string(self, capsys):
+        # argparse of some Python versions reads the value "--" as []
+        code = main(["lvalue", "--pair=--", "--s", "40"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err.startswith("error: --pair")
 
     @pytest.mark.parametrize("precision", ["0", "-5"])
     def test_precision_below_one_exit_1(self, capsys, precision):

@@ -9,7 +9,7 @@ from rscong.congruence import (check_congruent, eisenstein_screen,
                                excluded_primes, sturm_bound)
 from rscong.exactnum import (AlgNum, NotIntegral, QuadField, RATIONAL,
                              factor_rational_prime)
-from rscong.forms import delta_family_qexp
+from rscong.forms import char_from_kronecker, delta_family_qexp
 
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
@@ -74,6 +74,13 @@ class TestEisensteinScreen:
         d = delta_family_qexp(12, 30)
         assert eisenstein_screen(d, rational_prime(5)) is None
         assert eisenstein_screen(d, rational_prime(11)) is None
+
+    def test_unchecked_screen_is_not_clear(self):
+        # weight 12 with the odd character chi_-4: no E_12(chi_-4) exists to
+        # compare with, so the screen reports that it did not run
+        d = replace(delta_family_qexp(12, 30), char=char_from_kronecker(-4))
+        alarm = eisenstein_screen(d, rational_prime(691))
+        assert alarm == "unchecked: parity mismatch: weight 12 needs an even character"
 
     def test_74_alarm(self, h_prime, h_dprime):
         assert eisenstein_screen(h_prime, L13) == "eis-13-3"

@@ -120,6 +120,12 @@ class TestValuation:
                 continue
             assert valuation(x, P5a) + valuation(x, P5b) == vp(x.norm(), 5)
 
+    @pytest.mark.parametrize("p", [1, 0, -1, -3])
+    def test_vp_needs_p_at_least_2(self, p):
+        # p = 1 and p = -1 divide every numerator: the count would never end
+        with pytest.raises(ExactError, match=f"p = {p}"):
+            vp(Fraction(6, 5), p)
+
 
 small_rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 

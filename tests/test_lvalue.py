@@ -18,8 +18,8 @@ from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
 from rscong.forms import (DirichletChar, NewformData, delta_family_qexp, eta_series,
                           trivial_char)
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
-                           LEngine, besselk_pair, d4_upto, get_engine, tree_sum)
-from rscong.rankin import (NormalizationError, RankinSeries, archimedean_factor,
+                           LEngine, besselk_pair, d4_upto, get_engine)
+from rscong.rankin import (NormalizationError, archimedean_factor,
                            root_number, rs_coefficients)
 
 
@@ -184,16 +184,22 @@ class TestKernel:
             ladder.J(14, mp.mpf(2), 30)  # even offset from nu = 12
 
 
+class Unread(tuple):
+    """Coordinates that fail the test when a sum reads them."""
+
+    def __iter__(self):
+        raise AssertionError("coefficients read")
+
+    def __getitem__(self, _):
+        raise AssertionError("coefficients read")
+
+
 class TestDirect:
     def test_degenerate_series_is_archimedean_factor(self):
         # b_n = 0 beyond n = 1: Lambda(s) = L_inf(s) exactly
-        one = AlgNum.rational(1)
-        zero = AlgNum.rational(0)
         d = delta_family_qexp(12, 8)
         f = delta_family_qexp(16, 8)
-        rs = rs_coefficients(d, f, 8)
-        rs = RankinSeries(h=rs.h, h2=rs.h2, b=(zero, one) + (zero,) * 7,
-                          M=1, gamma=rs.gamma, Q=rs.Q)
+        rs = replace(rs_coefficients(d, f, 8), x=(0, 1) + (0,) * 7, y=(0,) * 9, D=1)
         eng = LEngine(rs, 20)
         val, err = eng.direct_lambda(40)
         with mp.workdps(40):
@@ -213,14 +219,10 @@ class TestDirect:
     def test_in_window_direct_sum_needs_too_many_coefficients(self, monkeypatch):
         # (12,22) at n = 600 cannot certify s = 20 to 10^-30 directly: inside
         # the window a direct tail needs far more coefficients than the AFE.
-        # The tail is checked before any coefficient is embedded or summed.
+        # The tail is checked before any coefficient is read.
         n = 600
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(22, n), n)
-
-        def no_embeddings(_):
-            raise AssertionError("terms summed for a tail that misses 10^-P")
-
-        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
+        rs = replace(rs, x=Unread(rs.x), y=Unread(rs.y))
         with pytest.raises(InsufficientCoefficients) as err:
             LEngine(rs, 30).direct_lambda(20)
         assert err.value.n_needed == 1 << 40
@@ -315,10 +317,10 @@ class TestDirect:
                 assert budget <= abs(ref) * mp.mpf(10) ** -(eng.dps - 2), s
 
     def test_direct_sum_embeds_no_coefficient(self, engine_p120, monkeypatch):
-        def no_embeddings(_):
+        def no_embedding(*_):
             raise AssertionError("coefficients embedded for a direct sum")
 
-        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
+        monkeypatch.setattr(AlgNum, "embed", no_embedding)
         assert engine_p120.L_at(51).method == "direct"
 
     def test_tail_bound_value_is_pinned(self, engine_p120):
@@ -448,9 +450,7 @@ class TestEngineSmallPair:
             assert abs(a - b) <= abs(b) * mp.mpf(10) ** -15
 
     def test_wrong_conductor_fails_unitarity(self, rs_small):
-        bad = RankinSeries(h=rs_small.h, h2=rs_small.h2, b=rs_small.b,
-                           M=rs_small.M, gamma=rs_small.gamma, Q=rs_small.Q * 4)
-        eng = LEngine(bad, 40)
+        eng = LEngine(replace(rs_small, Q=rs_small.Q * 4), 40)
         with pytest.raises(NormalizationError):
             eng.solve_root_number()
 
@@ -547,10 +547,10 @@ class TestRootNumber:
 
     def test_self_duality_is_read_from_the_exact_coefficients(self, h_prime, h_dprime,
                                                               monkeypatch):
-        def no_embeddings(_):
+        def no_embedding(*_):
             raise AssertionError("coefficients embedded to decide self-duality")
 
-        monkeypatch.setattr(LEngine, "_embeddings", no_embeddings)
+        monkeypatch.setattr(AlgNum, "embed", no_embedding)
         rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
         assert LEngine(rs, 12).certified_zero(14)
         rs = rs_coefficients(h_dprime, delta_family_qexp(16, 200), 200)
@@ -596,22 +596,8 @@ class TestDualSide:
         eng = get_engine(rs, 20)
         for s in range(12, 16):
             assert eng.L_at(s).method == "afe"
-        assert calls["embed"] <= n + 8  # the coefficients, and eps once per s
+        assert calls["embed"] <= 4  # eps once per s; no coefficient
         assert calls["sum"] == 4
-
-    def test_rational_coefficients_take_no_square_root(self, monkeypatch):
-        n = 200
-        eng = LEngine(rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n), 20)
-        calls = []
-        sqrt = mpmath.sqrt
-
-        def counted_sqrt(*args, **kwargs):
-            calls.append(args)
-            return sqrt(*args, **kwargs)
-
-        monkeypatch.setattr(mpmath, "sqrt", counted_sqrt)
-        emb = eng._embeddings()
-        assert calls == [] and len(emb) == n + 1
 
     def test_non_self_dual_values_are_pinned(self, h_dprime):
         # the values the second smoothed sum over Galois conjugates gave
@@ -637,13 +623,6 @@ class TestDualSide:
 
 
 class TestHelpers:
-    def test_tree_sum_deterministic(self):
-        with mp.workdps(30):
-            vals = [mp.mpf(1) / (i + 1) for i in range(101)]
-            assert tree_sum(vals) == tree_sum(vals)
-            assert abs(tree_sum(vals) - sum(vals)) < mp.mpf(10) ** -25
-        assert tree_sum([]) == 0
-
     def test_d4_values(self):
         d4 = d4_upto(16)
         assert d4[1] == 1 and d4[2] == 4 and d4[4] == 10 and d4[6] == 16
