@@ -97,7 +97,9 @@ class DirichletChar:
     values: tuple  # values[r] for r in range(modulus), AlgNum; 0 off units
 
     def __post_init__(self):
-        assert len(self.values) == max(self.modulus, 1)
+        if len(self.values) != max(self.modulus, 1):
+            raise ExactError(f"a character mod {self.modulus} needs {max(self.modulus, 1)} "
+                             f"values, got {len(self.values)}")
 
     def __call__(self, n: int) -> AlgNum:
         if self.modulus == 1:
@@ -118,7 +120,9 @@ class DirichletChar:
 
     def times(self, other: "DirichletChar", modulus: int) -> "DirichletChar":
         """Product character viewed at the given modulus (lcm of the two)."""
-        assert modulus % self.modulus == 0 and modulus % other.modulus == 0
+        if modulus % self.modulus or modulus % other.modulus:
+            raise ExactError(f"character moduli {self.modulus} and {other.modulus} "
+                             f"must both divide {modulus}")
         vals = []
         for r in range(max(modulus, 1)):
             if modulus > 1 and math.gcd(r, modulus) != 1:

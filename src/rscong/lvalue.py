@@ -6,10 +6,11 @@ k <= s <= k2 - 1, and direct summation outside it, which needs
 window point whose AFE the coefficients cannot certify falls back to the
 direct sum: near the right edge of the window, at level 3 and weights 13
 and 26 for one, the AFE can need more coefficients than the direct sum.
-The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s): its first stretch
-past N is one exact sum of integers scaled by a power of two, each term
-rounded up, and the rest an integral comparison; the sum is converted and
-added rounding up, so the bound is never below the tail it bounds.  The
+The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s), which is
+zeta(s - w/2)^4 less its first N terms: an upper bound of zeta from
+Borwein's algorithm, to the fourth power, less N floored terms, all integers
+scaled by one power of two and converted rounding up, so the bound is never
+below the tail it bounds and exceeds it only by those roundings.  The
 direct finite part is an exact integer sum too: with the series'
 b_n = (x_n + y_n sqrt(d0)) / D, each integer coordinate is summed as the
 floors of x_n 2^B / (D n^s), and each sum is converted once.  What the
@@ -361,9 +362,66 @@ def d4_upto(n: int) -> list[int]:
     return d4
 
 
-def _sieve_end(N: int) -> int:
-    """Last n of the exact d4 stretch in the direct tail bound past N."""
-    return min(max(4 * N, 1 << 14), 1 << 18)
+def _scaled_quotient(m: int, n: int, two_sigma: int, C: int, up: bool) -> int:
+    """m 2^C / n^sigma for m >= 0 and sigma = two_sigma / 2, rounded up when
+    `up` and down otherwise.  For half-integer sigma it is the root of
+    m^2 4^C / n^(2 sigma): the floor of that root is the floor of the root of
+    the floored quotient, and the ceiling is one more unless both are exact."""
+    if two_sigma % 2 == 0:
+        q, r = divmod(m << C, n ** (two_sigma // 2))
+        return q + (up and r > 0)
+    q, r = divmod(m * m << 2 * C, n ** two_sigma)
+    root = math.isqrt(q)
+    return root + (up and (r > 0 or root * root < q))
+
+
+def _borwein_d(n: int) -> list[int]:
+    """d_0..d_n of Borwein's Algorithm 2 with n terms (`_zeta_scaled_up`):
+    the partial sums of the integers n (n + i - 1)! 4^i / ((n - i)! (2i)!),
+    each term the one before times 2 (n + i)(n - i) / ((i + 1)(2i + 1)) for
+    i = 0, 1, ..., a division that is exact because the next term is an
+    integer."""
+    d, t, acc = [], 1, 0
+    for i in range(n + 1):
+        acc += t
+        d.append(acc)
+        t = t * 2 * (n + i) * (n - i) // ((i + 1) * (2 * i + 1))
+    return d
+
+
+def _zeta_scaled_up(two_sigma: int, C: int) -> int:
+    """An integer Z >= zeta(sigma) 2^C for real sigma = two_sigma / 2 > 1,
+    at most 1 + (zeta(sigma) + 0.05) / (1 - 2^(1 - sigma)) above it.
+
+    Borwein's Algorithm 2 (P. Borwein, "An efficient algorithm for the
+    Riemann zeta function", CMS Conf. Proc. 27, 2000): with
+    d_k = n sum_{i<=k} (n + i - 1)! 4^i / ((n - i)! (2i)!),
+
+        zeta(sigma) = S / (d_n (1 - 2^(1 - sigma))) + gamma,
+        S = sum_{k<n} (-1)^k (d_n - d_k) / (k + 1)^sigma,
+
+    and |gamma| <= 3 (3 + sqrt 8)^-n / (1 - 2^(1 - sigma)) for real
+    sigma >= 1/2.  The terms of d_k are the absolute values of the
+    coefficients of the Chebyshev polynomial T_n(1 - 2x), whose signs
+    alternate, so they are integers and d_n = T_n(3) =
+    ((3 + sqrt 8)^n + (3 - sqrt 8)^n) / 2 <= (3 + sqrt 8)^n; hence
+    zeta(sigma) <= (S + 3) / (d_n (1 - 2^(1 - sigma))).
+    Each term of S is taken at scale 2^C rounded up where it is added and
+    down where it is subtracted, 1 - 2^(1 - sigma) at 2^C is rounded down,
+    and the quotient up.  With n = ceil((C + 8) / log2(3 + sqrt 8)), 3 / d_n
+    is below 2^-(C + 5), and what the n terms of S lose is smaller still: the
+    excess of Z is the ceiling's unit and the rounding of 1 - 2^(1 - sigma).
+    """
+    n = math.ceil((C + 8) / math.log2(3 + math.sqrt(8)))
+    d = _borwein_d(n)
+    dn = d[n]
+    S = 0
+    for k in range(0, n, 2):
+        S += _scaled_quotient(dn - d[k], k + 1, two_sigma, C, True)
+    for k in range(1, n, 2):
+        S -= _scaled_quotient(dn - d[k], k + 1, two_sigma, C, False)
+    eta_factor = (1 << C) - _scaled_quotient(2, 2, two_sigma, C, True)  # 1 - 2^(1 - sigma)
+    return -(-(S + (3 << C) << C) // (dn * eta_factor))
 
 
 # ---------------------------------------------------------------------------
@@ -536,42 +594,36 @@ class LEngine:
 
     # -- direct summation -----------------------------------------------------
     def _direct_tail_bound(self, s, N: int):
-        """An upper bound of sum_{n>N} d4(n) n^(w/2 - s).
+        """An upper bound of sum_{n>N} d4(n) n^(-sigma), sigma = s - w/2.
 
-        The stretch N < n <= N2 = `_sieve_end(N)` is one exact integer sum at
-        scale 2^B, B = mp.prec + 20 + ceil(sigma log2(N + 1)) with
-        sigma = s - w/2, so each term is an integer rounded up: the ceiling of
-        d4(n) 2^B / n^sigma for integer sigma, and for half-integer sigma the
-        ceiling of the square root of the ceiling of d4(n)^2 4^B / n^(2 sigma).
-        The sum times 2^-B is rounded up to mp.prec bits and added, rounding
-        up, to `_tail_beyond(s, N2)`; every step rounds up, so the result is
-        never below the true tail.  The first term carries at least
-        mp.prec + 20 bits and each of the at most 2^18 terms is at most two
-        units high, so the terms add under 2^-mp.prec of the stretch, and
-        each conversion at most one unit in the last place.
+        Since zeta^4 is the Dirichlet series of d4, the tail is zeta(sigma)^4
+        less the head sum_{n<=N} d4(n) n^(-sigma); the same identity is why
+        |b_n| <= d4(n) n^(w/2).  Both are taken at scale 2^C, with
+        C = mp.prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up`
+        is at least zeta(sigma) 2^C, so the ceiling of Z^4 / 2^(3C) is at least
+        zeta(sigma)^4 2^C, and each head term is floored (`_scaled_quotient`),
+        so the head is at most its true value.  Their difference times 2^-C is
+        rounded up to mp.prec bits, so the result is never below the tail.
+
+        For sigma >= 5/2 it is above the tail by at most N + 32 units of 2^-C
+        (N floors, and Z at most 3.2 units high) and one unit in the last
+        place.  The tail is at least (N + 1)^(-sigma), 2^(mp.prec + 40) of
+        those units, so the bound is within (N + 32) 2^-(mp.prec + 40) of the
+        tail, relatively.
         """
-        N2 = _sieve_end(N)
-        d4 = d4_upto(N2)
         two_sigma = 2 * s - self.w
-        B = mp.prec + 20 + math.ceil(two_sigma * math.log2(N + 1) / 2)
-        if two_sigma % 2 == 0:
-            sigma, scale = two_sigma // 2, 1 << B
-            S = sum(-(-d4[n] * scale // n ** sigma) for n in range(N + 1, N2 + 1))
-        else:
-            scale = 1 << (2 * B)
-            S = 0
-            for n in range(N + 1, N2 + 1):
-                sq = -(-d4[n] ** 2 * scale // n ** two_sigma)
-                r = math.isqrt(sq)
-                S += r + (r * r < sq)
-        exact = libmp.from_man_exp(S, -B, mp.prec, "c")
-        beyond = self._tail_beyond(s, N2)._mpf_
-        return mp.make_mpf(libmp.mpf_add(exact, beyond, mp.prec, "c"))
+        C = mp.prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
+        d4 = d4_upto(N)
+        head = sum(_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, N + 1))
+        Z = _zeta_scaled_up(two_sigma, C)
+        tail = -(-Z ** 4 >> 3 * C) - head
+        return mp.make_mpf(libmp.from_man_exp(tail, -C, mp.prec, "c"))
 
-    def _tail_beyond(self, s, N2: int):
-        """Certified bound of the tail past the sieve stretch."""
+    def _tail_beyond(self, s, N: int):
+        """A cruder upper bound of the same tail, from d4(n) <= 8n and an
+        integral comparison; it only estimates the n_max a direct sum needs."""
         margin = s - Fraction(self.w, 2) - 2
-        return 8 * mp.mpf(N2) ** (2 + Fraction(self.w, 2) - s) / float(margin)
+        return 8 * mp.mpf(N) ** (2 + Fraction(self.w, 2) - s) / float(margin)
 
     def _direct_sum(self, s, target=mp.inf):
         """(finite part, certified absolute tail) by direct summation over
@@ -588,16 +640,16 @@ class LEngine:
         two operations after them at most 2^(3 - mp.prec) of the two sums'
         magnitudes; both are added to the tail, rounding up.
         """
-        if 2 * s <= self.k + self.k2 + 2:  # the tail bound needs s - w/2 - 2 > 0
+        if 2 * s <= self.k + self.k2 + 2:  # `_tail_beyond` needs s - w/2 - 2 > 0
             raise ExactError(
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
         with mp.workdps(self.dps):
             tail = self._direct_tail_bound(s, rs.n_max)
             if tail > target:
-                need = 1 << 12
+                need = 2 * rs.n_max
                 while need < 1 << 40 and self._tail_beyond(s, need) >= target:
-                    need <<= 1
+                    need = min(2 * need, 1 << 40)
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
                     f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")

@@ -225,6 +225,30 @@ def direct_sum_reference(eng: LEngine, s: int):
                            for n, c in enumerate(coefficients(eng.rs)) if n and c)
 
 
+def d4(n: int) -> int:
+    """d_4(n) from the factorisation n = prod p^a: prod C(a + 3, 3)."""
+    out, p = 1, 2
+    while p * p <= n:
+        a = 0
+        while n % p == 0:
+            n //= p
+            a += 1
+        out *= math.comb(a + 3, 3)
+        p += 1
+    return out * (4 if n > 1 else 1)
+
+
+def direct_tail_reference(eng: LEngine, s: int, N: int):
+    """The true direct tail sum_{n>N} d4(n) n^(-sigma), sigma = s - w/2, as
+    zeta(sigma)^4 less the first N terms, at eng.dps + 40 + sigma log10(N + 1)
+    digits, which the cancellation of the head needs."""
+    sigma = Fraction(2 * s - eng.w, 2)
+    with mp.workdps(eng.dps + 40 + math.ceil(sigma * math.log10(N + 1))):
+        sig = mp.mpf(sigma.numerator) / sigma.denominator
+        return mpmath.zeta(sig) ** 4 - mpmath.fsum(d4(n) * mp.mpf(n) ** -sig
+                                                   for n in range(1, N + 1))
+
+
 def qmul(f: list[int], g: list[int]) -> list[int]:
     """The product of two q-series with the same last power."""
     out = [0] * len(f)

@@ -42,6 +42,10 @@ class TestCharacters:
         with pytest.raises(ExactError):
             char_from_kronecker(-6)  # -6 = 2 mod 4
 
+    def test_value_count_must_match_modulus(self):
+        with pytest.raises(ExactError, match="mod 4 needs 4 values, got 1"):
+            DirichletChar(4, (AlgNum.rational(1),))
+
     def test_inverse_is_conjugate(self):
         assert char_inverse(CHI3)(2) == CHI3(2)  # real character
         i = AlgNum(QuadField(-1), 0, 1)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from mpmath import mp
 
 from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direct_sum_reference,
-                     probe_root_number, weight24_eigenform)
+                     direct_tail_reference, probe_root_number, weight24_eigenform)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
@@ -266,18 +267,6 @@ class TestDirect:
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
         return LEngine(rs, 120)
 
-    @staticmethod
-    def reference_tail(eng, s, N):
-        """sum_{n>N} d4(n) n^(w/2 - s) with the sieve stretch summed 40 digits
-        above the engine's precision, plus the engine's own `_tail_beyond`."""
-        N2 = lvalue._sieve_end(N)
-        d4 = d4_upto(N2)
-        with mp.workdps(eng.dps):
-            beyond = eng._tail_beyond(s, N2)
-        with mp.workdps(eng.dps + 40):
-            e = Fraction(eng.w, 2) - s
-            return mpmath.fsum(d4[n] * mp.mpf(n) ** e for n in range(N + 1, N2 + 1)) + beyond
-
     @pytest.mark.parametrize("case", ["even", "odd"])
     def test_tail_bound_is_an_upper_bound(self, case, engine_p120, h_prime):
         # sigma = s - w/2 an integer on (12,16), a half-integer on 3.13.b.a x delta:16
@@ -290,10 +279,60 @@ class TestDirect:
         assert (2 * s - eng.w) % 2 == (case == "odd")
         with mp.workdps(eng.dps):
             bound = eng._direct_tail_bound(s, N)
-        ref = self.reference_tail(eng, s, N)
+        ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert bound >= ref
             assert bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
+
+    @pytest.mark.parametrize("P", [10, 30, 120])
+    @pytest.mark.parametrize("N", [1, 7, 600, 1200, 2000])
+    @pytest.mark.parametrize("case", ["even", "odd"])
+    def test_tail_bound_grid(self, case, N, P, h_prime):
+        # the bound reads only w and the precision, so 8 coefficients will do:
+        # sigma = 38 on (12,16) at s = 51, sigma = 18.5 on (13,16) at s = 32
+        h, s = (delta_family_qexp(12, 8), 51) if case == "even" else (h_prime, 32)
+        eng = LEngine(rs_coefficients(h, delta_family_qexp(16, 8), 8), P)
+        with mp.workdps(eng.dps):
+            bound = eng._direct_tail_bound(s, N)
+        ref = direct_tail_reference(eng, s, N)
+        with mp.workdps(eng.dps + 40):
+            assert ref <= bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
+
+    @pytest.mark.parametrize("two_sigma", [5, 6, 27, 37, 44, 76, 90, 120])
+    @pytest.mark.parametrize("C", [64, 700])
+    def test_zeta_upper_bound(self, two_sigma, C):
+        Z = lvalue._zeta_scaled_up(two_sigma, C)
+        with mp.workdps(C // 3 + 40):
+            sigma = mp.mpf(two_sigma) / 2
+            zeta = mpmath.zeta(sigma)
+            excess = Z - zeta * mp.mpf(2) ** C
+            assert 0 <= excess <= 1 + (zeta + mp.mpf("0.05")) / (1 - mp.mpf(2) ** (1 - sigma))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 29, 60, 301])
+    def test_borwein_d_is_chebyshev(self, n):
+        # d_n = T_n(3) <= (3 + sqrt 8)^n is what the error bound of zeta uses
+        d = lvalue._borwein_d(n)
+        t0, t1 = 1, 3
+        for _ in range(n - 1):
+            t0, t1 = t1, 6 * t1 - t0
+        assert d[n] == t1
+        if n <= 29:  # every partial sum against its closed form
+            f = math.factorial
+            assert d == [sum(Fraction(n * f(n + i - 1) * 4 ** i, f(n - i) * f(2 * i))
+                             for i in range(k + 1)) for k in range(n + 1)]
+
+    def test_needed_n_max_is_estimated_from_the_one_given(self):
+        # s = 40 on (12,16) at P = 10 certifies with n_max = 2 or 4; the
+        # estimate starts from the n_max given, not from a fixed 4096
+        def engine(n):
+            rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+            return LEngine(rs, 10)
+
+        with pytest.raises(InsufficientCoefficients) as err:
+            engine(1).direct_lambda(40)
+        need = err.value.n_needed
+        assert 1 < need < 4096
+        assert engine(need).L_at(40).method == "direct"
 
     @pytest.mark.parametrize("case", ["even", "odd"])
     def test_sum_is_within_its_charged_rounding(self, case, engine_p120, h_dprime):

@@ -9,8 +9,8 @@ import pytest
 from oracles import (Unsupported, coefficients, euler_expand, euler_factor,
                      rs_coefficients_algnum, weight24_eigenform)
 
-from rscong.exactnum import AlgNum
-from rscong.forms import delta_family_qexp, primes_upto
+from rscong.exactnum import AlgNum, ExactError
+from rscong.forms import char_from_kronecker, delta_family_qexp, primes_upto
 from rscong.rankin import (PoleError, archimedean_factor, critical_set,
                            gamma_ratio, rs_coefficients, theorem_ranges,
                            translate_argument)
@@ -80,6 +80,13 @@ class TestCoefficients:
     def test_weight_ordering_normalized(self, h_prime, h_aux26):
         rs = rs_coefficients(h_aux26, h_prime, 100)
         assert rs.gamma == (13, 26) and rs.h is h_prime
+
+    def test_character_modulus_must_divide_the_level(self):
+        # delta:12 given chi_-4 at level 1: the modulus 4 does not divide
+        # lcm(1, 1), a typed error rather than an assert that -O removes
+        h = replace(delta_family_qexp(12, 8), char=char_from_kronecker(-4))
+        with pytest.raises(ExactError, match="moduli 4 and 1"):
+            rs_coefficients(h, delta_family_qexp(16, 8), 8)
 
 
 class TestEulerFactor:
