@@ -33,6 +33,16 @@ DEFAULT_PRECISION = 120
 DEFAULT_NMAX = 6000
 
 
+#: the flags several subcommands share; --config may set their defaults
+SHARED_FLAGS = {
+    "--precision": {"type": int, "default": DEFAULT_PRECISION},
+    "--fixtures": {"help": "directory for bare-label form references"},
+    "--cache-dir": {},
+    "--json-out": {},
+    "--n-max": {"type": int, "default": DEFAULT_NMAX},
+}
+
+
 class CliError(Exception):
     pass
 
@@ -252,18 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", help="JSON file whose keys mirror the flags")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    shared = {
-        "--precision": {"type": int, "default": DEFAULT_PRECISION},
-        "--fixtures": {"help": "directory for bare-label form references"},
-        "--cache-dir": {},
-        "--json-out": {},
-        "--n-max": {"type": int, "default": DEFAULT_NMAX},
-    }
-
     def common(sp, *flags):
         """Add the shared flags this subcommand reads."""
         for flag in flags:
-            sp.add_argument(flag, **shared[flag])
+            sp.add_argument(flag, **SHARED_FLAGS[flag])
 
     sp = sub.add_parser("fetch", help="fetch a newform record into the cache")
     sp.add_argument("--label", required=True)
@@ -313,13 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_CONFIGURABLE_DEFAULTS = {
-    "precision": DEFAULT_PRECISION,
-    "n_max": DEFAULT_NMAX,
-    "fixtures": None,
-    "cache_dir": None,
-    "json_out": None,
-}
+def _config_value(key: str, val, flag: dict):
+    """A --config value read as the flag reads the command line, by its
+    argparse type, from a JSON string or integer; a CliError naming the key
+    if that fails."""
+    kind = flag.get("type", str)
+    try:
+        if isinstance(val, bool) or not isinstance(val, (str, int)):
+            raise ValueError
+        return kind(str(val))
+    except ValueError:
+        raise CliError(f"config key {key!r}: expected {kind.__name__}, got {val!r}") from None
 
 
 def main(argv=None) -> int:
@@ -332,9 +338,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         for key, val in cfg.items():
             attr = key.replace("-", "_")
-            if attr in _CONFIGURABLE_DEFAULTS and hasattr(args, attr) \
-                    and getattr(args, attr) == _CONFIGURABLE_DEFAULTS[attr]:
-                setattr(args, attr, val)  # flags on the command line win
+            flag = SHARED_FLAGS.get("--" + attr.replace("_", "-"))
+            if flag is not None and hasattr(args, attr) \
+                    and getattr(args, attr) == flag.get("default"):
+                setattr(args, attr, _config_value(key, val, flag))  # flags on the command line win
         return args.func(args)
     except (CliError, ExactError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,24 +1,25 @@
 """Dirichlet characters, newform q-expansion data, built-in generators.
 
-`NewformData` holds AlgNum coefficients, so rational and quadratic
-eigenforms share one code path downstream.  The built-in generators cover
-what the verification pipeline needs internally: the sigma-type Eisenstein
-family E_k(chi) with exact constant term, and the one-dimensional level-1
-cuspform family Delta * E_{k-12}.  That family has integer coefficients and
-is built on Python ints, each wrapped as an AlgNum once at the end: Delta
-comes from J.C.P. Miller's power recurrence for q * eta^24; each other member
-of the family is an eigenform, so only its a(p) are convolved and the Hecke
-recursion (`_hecke_fill`) supplies the rest.  The offline fixture generator
-in `tools/` carries its own general series product.
+`NewformData` keeps a(n) = (x_n + y_n sqrt(d0)) / D as integer coordinates
+and one denominator, as `rankin.RankinSeries` keeps b_n, so rational and
+quadratic eigenforms share one code path downstream; `from_values` is the one
+conversion from exact values.  The built-in generators cover what the
+pipeline needs: the sigma-type Eisenstein family E_k(chi) with exact constant
+term, and the one-dimensional level-1 cuspform family Delta * E_{k-12}, whose
+integer coefficients are the coordinates with D = 1: Delta comes from J.C.P.
+Miller's power recurrence for q * eta^24; each other member of the family is
+an eigenform, so only its a(p) are convolved and the Hecke recursion
+(`_hecke_fill`) supplies the rest.  The offline fixture generator in `tools/`
+carries its own general series product.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .exactnum import (AlgNum, ExactError, QuadField, RATIONAL, compositum,
                        kronecker, quad_normalize, workdps)
@@ -178,6 +179,22 @@ def bernoulli_chi(k: int, chi: DirichletChar) -> AlgNum:
 # q-expansion containers
 # ---------------------------------------------------------------------------
 
+def quad(c: AlgNum) -> tuple[int, int, int, int]:
+    """(a_num, a_den, b_num, b_den) of c = a + b sqrt(d0)."""
+    return c.a.numerator, c.a.denominator, c.b.numerator, c.b.denominator
+
+
+def coordinates(quads) -> tuple[list[int], list[int], int]:
+    """Integers x, y and the least denominator D > 0 with each
+    a_num/a_den + (b_num/b_den) sqrt(d0) equal to (x + y sqrt(d0)) / D."""
+    quads = list(quads)
+    D = 1
+    for an, ad, bn, bd in quads:
+        D = math.lcm(D, ad // math.gcd(an, ad), bd // math.gcd(bn, bd))
+    # D is a multiple of each reduced denominator, so the divisions are exact
+    return [an * D // ad for an, ad, _, _ in quads], [bn * D // bd for _, _, bn, bd in quads], D
+
+
 @dataclass(frozen=True)
 class NewformData:
     """Primitive-form data: a(1..n_max) plus level, weight, nebentypus."""
@@ -185,31 +202,44 @@ class NewformData:
     level: int
     weight: int
     char: DirichletChar
-    coeffs: tuple  # coeffs[n] = a(n) for 1 <= n <= n_max; coeffs[0] unused
+    #: a(n) = (x[n] + y[n] sqrt(d0)) / D for 0 <= n <= n_max, d0 that of
+    #: `field`, the field of the character values and the coefficients;
+    #: x[0] = y[0] = 0 and y is all zero over Q
+    x: tuple[int, ...]
+    y: tuple[int, ...]
+    D: int
+    field: QuadField
     label: str = ""
     is_eigenform: bool = True
 
     def __post_init__(self):
-        if self.n_max >= 1 and self.is_eigenform and self.a(1) != 1:
-            raise ExactError(f"{self.label or 'form'}: a(1) must be 1")
+        name = self.label or "form"
+        if len(self.x) != len(self.y) or not self.x or self.x[0] or self.y[0] or self.D < 1:
+            raise ExactError(f"{name}: x, y need one length and x[0] = y[0] = 0, D > 0")
+        if self.field.is_rational and any(self.y):
+            raise ExactError(f"{name}: irrational coefficient in a rational field")
+        if self.n_max >= 1 and self.is_eigenform and (self.x[1], self.y[1]) != (self.D, 0):
+            raise ExactError(f"{name}: a(1) must be 1")
+
+    @classmethod
+    def from_values(cls, level: int, weight: int, char: DirichletChar, values,
+                    **fields) -> "NewformData":
+        """The form with a(n) = values[n], exact AlgNums, for n >= 1, over the
+        compositum of the character and value fields; `fields` by name."""
+        F = char.field
+        for c in values[1:]:
+            F = compositum(F, c.field)
+        x, y, D = coordinates(map(quad, values[1:]))
+        return cls(level, weight, char, (0, *x), (0, *y), D, F, **fields)
 
     @property
     def n_max(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.x) - 1
 
     def a(self, n: int) -> AlgNum:
         if not 1 <= n <= self.n_max:
             raise ExactError(f"coefficient a({n}) not available (n_max={self.n_max})")
-        return self.coeffs[n]
-
-    @cached_property
-    def field(self) -> QuadField:
-        """The field of the character values and the coefficients, computed
-        on first use: the data are frozen."""
-        F = self.char.field
-        for c in self.coeffs[1:]:
-            F = compositum(F, c.field)
-        return F
+        return AlgNum(self.field, Fraction(self.x[n], self.D), Fraction(self.y[n], self.D))
 
     def check_hecke_multiplicativity(self, pairs: list[tuple[int, int]]) -> bool:
         for m, n in pairs:
@@ -230,10 +260,7 @@ class NewformData:
 
 @dataclass(frozen=True)
 class EisensteinData(NewformData):
-    constant_term: AlgNum = field(default_factory=lambda: AlgNum.rational(0))
-
-    def __post_init__(self):
-        pass  # Eisenstein a(1)=1 holds for the implemented family anyway
+    constant_term: AlgNum = AlgNum.rational(0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +288,11 @@ def eisenstein_qexp(k: int, chi: DirichletChar, n_max: int) -> EisensteinData:
     want = ODD if k % 2 else EVEN
     if chi.parity != want:
         raise ExactError(f"parity mismatch: weight {k} needs an {want} character")
-    coeffs = sigma_chi_coeffs(k, chi, n_max)
-    coeffs[0] = AlgNum.rational(0)
     # L(1-k, chi) = -B_{k,chi}/k
     const = -bernoulli_chi(k, chi) / Fraction(2 * k)
-    return EisensteinData(level=chi.modulus, weight=k, char=chi,
-                          coeffs=tuple(coeffs), label=f"eis-{k}-{chi.modulus}",
-                          is_eigenform=False, constant_term=const)
+    return EisensteinData.from_values(chi.modulus, k, chi, sigma_chi_coeffs(k, chi, n_max),
+                                      label=f"eis-{k}-{chi.modulus}", is_eigenform=False,
+                                      constant_term=const)
 
 
 _E_SERIES = {  # level-1 normalized Eisenstein series with integer expansion
@@ -325,9 +350,8 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
         for p in primes_upto(n_max):
             coeffs[p] = sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1])))
         _hecke_fill(coeffs, k)
-    return NewformData(level=1, weight=k, char=trivial_char(1),
-                       coeffs=tuple(AlgNum.rational(c) for c in coeffs[: n_max + 1]),
-                       label=f"1.{k}.a")
+    return NewformData(level=1, weight=k, char=trivial_char(1), x=tuple(coeffs[: n_max + 1]),
+                       y=(0,) * (n_max + 1), D=1, field=RATIONAL, label=f"1.{k}.a")
 
 
 def _hecke_fill(a: list, weight: int) -> None:

@@ -31,9 +31,11 @@ from pathlib import Path
 from typing import Callable
 
 from .exactnum import AlgNum, QuadField, RATIONAL, quad_normalize
-from .forms import DirichletChar, NewformData
+from .forms import DirichletChar, NewformData, coordinates, quad
 
 CACHE_ENV = "RANKIN_CACHE_DIR"
+#: GETs per fetch before a NetworkError, with backoff 0.5 s, 1 s, ... between them
+FETCH_ATTEMPTS = 3
 
 
 class SchemaError(ValueError):
@@ -141,32 +143,30 @@ def parse_record(obj: dict) -> FormRecord:
 
 
 def record_to_newform(rec: FormRecord) -> NewformData:
-    """The newform of a record, checked: a(1) = 1 and Hecke multiplicativity
-    on 20 sampled coprime pairs, else IntegrityError."""
+    """The newform of a record, checked, else IntegrityError: one character
+    value per unit residue mod N (residue 0 for N = 1), chi(-1) =
+    (-1)^weight, a(1) = 1 and Hecke multiplicativity on 20 sampled coprime
+    pairs.  The coefficients go from the quads to integer coordinates
+    directly."""
     F = rec.field()
-
-    def mk(quad) -> AlgNum:
-        an, ad, bn, bd = quad
-        a, b = Fraction(an, ad), Fraction(bn, bd)
-        if F.is_rational:
-            if b != 0:
-                raise IntegrityError(f"{rec.label}: irrational coefficient in a rational field")
-            return AlgNum.rational(a)
-        return AlgNum(F, a, b)
-
-    table = {r: mk(v) for r, v in rec.char_values}
     N = rec.char_modulus
-    vals = []
-    for r in range(max(N, 1)):
-        if N > 1 and math.gcd(r, N) != 1:
-            vals.append(AlgNum.rational(0))
-        else:
-            vals.append(table.get(r % N if N > 1 else 0, AlgNum.rational(1)))
+    units = [r for r in range(N) if math.gcd(r, N) == 1] if N > 1 else [0]
+    if sorted(r for r, _ in rec.char_values) != units:
+        raise IntegrityError(f"{rec.label}: the character table needs one value for each "
+                             f"unit residue mod {N}, {units}")
+    vals = [AlgNum.rational(0)] * N
+    for r, (an, ad, bn, bd) in rec.char_values:
+        if F.is_rational and bn:
+            raise IntegrityError(f"{rec.label}: irrational coefficient in a rational field")
+        vals[r] = AlgNum(F, Fraction(an, ad), Fraction(bn, bd))
     char = DirichletChar(N, tuple(vals))
-    coeffs = (AlgNum.rational(0),) + tuple(mk(c) for c in rec.coeffs)
+    if char(-1) != (-1) ** rec.weight:
+        raise IntegrityError(f"{rec.label}: chi(-1) = {char(-1)}, but weight {rec.weight} "
+                             f"needs chi(-1) = {(-1) ** rec.weight}")
+    x, y, D = coordinates(rec.coeffs)
     try:
         form = NewformData(level=rec.level, weight=rec.weight, char=char,
-                           coeffs=coeffs, label=rec.label)
+                           x=(0, *x), y=(0, *y), D=D, field=F, label=rec.label)
     except ValueError as exc:
         raise IntegrityError(str(exc)) from exc
     rng = random.Random(20240617)
@@ -234,8 +234,7 @@ def _cache_paths(directory: Path, label: str, n_max: int) -> tuple[Path, Path]:
 def fetch_newform(label: str, n_max: int, base_url: str,
                   directory: Path | None = None,
                   transport: Callable[[str], bytes] | None = None,
-                  sleep: Callable[[float], None] = time.sleep,
-                  attempts: int = 3) -> FormRecord:
+                  sleep: Callable[[float], None] = time.sleep) -> FormRecord:
     """Fetch a newform record, serving repeated calls from the disk cache.
 
     Cache entries are content-addressed: the payload checksum is stored in a
@@ -254,7 +253,7 @@ def fetch_newform(label: str, n_max: int, base_url: str,
     transport = transport or _default_transport
     url = f"{base_url.rstrip('/')}/{label}?n_max={n_max}"
     last_exc: Exception | None = None
-    for attempt in range(attempts):
+    for attempt in range(FETCH_ATTEMPTS):
         try:
             body = transport(url)
             break
@@ -262,10 +261,10 @@ def fetch_newform(label: str, n_max: int, base_url: str,
             raise
         except Exception as exc:  # noqa: BLE001 - network layer boundary
             last_exc = exc
-            if attempt + 1 < attempts:
+            if attempt + 1 < FETCH_ATTEMPTS:
                 sleep(0.5 * 2 ** attempt)
     else:
-        raise NetworkError(f"GET {url} failed after {attempts} attempts: {last_exc}")
+        raise NetworkError(f"GET {url} failed after {FETCH_ATTEMPTS} attempts: {last_exc}")
     try:
         obj = json.loads(body)
     except json.JSONDecodeError as exc:
@@ -294,10 +293,6 @@ def newform_record(form: NewformData, label: str | None = None,
     """Serialize a NewformData back into a FormRecord."""
     F = form.field
     disc = field_disc if field_disc is not None else (0 if F.is_rational else F.d0)
-
-    def quad(x: AlgNum):
-        return (x.a.numerator, x.a.denominator, x.b.numerator, x.b.denominator)
-
     char_values = tuple(
         (r, quad(form.char(r)))
         for r in range(max(form.char.modulus, 1))

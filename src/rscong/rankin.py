@@ -11,10 +11,10 @@ i.e. the correction enters with its argument shifted so that away from M the
 series has a degree-4 Euler product; coefficientwise this is the convolution
 b_n = sum_{m^2 d = n, gcd(m, M) = 1} (chi*chi2)(m) m^(k+k2-2) a_d(h) a_d(h2).
 
-The convolution runs on Python integers, and its result is what the series
-keeps: b_n = (x_n + y_n sqrt(d0)) / D with integer coordinates x_n, y_n and
-one denominator D for all n, d0 that of the coefficient field.  Both
-L-value sums read those integers; no b_n is an `AlgNum`.
+The convolution runs on the integer coordinates the forms keep, and its
+result is what the series keeps: b_n = (x_n + y_n sqrt(d0)) / D with one
+denominator D for all n, d0 that of the coefficient field.  Both L-value
+sums read those integers; no a_n or b_n is an `AlgNum`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 import mpmath
 
 from .exactnum import AlgNum, ExactError, QuadField, _factor_trial, compositum, workdps
-from .forms import DirichletChar, NewformData
+from .forms import DirichletChar, NewformData, coordinates, quad
 
 
 class PoleError(ExactError):
@@ -88,15 +88,14 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
     k, k2 = h.weight, h2.weight
     w = k + k2 - 2
     d0 = compositum(h.field, h2.field).d0  # holds the character values too
-    # a_d(h) a_d(h2) = (rx[d] + ry[d] sqrt(d0)) / (D1 D2)
-    x1, y1, D1 = _coordinates(h.coeffs[1 : n_max + 1])
-    x2, y2, D2 = _coordinates(h2.coeffs[1 : n_max + 1])
-    rx = [0] + [a * c + d0 * b * e for a, b, c, e in zip(x1, y1, x2, y2)]
-    ry = [0] + [a * e + b * c for a, b, c, e in zip(x1, y1, x2, y2)]
+    # a_d(h) a_d(h2) = (rx[d] + ry[d] sqrt(d0)) / (h.D h2.D)
+    cut = slice(n_max + 1)
+    rx = [a * c + d0 * b * e for a, b, c, e in zip(h.x[cut], h.y[cut], h2.x[cut], h2.y[cut])]
+    ry = [a * e + b * c for a, b, c, e in zip(h.x[cut], h.y[cut], h2.x[cut], h2.y[cut])]
     # (chi*chi2)(m) = (cu + cv sqrt(d0)) / Dc
     ms = [m for m in range(1, math.isqrt(n_max) + 1) if M == 1 or math.gcd(m, M) == 1]
-    cu, cv, Dc = _coordinates([chi_prod(m) if m > 1 else AlgNum.rational(1) for m in ms])
-    # b_n = (bx[n] + by[n] sqrt(d0)) / (Dc D1 D2)
+    cu, cv, Dc = coordinates(quad(chi_prod(m)) if m > 1 else (1, 1, 0, 1) for m in ms)
+    # b_n = (bx[n] + by[n] sqrt(d0)) / (Dc h.D h2.D)
     bx = [0] * (n_max + 1)
     by = [0] * (n_max + 1)
     for m, u, v in zip(ms, cu, cv):
@@ -110,17 +109,8 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
                 n = m2 * d
                 bx[n] += u * X + d0 * v * Y
                 by[n] += u * Y + v * X
-    return RankinSeries(h=h, h2=h2, x=tuple(bx), y=tuple(by), D=Dc * D1 * D2, M=M,
+    return RankinSeries(h=h, h2=h2, x=tuple(bx), y=tuple(by), D=Dc * h.D * h2.D, M=M,
                         gamma=(k, k2), Q=Fraction(M) ** 2)
-
-
-def _coordinates(vals) -> tuple[list[int], list[int], int]:
-    """Integers x, y and one denominator D with each value (x + y sqrt(d0)) / D."""
-    D = 1
-    for c in vals:
-        D = math.lcm(D, c.a.denominator, c.b.denominator)
-    return ([c.a.numerator * (D // c.a.denominator) for c in vals],
-            [c.b.numerator * (D // c.b.denominator) for c in vals], D)
 
 
 def root_number(rs: RankinSeries) -> AlgNum:

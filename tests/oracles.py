@@ -51,9 +51,9 @@ def char_inverse(chi: DirichletChar) -> DirichletChar:
 
 def conjugate_form(h: NewformData) -> NewformData:
     """h^rho: complex-conjugate coefficients, nebentypus replaced by its
-    inverse."""
-    coeffs = tuple(complex_conj(c) if isinstance(c, AlgNum) else c for c in h.coeffs)
-    return replace(h, coeffs=coeffs, char=char_inverse(h.char),
+    inverse.  Conjugation negates the sqrt(d0) coordinates when d0 < 0."""
+    y = tuple(-v for v in h.y) if h.field.d0 < 0 else h.y
+    return replace(h, y=y, char=char_inverse(h.char),
                    label=h.label + "-rho" if h.label else "")
 
 
@@ -266,7 +266,7 @@ def weight24_eigenform(n: int) -> NewformData:
     e2 = Delta^2 has a_1 = 1 and a_2 = t; a_4 = a_2^2 - 2^23 is the
     quadratic t^2 - a_4(e2) t - (a_4(e1) + 2^23) = 0, of discriminant
     144169 * 24^2."""
-    delta = [int(c.a) for c in delta_family_qexp(12, n).coeffs]
+    delta = list(delta_family_qexp(12, n).x)
     e4 = [1] + [240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
                 for m in range(1, n + 1)]
     e2 = qmul(delta, delta)
@@ -274,8 +274,8 @@ def weight24_eigenform(n: int) -> NewformData:
     e1 = [a - de[2] * b for a, b in zip(de, e2)]
     assert e2[4] ** 2 + 4 * (e1[4] + 2 ** 23) == 144169 * 24 ** 2
     t = AlgNum(QuadField(144169), Fraction(e2[4], 2), 12)
-    return NewformData(level=1, weight=24, char=trivial_char(1),
-                       coeffs=tuple(a + t * b for a, b in zip(e1, e2)), label="1.24.a.a")
+    return NewformData.from_values(1, 24, trivial_char(1), [a + t * b for a, b in zip(e1, e2)],
+                                   label="1.24.a.a")
 
 
 # ---------------------------------------------------------------------------

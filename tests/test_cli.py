@@ -291,6 +291,17 @@ class TestVerifyCli:
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    @pytest.mark.parametrize("cfg", [{"precision": "x"}, {"n-max": 1.5}])
+    def test_config_value_is_read_by_the_flag_type(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["--config", str(path), "lvalue", "--pair", "delta:12:3,delta:16",
+                     "--s", "40"])
+        out, err = capsys.readouterr()
+        (key, val), = cfg.items()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: config key {key!r}: expected int, got {val!r}"]
+
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fixtures": str(FIXTURES)}))

@@ -9,7 +9,7 @@ from rscong.congruence import (check_congruent, eisenstein_screen,
                                excluded_primes, sturm_bound)
 from rscong.exactnum import (AlgNum, NotIntegral, QuadField, RATIONAL,
                              factor_rational_prime)
-from rscong.forms import char_from_kronecker, delta_family_qexp
+from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp
 
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
@@ -50,17 +50,17 @@ class TestCheckCongruent:
 
     def test_constructed_failure(self):
         d = delta_family_qexp(12, 12)
-        coeffs = list(d.coeffs)
-        coeffs[2] = coeffs[2] + 1
-        tweaked = replace(d, coeffs=tuple(coeffs), is_eigenform=False)
+        x = list(d.x)
+        x[2] = x[2] + d.D  # a(2) + 1
+        tweaked = replace(d, x=tuple(x), is_eigenform=False)
         rep = check_congruent(d, tweaked, rational_prime(5), n_extra=10)
         assert not rep.congruent and rep.first_failure == 2
 
     def test_integrality_guard(self):
         d = delta_family_qexp(12, 12)
-        coeffs = list(d.coeffs)
-        coeffs[3] = AlgNum.rational(Fraction(1, 5))
-        bad = replace(d, coeffs=tuple(coeffs), is_eigenform=False)
+        values = [0] + [d.a(n) for n in range(1, d.n_max + 1)]
+        values[3] = AlgNum.rational(Fraction(1, 5))
+        bad = NewformData.from_values(d.level, d.weight, d.char, values, is_eigenform=False)
         with pytest.raises(NotIntegral):
             check_congruent(d, bad, rational_prime(5), n_extra=10)
 

@@ -1,21 +1,25 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from oracles import char_inverse, conjugate_form
+from oracles import char_inverse, conjugate_form, weight24_eigenform
 
 from rscong import forms
 from rscong.exactnum import AlgNum, ExactError, QuadField
-from rscong.forms import (DELTA_WEIGHTS, DirichletChar, bernoulli, bernoulli_chi,
-                          char_from_kronecker, delta_family_qexp, eisenstein_qexp,
-                          eta_series, primes_upto, trivial_char)
+from rscong.forms import (DELTA_WEIGHTS, DirichletChar, NewformData, bernoulli,
+                          bernoulli_chi, char_from_kronecker, delta_family_qexp,
+                          eisenstein_qexp, eta_series, primes_upto, trivial_char)
+from rscong.ingest import load_fixture, parse_record, save_fixture
 
 CHI3 = char_from_kronecker(-3)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def is_multiplicative(chi: DirichletChar) -> bool:
@@ -103,7 +107,8 @@ class TestDeltaFamily:
         assert (info.misses, info.hits) == (1, len(DELTA_WEIGHTS) - 1)
         tau = forms._delta_int(300)
         assert isinstance(tau, tuple)  # shared by every weight: immutable
-        assert family[DELTA_WEIGHTS.index(12)].coeffs == tuple(AlgNum.rational(t) for t in tau)
+        delta = family[DELTA_WEIGHTS.index(12)]
+        assert (delta.x, delta.y, delta.D) == (tau, (0,) * len(tau), 1)
 
     def test_weight_26_within_deligne(self):
         f = delta_family_qexp(26, 6)
@@ -157,13 +162,15 @@ class TestDeltaFamily:
                 ek = [1] + [int(c * sum(d ** (r - 1) for d in range(1, m + 1) if m % d == 0))
                             for m in range(1, n + 1)]
             expect = mul(delta, ek)
-            assert delta_family_qexp(k, n).coeffs == tuple(AlgNum.rational(v) for v in expect)
+            f = delta_family_qexp(k, n)
+            assert (f.x, f.y, f.D) == (tuple(expect), (0,) * (n + 1), 1)
 
 
 class TestConjugate:
     def test_rational_form_fixed(self):
         d = delta_family_qexp(12, 20)
-        assert conjugate_form(d).coeffs == d.coeffs
+        rho = conjugate_form(d)
+        assert (rho.x, rho.y, rho.D) == (d.x, d.y, d.D)
 
     def test_quadratic_coefficients_flip(self, h_dprime):
         rho = conjugate_form(h_dprime)
@@ -187,6 +194,74 @@ class TestSeriesHelpers:
 
     def test_primes(self):
         assert primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+class TestRepresentation:
+    """a(n) = (x[n] + y[n] sqrt(d0)) / D, built by `NewformData.from_values`."""
+
+    @staticmethod
+    def _mixed(values, rng):
+        """values[n] over a denominator 1..12 chosen per n, so D is the lcm."""
+        return [0] + [c / Fraction(rng.randrange(1, 13)) for c in values[1:]]
+
+    @pytest.mark.parametrize("field", ["Q", "Q(sqrt(-26))", "Q(sqrt(144169))"])
+    def test_from_values_round_trip(self, field, h_dprime):
+        rng = random.Random(15)
+        n = 80
+        if field == "Q":
+            values = [0] + [AlgNum.rational(Fraction(rng.randrange(-99, 100), rng.randrange(1, 9)))
+                            for _ in range(n)]
+        elif field == "Q(sqrt(-26))":
+            values = self._mixed([0] + [h_dprime.a(m) for m in range(1, n + 1)], rng)
+        else:
+            g = weight24_eigenform(n)
+            values = self._mixed([0] + [g.a(m) for m in range(1, n + 1)], rng)
+        form = NewformData.from_values(1, 12, trivial_char(1), values, is_eigenform=False)
+        assert repr(form.field) == field
+        assert form.n_max == n and form.x[0] == form.y[0] == 0
+        assert all(form.a(m) == values[m] for m in range(1, n + 1))
+        assert form.D == math.lcm(*(v.a.denominator for v in values[1:]),
+                                  *(v.b.denominator for v in values[1:]))
+
+    @pytest.mark.parametrize("change, match", [
+        ({"y": (0, 0)}, "one length"),
+        ({"x": (1, 1, 5)}, r"x\[0\] = y\[0\] = 0"),
+        ({"D": 0}, "D > 0"),
+        ({"y": (0, 0, 1)}, "irrational coefficient in a rational field"),
+        ({"x": (0, 2, 5)}, r"a\(1\) must be 1"),
+    ])
+    def test_invariants(self, change, match):
+        fields = dict(level=1, weight=12, char=trivial_char(1), x=(0, 1, 5), y=(0, 0, 0),
+                      D=1, field=QuadField(1), label="t")
+        NewformData(**fields)
+        with pytest.raises(ExactError, match=match):
+            NewformData(**{**fields, **change})
+
+    def test_no_algnum_per_coefficient(self, monkeypatch, tmp_path):
+        built = []
+        post_init = AlgNum.__post_init__
+
+        def counting(self):
+            built.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(AlgNum, "__post_init__", counting)
+
+        def count(make):
+            built.clear()
+            make()
+            return len(built)
+
+        rec = parse_record(json.loads((FIXTURES / "3.13.b.b.json").read_bytes()))
+        loads = []
+        for n in (100, 2000):
+            path = tmp_path / f"b{n}.json"
+            save_fixture(dataclasses.replace(rec, coeffs=rec.coeffs[:n]), path)
+            loads.append(count(lambda: load_fixture(path)))
+        assert loads[0] == loads[1]
+        for k in (12, 16):
+            assert count(lambda: delta_family_qexp(k, 100)) == \
+                count(lambda: delta_family_qexp(k, 2000))
 
 
 class TestFixtureForms:

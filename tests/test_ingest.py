@@ -6,6 +6,7 @@ import math
 import random
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,39 @@ class TestSchema:
         rec = parse_record(minimal_obj(an=[]))
         assert rec.n_max == 0
         assert record_to_newform(rec).n_max == 0
+
+
+class TestCharacterTable:
+    ONE, MINUS_ONE = (1, 1, 0, 1), (-1, 1, 0, 1)
+
+    def _record(self, char_values, **changes) -> FormRecord:
+        rec = read_record(FIXTURES / "3.13.b.a.json")
+        return replace(rec, char_values=char_values, coeffs=rec.coeffs[:60], **changes)
+
+    def test_committed_table_loads(self):
+        form = record_to_newform(self._record(((1, self.ONE), (2, self.MINUS_ONE))))
+        assert form.char(2) == -1 and form.char.parity == "odd"
+
+    @pytest.mark.parametrize("residues", [(1,), (1, 2, 2), (1, 2, 5), (0, 1, 2)])
+    def test_one_value_per_unit_residue(self, residues):
+        table = tuple((r, self.ONE if r == 1 else self.MINUS_ONE) for r in residues)
+        with pytest.raises(IntegrityError, match=r"each unit residue mod 3, \[1, 2\]"):
+            record_to_newform(self._record(table))
+
+    def test_modulus_one_takes_residue_zero(self):
+        obj = minimal_obj()
+        obj["char"]["values"] = [[1, [1, 1, 0, 1]]]
+        with pytest.raises(IntegrityError, match=r"unit residue mod 1, \[0\]"):
+            record_to_newform(parse_record(obj))
+
+    def test_parity_must_match_weight(self):
+        # chi(-1) = (-1)^k: the trivial character mod 3 and the odd weight 13
+        with pytest.raises(IntegrityError, match=r"= 1, but weight 13 needs chi\(-1\) = -1"):
+            record_to_newform(self._record(((1, self.ONE), (2, self.ONE))))
+        obj = minimal_obj()
+        obj["weight"] = 11
+        with pytest.raises(IntegrityError, match=r"weight 11 needs chi\(-1\) = -1"):
+            record_to_newform(parse_record(obj))
 
 
 class TestRoundTrip:

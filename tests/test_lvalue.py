@@ -15,7 +15,7 @@ from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direc
                      direct_tail_reference, probe_root_number, weight24_eigenform)
 
 from rscong import lvalue
-from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError, QuadField
+from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
 from rscong.forms import (DirichletChar, NewformData, delta_family_qexp, eta_series,
                           trivial_char)
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
@@ -510,8 +510,8 @@ def eta_quotient(N: int, r: int, n: int) -> NewformData:
             for i in range(n - j * step):
                 new[i + j * step] += c * g[i]
         g = new
-    return NewformData(level=N, weight=r, char=trivial_char(N),
-                       coeffs=tuple(AlgNum.rational(c) for c in [0] + g), label=f"eta-{N}.{r}")
+    return NewformData(level=N, weight=r, char=trivial_char(N), x=(0, *g), y=(0,) * (n + 1),
+                       D=1, field=RATIONAL, label=f"eta-{N}.{r}")
 
 
 @pytest.fixture(scope="module")

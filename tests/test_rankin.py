@@ -10,7 +10,7 @@ from oracles import (Unsupported, coefficients, euler_expand, euler_factor,
                      rs_coefficients_algnum, weight24_eigenform)
 
 from rscong.exactnum import AlgNum, ExactError
-from rscong.forms import char_from_kronecker, delta_family_qexp, primes_upto
+from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp, primes_upto
 from rscong.rankin import (PoleError, archimedean_factor, critical_set,
                            gamma_ratio, rs_coefficients, theorem_ranges,
                            translate_argument)
@@ -60,7 +60,9 @@ class TestCoefficients:
             n = 300
             g = weight24_eigenform(n)
             half = AlgNum(g.field, Fraction(1, 2), Fraction(1, 2))
-            h = replace(g, coeffs=tuple(c * half for c in g.coeffs), is_eigenform=False)
+            h = NewformData.from_values(g.level, g.weight, g.char,
+                                        [0] + [g.a(m) * half for m in range(1, n + 1)],
+                                        label=g.label, is_eigenform=False)
             h2 = delta_family_qexp(12, n)
         else:
             n = 1200

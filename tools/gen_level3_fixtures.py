@@ -258,10 +258,8 @@ def main():
     assert a_quad[2] == theta or a_quad[2] == theta.conj()
 
     from rscong.forms import NewformData
-    hp = NewformData(level=LEVEL, weight=WEIGHT, char=CHI,
-                     coeffs=tuple(a_rat), label="3.13.b.a")
-    hpp = NewformData(level=LEVEL, weight=WEIGHT, char=CHI,
-                      coeffs=tuple(a_quad), label="3.13.b.b")
+    hp = NewformData.from_values(LEVEL, WEIGHT, CHI, a_rat, label="3.13.b.a")
+    hpp = NewformData.from_values(LEVEL, WEIGHT, CHI, a_quad, label="3.13.b.b")
 
     print("validating ...", flush=True)
     pairs = [(m_, n_) for m_ in (2, 3, 4, 5, 7, 9) for n_ in (5, 7, 11, 13)
