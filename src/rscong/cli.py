@@ -17,12 +17,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 from . import __version__
-from .congruence import check_congruent
-from .exactnum import AlgNum, ExactError, factor_rational_prime, is_prime, QuadField, RATIONAL
+from .congruence import check_congruent, eisenstein_screen
+from .exactnum import AlgNum, ExactError, PrimeIdeal, compositum, factor_rational_prime, is_prime
 from .forms import NewformData, delta_family_qexp
 from .ingest import fetch_newform, load_fixture, save_fixture
 from .lvalue import L_at
@@ -33,7 +35,7 @@ DEFAULT_PRECISION = 120
 DEFAULT_NMAX = 6000
 
 
-#: the flags several subcommands share; --config may set their defaults
+#: the flags several subcommands share; a --config file sets their defaults
 SHARED_FLAGS = {
     "--precision": {"type": int, "default": DEFAULT_PRECISION},
     "--fixtures": {"help": "directory for bare-label form references"},
@@ -45,16 +47,6 @@ SHARED_FLAGS = {
 
 class CliError(Exception):
     pass
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise CliError("config file must hold a JSON object")
-    return cfg
 
 
 def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[NewformData, str | None]:
@@ -77,18 +69,9 @@ def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[Newfor
     return load_fixture(path), str(path)
 
 
-def _prime_ideal(l: int, field: QuadField):
-    ideals = factor_rational_prime(l, field)
-    return ideals[0]
-
-
-def _common_field(*forms: NewformData) -> QuadField:
-    from .exactnum import compositum
-
-    F = RATIONAL
-    for f in forms:
-        F = compositum(F, f.field)
-    return F
+def _prime_above(l: int, *forms: NewformData) -> PrimeIdeal:
+    """The first prime ideal above l in the compositum of the forms' fields."""
+    return factor_rational_prime(l, reduce(compositum, (f.field for f in forms)))[0]
 
 
 def _manifest(args_ns, checksums: dict, wall: float) -> dict:
@@ -132,13 +115,9 @@ def cmd_fetch(args) -> int:
 
 
 def cmd_congruent(args) -> int:
-    from dataclasses import replace
-
-    from .congruence import eisenstein_screen
-
     f1, _ = resolve_form(args.form1, args.fixtures, args.n_max)
     f2, _ = resolve_form(args.form2, args.fixtures, args.n_max)
-    P = _prime_ideal(args.prime, _common_field(f1, f2))
+    P = _prime_above(args.prime, f1, f2)
     rep = check_congruent(f1, f2, P, n_extra=args.n_extra)
     rep = replace(rep, eisenstein_alarm=eisenstein_screen(f1, P))
     _emit(rep.to_json_obj(), args.json_out)
@@ -186,7 +165,7 @@ def cmd_verify(args) -> int:
     aux, p_aux = resolve_form(args.aux, args.fixtures, args.n_max)
     f1, p1 = resolve_form(args.form1, args.fixtures, args.n_max)
     f2, p2 = resolve_form(args.form2, args.fixtures, args.n_max)
-    P = _prime_ideal(args.prime, _common_field(aux, f1, f2))
+    P = _prime_above(args.prime, aux, f1, f2)
     report = full_report(aux, f1, f2, P, P=args.precision, ms=ms)
     verdicts = report.pop("_verdicts")
     checksums = {ref: _checksum(pth) for ref, pth in
@@ -256,7 +235,10 @@ def cmd_local_constant(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; `defaults` maps shared flags to the defaults a --config
+    file gives them, so a flag on the command line still wins."""
+    defaults = defaults or {}
     ap = argparse.ArgumentParser(prog="rscong", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--config", help="JSON file whose keys mirror the flags")
@@ -265,7 +247,10 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, *flags):
         """Add the shared flags this subcommand reads."""
         for flag in flags:
-            sp.add_argument(flag, **SHARED_FLAGS[flag])
+            spec = dict(SHARED_FLAGS[flag])
+            if flag in defaults:
+                spec["default"] = defaults[flag]
+            sp.add_argument(flag, **spec)
 
     sp = sub.add_parser("fetch", help="fetch a newform record into the cache")
     sp.add_argument("--label", required=True)
@@ -328,20 +313,31 @@ def _config_value(key: str, val, flag: dict):
         raise CliError(f"config key {key!r}: expected {kind.__name__}, got {val!r}") from None
 
 
+def _config_defaults(path: str) -> dict:
+    """Shared flag -> default, from a --config file of a JSON object whose
+    keys name shared flags (n-max or n_max); a CliError names any other key."""
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise CliError("config file must hold a JSON object")
+    defaults = {}
+    for key, val in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in SHARED_FLAGS:
+            raise CliError(f"config key {key!r} is not one of the shared flags: "
+                           + ", ".join(f[2:] for f in SHARED_FLAGS))
+        defaults[flag] = _config_value(key, val, SHARED_FLAGS[flag])
+    return defaults
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    for key, val in vars(args).items():
-        if val == []:  # argparse of some Python versions reads the value "--" as []
-            setattr(args, key, "--")
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        for key, val in cfg.items():
-            attr = key.replace("-", "_")
-            flag = SHARED_FLAGS.get("--" + attr.replace("_", "-"))
-            if flag is not None and hasattr(args, attr) \
-                    and getattr(args, attr) == flag.get("default"):
-                setattr(args, attr, _config_value(key, val, flag))  # flags on the command line win
+        if args.config:
+            args = build_parser(_config_defaults(args.config)).parse_args(argv)
+        for key, val in vars(args).items():
+            if val == []:  # argparse of some Python versions reads the value "--" as []
+                setattr(args, key, "--")
         return args.func(args)
     except (CliError, ExactError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,8 +1,9 @@
 """Eigenform congruence detection mod a prime ideal, and excluded prime sets.
 
-The congruence check compares q-expansions up to a Sturm-type bound; the
-Eisenstein screen looks for a congruence with the built-in sigma-type
-Eisenstein series, which would make the mod-l Galois representation
+Both checks run one comparison, `first_difference`, which refuses a bound
+beyond either form's coefficients: the congruence check to at least the
+Sturm bound, the Eisenstein screen against the E_k(chi) of h's weight and
+character, whose congruence would make the mod-l Galois representation
 reducible and void the irreducibility hypothesis of the ratio theorems.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ExactError, NotIntegral, PrimeIdeal, compositum, valuation
+from .exactnum import ExactError, NotIntegral, PrimeIdeal, valuation
 from .forms import NewformData, eisenstein_qexp, primes_upto
 
 
@@ -50,49 +51,50 @@ def sturm_bound(k: int, N: int) -> int:
     return -(-k * gamma0_index(N) // 12)
 
 
+def first_difference(f: NewformData, g: NewformData, P: PrimeIdeal, bound: int) -> int | None:
+    """The least n <= bound with a(n,f) != a(n,g) (mod P), None if there is
+    none.  ExactError if either form has fewer than `bound` coefficients,
+    NotIntegral if a coefficient compared is not P-integral."""
+    for h in (f, g):
+        if h.n_max < bound:
+            raise ExactError(f"{h.label or 'form'}: n_max = {h.n_max} is below the bound "
+                             f"{bound} the comparison mod {P.l} needs")
+    for n in range(1, bound + 1):
+        a, b = f.a(n), g.a(n)
+        v = min(valuation(a, P), valuation(b, P))
+        if v < 0:
+            raise NotIntegral(int(v))
+        if valuation(a - b, P) < 1:
+            return n
+    return None
+
+
 def check_congruent(h1: NewformData, h2: NewformData, P: PrimeIdeal,
                     n_extra: int = 0) -> CongruenceReport:
-    """a(n,h1) = a(n,h2) (mod P) for n up to max(Sturm bound, n_extra)."""
+    """a(n,h1) = a(n,h2) (mod P) for n up to max(Sturm bound, n_extra):
+    n_extra counts only as far as both forms reach, the Sturm bound always,
+    so a form with fewer coefficients than it raises ExactError."""
     if (h1.weight, h1.level) != (h2.weight, h2.level):
         raise ExactError("forms must share weight and level")
-    bound = max(sturm_bound(h1.weight, h1.level), n_extra)
-    bound = min(bound, h1.n_max, h2.n_max)
-    first_failure = None
-    for n in range(1, bound + 1):
-        d = h1.a(n).promote(P.field) - h2.a(n).promote(P.field)
-        for side in (h1.a(n), h2.a(n)):
-            v = valuation(side.promote(P.field), P)
-            if v < 0:
-                raise NotIntegral(int(v))
-        if valuation(d, P) < 1:
-            first_failure = n
-            break
-    return CongruenceReport(
-        forms=(h1.label, h2.label), prime=P, bound_used=bound,
-        congruent=first_failure is None, first_failure=first_failure,
-    )
+    bound = max(sturm_bound(h1.weight, h1.level), min(n_extra, h1.n_max, h2.n_max))
+    n = first_difference(h1, h2, P, bound)
+    return CongruenceReport(forms=(h1.label, h2.label), prime=P, bound_used=bound,
+                            congruent=n is None, first_failure=n)
 
 
 def eisenstein_screen(h: NewformData, P: PrimeIdeal) -> str | None:
-    """Label of a sigma-type Eisenstein series congruent to h mod P; None
-    when the screen is clear; "unchecked: <reason>" when no series of the
-    family exists for h's weight and character to compare with.
-
-    Comparison runs over 1 <= n <= Sturm bound + 1 (one spare index since the
-    constant terms are not compared).  A hit means the mod-P representation
-    is reducible-suspect, and an unchecked screen is not a clear one.
-    """
+    """Label of the E_k(chi) of h's weight and character when it is
+    congruent to h mod P over 1 <= n <= Sturm bound + 1 (the constant terms
+    are not compared); None when the screen is clear; "unchecked: <reason>"
+    when no such series exists or the comparison cannot run.  A hit means the
+    mod-P representation is reducible-suspect, and an unchecked screen is
+    not a clear one."""
     try:
         bound = sturm_bound(h.weight, h.level) + 1
-        E = eisenstein_qexp(h.weight, h.char, min(bound, h.n_max))
+        E = eisenstein_qexp(h.weight, h.char, bound)
+        return None if first_difference(h, E, P, bound) else E.label
     except ExactError as exc:
         return f"unchecked: {exc}"
-    F = compositum(compositum(h.field, P.field), E.field)
-    for n in range(1, min(bound, h.n_max) + 1):
-        d = h.a(n).promote(F) - E.a(n).promote(F)
-        if valuation(d, P) < 1:
-            return None
-    return E.label
 
 
 def excluded_primes(k: int, k2: int, N: int, N2: int) -> dict[str, list[int]]:

@@ -283,11 +283,6 @@ class AlgNum:
     def norm(self) -> Fraction:
         return self.a * self.a - self.field.d0 * self.b * self.b
 
-    def as_rat(self) -> Fraction:
-        if self.b != 0:
-            raise ExactError(f"{self} is irrational")
-        return self.a
-
     def embed(self, P: int = 30) -> mpmath.mpc:
         """Complex embedding sending sqrt(d0) to the principal square root."""
         with workdps(P):
@@ -438,8 +433,3 @@ def valuation(x: AlgNum | Fraction | int, P: PrimeIdeal) -> int | float:
     y = x.a + x.b * r
     v = vp(y, l)
     return min(v, cap)  # beyond the cap the lift precision is exhausted
-
-
-def congruent_mod(x: AlgNum, y: AlgNum, P: PrimeIdeal) -> bool:
-    """x = y (mod P), both assumed P-integral."""
-    return valuation(x - y, P) >= 1

@@ -3,12 +3,13 @@
 `NewformData` keeps a(n) = (x_n + y_n sqrt(d0)) / D as integer coordinates
 and one denominator, as `rankin.RankinSeries` keeps b_n, so rational and
 quadratic eigenforms share one code path downstream; `from_values` is the one
-conversion from exact values.  The built-in generators cover what the
-pipeline needs: the sigma-type Eisenstein family E_k(chi) with exact constant
-term, and the one-dimensional level-1 cuspform family Delta * E_{k-12}, whose
-integer coefficients are the coordinates with D = 1: Delta comes from J.C.P.
-Miller's power recurrence for q * eta^24; each other member of the family is
-an eigenform, so only its a(p) are convolved and the Hecke recursion
+conversion from exact values.  Every Eisenstein-type expansion (E_k(chi) with
+its exact constant term, the level-1 E_{k-12} below, the fixture generator's
+weight-1 and weight-3 series) is one integer divisor sum, `divisor_sum`.  The
+one-dimensional level-1 cuspform family Delta * E_{k-12} has integer
+coefficients, the coordinates with D = 1: Delta comes from J.C.P. Miller's
+power recurrence for q * eta^24; each other member of the family is an
+eigenform, so only its a(p) are convolved and the Hecke recursion
 (`_hecke_fill`) supplies the rest.  The offline fixture generator in `tools/`
 carries its own general series product.
 """
@@ -267,18 +268,35 @@ class EisensteinData(NewformData):
 # generators
 # ---------------------------------------------------------------------------
 
-def sigma_chi_coeffs(k: int, chi: DirichletChar, n_max: int,
-                     twist_outside: bool = False) -> list[AlgNum]:
-    """a(n) = sum_{d|n} chi(d) d^(k-1)  (or chi(n/d) d^(k-1) if twist_outside)."""
-    zero = AlgNum.rational(0)
-    out = [zero] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dk = Fraction(d) ** (k - 1)
-        for n in range(d, n_max + 1, d):
-            c = chi(n // d) if twist_outside else chi(d)
-            if c:
-                out[n] = out[n] + c * dk
-    return out
+def divisor_sum(k: int, outer: DirichletChar, inner: DirichletChar,
+                n_max: int) -> tuple[tuple[int, ...], tuple[int, ...], int, QuadField]:
+    """a(n) = sum_{d|n} outer(n/d) inner(d) d^(k-1) for n <= n_max, as
+    (x, y, D, F): a(n) = (x[n] + y[n] sqrt(d0)) / D over the compositum F of
+    the character fields, x[0] = y[0] = 0 and D least."""
+    F = compositum(outer.field, inner.field)
+    d0, mo, mi = F.d0, outer.modulus, inner.modulus
+    xo, yo, Do = coordinates(quad(outer(r)) for r in range(mo))
+    xi, yi, Di = coordinates(quad(inner(r)) for r in range(mi))
+    # inner(d) d^(k-1) = (wx[d] + wy[d] sqrt(d0)) / Di; times outer(e), x
+    # takes xo wx + d0 yo wy and y takes xo wy + yo wx, over Do Di
+    powers = [d ** (k - 1) for d in range(n_max + 1)]
+    wx = [xi[d % mi] * p for d, p in enumerate(powers)]
+    wy = [yi[d % mi] * p for d, p in enumerate(powers)]
+    x = [0] * (n_max + 1)
+    y = [0] * (n_max + 1)
+    for acc, oc, w in ((x, xo, wx), (x, [d0 * t for t in yo], wy), (y, xo, wy), (y, yo, wx)):
+        if not any(w):
+            continue
+        for r in range(1, mo + 1):  # n = d e with e = r (mod mo)
+            a = oc[r % mo]
+            if a:
+                for d in range(1, n_max // r + 1):
+                    c = a * w[d]
+                    if c:
+                        for n in range(d * r, n_max + 1, d * mo):
+                            acc[n] += c
+    g = math.gcd(Do * Di, *x, *y)
+    return tuple(t // g for t in x), tuple(t // g for t in y), Do * Di // g, F
 
 
 def eisenstein_qexp(k: int, chi: DirichletChar, n_max: int) -> EisensteinData:
@@ -290,25 +308,12 @@ def eisenstein_qexp(k: int, chi: DirichletChar, n_max: int) -> EisensteinData:
         raise ExactError(f"parity mismatch: weight {k} needs an {want} character")
     # L(1-k, chi) = -B_{k,chi}/k
     const = -bernoulli_chi(k, chi) / Fraction(2 * k)
-    return EisensteinData.from_values(chi.modulus, k, chi, sigma_chi_coeffs(k, chi, n_max),
-                                      label=f"eis-{k}-{chi.modulus}", is_eigenform=False,
-                                      constant_term=const)
+    x, y, D, F = divisor_sum(k, trivial_char(), chi, n_max)
+    return EisensteinData(chi.modulus, k, chi, x, y, D, F, label=f"eis-{k}-{chi.modulus}",
+                          is_eigenform=False, constant_term=const)
 
-
-_E_SERIES = {  # level-1 normalized Eisenstein series with integer expansion
-    4: 240, 6: -504, 8: 480, 10: -264, 14: -24,
-}
 
 DELTA_WEIGHTS = (12, 16, 18, 20, 22, 26)
-
-
-def _sigma_int(r: int, n_max: int) -> list[int]:
-    out = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        dr = d ** r
-        for n in range(d, n_max + 1, d):
-            out[n] += dr
-    return out
 
 
 @lru_cache(maxsize=1)
@@ -344,8 +349,11 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
     if k == 12:
         coeffs = tau
     else:
-        c = _E_SERIES[k - 12]
-        e = [1] + [c * s for s in _sigma_int(k - 13, n_max)[1:]]
+        # E_r = 1 - (2r / B_r) sum_n sigma_{r-1}(n) q^n, integral at these r
+        r = k - 12
+        c = int(-2 * r / bernoulli(r))
+        one = trivial_char()
+        e = [1] + [c * s for s in divisor_sum(r, one, one, n_max)[0][1:]]
         coeffs = [0, 1] + [None] * (n_max - 1)
         for p in primes_upto(n_max):
             coeffs[p] = sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1])))

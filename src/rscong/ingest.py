@@ -144,10 +144,11 @@ def parse_record(obj: dict) -> FormRecord:
 
 def record_to_newform(rec: FormRecord) -> NewformData:
     """The newform of a record, checked, else IntegrityError: one character
-    value per unit residue mod N (residue 0 for N = 1), chi(-1) =
-    (-1)^weight, a(1) = 1 and Hecke multiplicativity on 20 sampled coprime
-    pairs.  The coefficients go from the quads to integer coordinates
-    directly."""
+    value per unit residue mod N (residue 0 for N = 1), chi(ab) = chi(a)
+    chi(b) for every pair of unit residues, so chi(1) = 1 and every value is
+    a root of unity, chi(-1) = (-1)^weight, a(1) = 1 and Hecke
+    multiplicativity on 20 sampled coprime pairs.  The coefficients go from
+    the quads to integer coordinates directly."""
     F = rec.field()
     N = rec.char_modulus
     units = [r for r in range(N) if math.gcd(r, N) == 1] if N > 1 else [0]
@@ -160,6 +161,10 @@ def record_to_newform(rec: FormRecord) -> NewformData:
             raise IntegrityError(f"{rec.label}: irrational coefficient in a rational field")
         vals[r] = AlgNum(F, Fraction(an, ad), Fraction(bn, bd))
     char = DirichletChar(N, tuple(vals))
+    bad = next(((a, b) for a in units for b in units if char(a * b) != char(a) * char(b)), None)
+    if bad:
+        raise IntegrityError(f"{rec.label}: the character table is not a character: "
+                             f"chi({bad[0]} * {bad[1]}) != chi({bad[0]}) chi({bad[1]}) mod {N}")
     if char(-1) != (-1) ** rec.weight:
         raise IntegrityError(f"{rec.label}: chi(-1) = {char(-1)}, but weight {rec.weight} "
                              f"needs chi(-1) = {(-1) ** rec.weight}")

@@ -284,8 +284,9 @@ class KernelLadder:
 
     An entry is keyed by the exact bits of x and the digits asked for.
     `digits` is the engine's working precision, the ceiling of those and
-    the precision of a.  The prefactor (2 pi)^(-2s) 2^(k+1-2s) is kept per
-    s and working precision.
+    the precision of a.  It also keeps a^(mu+1) for its top rung mu, which
+    each new rung multiplies by a twice.  The prefactor (2 pi)^(-2s)
+    2^(k+1-2s) is kept per s and working precision.
     """
 
     def __init__(self, k: int, digits: int):
@@ -303,8 +304,9 @@ class KernelLadder:
                 a = 4 * mpmath.pi * mpmath.sqrt(x_val)
                 k0, k1 = besselk_pair(self.nu, a, digits)
             with mp.workdps(digits + ENTRY_GUARD):
-                J = {self.nu + 1: a ** (self.nu + 1) * k1}
-            ent = {"a": a, "k0": k0, "k1": k1, "J": J}
+                power = a ** (self.nu + 1)
+                J = {self.nu + 1: power * k1}
+                ent = {"a": a, "k0": k0, "k1": k1, "J": J, "power": power * a}
             self._cache[key] = ent
         return ent
 
@@ -322,9 +324,12 @@ class KernelLadder:
         a, k0, k1 = ent["a"], ent["k0"], ent["k1"]
         with mp.workdps(digits + ENTRY_GUARD):
             while top < mu:
+                power = ent["power"]
+                higher = power * a
                 J[top + 2] = (((top + 1) ** 2 - nu * nu) * J[top]
-                              + (top + 1 - nu) * a ** (top + 1) * k0
-                              + a ** (top + 2) * k1)
+                              + (top + 1 - nu) * power * k0
+                              + higher * k1)
+                ent["power"] = higher * a
                 top += 2
         return J[mu]
 

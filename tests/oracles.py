@@ -7,9 +7,10 @@ a time, the direct sum embedded and summed in mpmath, the Bessel K series
 and asymptotic expansion in mpf arithmetic, the Euler product of
 the Rankin-Selberg series, the printed Kostant and w6 identities, the
 support claims behind the closed-form local constant, the local constant as
-a product of two geometric factors) so the pipeline's version can be checked
-against them.  A level-1 eigenform with real quadratic coefficients is built
-here too.  Shared by several test modules; pytest does not collect this
+a product of two geometric factors, the successive ratios of level-1
+pairs in closed form from the unfolding) so the pipeline's version can be
+checked against them.  A level-1 eigenform with real quadratic coefficients
+is built here too.  Shared by several test modules; pytest does not collect this
 file.
 """
 
@@ -26,11 +27,38 @@ from mpmath import mp
 
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
 from rscong.exactnum import AlgNum, ExactError, QuadField, vp
-from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
+from rscong.forms import (DirichletChar, NewformData, bernoulli, delta_family_qexp,
+                          trivial_char)
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
                              SteinbergTwist, UnramifiedPS)
 from rscong.lvalue import LEngine
 from rscong.rankin import RankinSeries, rs_coefficients
+
+
+# ---------------------------------------------------------------------------
+# closed-form successive ratios (Rankin-Selberg unfolding)
+# ---------------------------------------------------------------------------
+
+def zeta_star(n: int) -> Fraction:
+    """zeta(n) / pi^n for even n >= 2: (-1)^(n/2+1) B_n 2^n / (2 n!)."""
+    return (-1) ** (n // 2 + 1) * bernoulli(n) * 2 ** n / (2 * math.factorial(n))
+
+
+def delta_family_ratio(k: int, k1: int, m: int) -> Fraction:
+    """Lambda(m)/Lambda(m+1) for f x g, f of level 1 and weight k with
+    dim S_k = 1, g of level 1 and weight k1 < k, where 2m + 2 - k - k1 >= 4.
+
+    The bracket [g, E_{k2}]_nu of weight k = k1 + k2 + 2 nu is a multiple of
+    f, and unfolding its Petersson product with f makes the plain Dirichlet
+    series agree at m and m + 1 (Zagier, LNM 627, 1977, Prop. 6); with the
+    zeta factor and the archimedean factor that is
+
+        4 zeta*(2m+2-k-k1) / (zeta*(2m+4-k-k1) m (m+1-k1)).
+    """
+    n = 2 * m + 2 - k - k1
+    if n < 4:
+        raise ValueError(f"the closed form needs 2m + 2 - k - k1 >= 4, got {n}")
+    return 4 * zeta_star(n) / (zeta_star(n + 2) * m * (m + 1 - k1))
 
 
 # ---------------------------------------------------------------------------

@@ -94,7 +94,7 @@ class TestLocalCli:
         st = SteinbergTwist(3, AlgNum.rational(27))
         ps = UnramifiedPS(3, HalfPower(3, AlgNum.rational(-48), -1),
                           AlgNum.rational(Fraction(3) ** 24), 26)
-        assert Fraction(num, den) == local_constant(st, ps, 3).as_rat()
+        assert local_constant(st, ps, 3) == Fraction(num, den)
 
 
     def test_composite_p_exit_1(self, capsys):
@@ -189,6 +189,15 @@ class TestCongruentCli:
                       "--form2", "also-nope.json", "--prime", "13")
         assert code == 1
 
+    def test_below_sturm_bound_exit_1(self, capsys):
+        # one coefficient, and the Sturm bound of weight 16 at level 1 is 2
+        code = main(["congruent", "--form1", "delta:16:1", "--form2", "delta:16:1",
+                     "--prime", "7"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: 1.16.a: n_max = 1 is below the bound 2 the "
+                                    "comparison mod 7 needs"]
+
 
 class TestLvalueCli:
     def test_direct_method_at_convergent_point(self, capsys):
@@ -279,6 +288,17 @@ class TestVerifyCli:
         assert "m in [99] selects no critical pair" in err and "16..24" in err
         assert not out_path.exists()
 
+    def test_pair_below_sturm_bound_exit_1(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code = main(["verify", "--form1", "delta:16:1", "--form2", "delta:16:1",
+                     "--aux", "delta:26:100", "--prime", "23", "--precision", "10",
+                     "--m-list", "24", "--json-out", str(out_path)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: 1.16.a: n_max = 1 is below the bound 2 the "
+                                    "comparison mod 23 needs"]
+        assert not out_path.exists()
+
     def test_report_bytes_deterministic(self, capsys, tmp_path):
         paths = []
         for name in ("r1.json", "r2.json"):
@@ -301,6 +321,26 @@ class TestVerifyCli:
         (key, val), = cfg.items()
         assert code == 1 and out == ""
         assert err.splitlines() == [f"error: config key {key!r}: expected int, got {val!r}"]
+
+    def test_flag_on_the_command_line_beats_config(self, capsys, tmp_path):
+        # --precision 120 equals the default, and still wins over the file's 10
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"precision": 10}))
+        code = main(["--config", str(path), "lvalue", "--pair", "delta:12:300,delta:16:300",
+                     "--s", "40", "--precision", "120"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and "P=120 needs n_max" in err
+
+    def test_unknown_config_key_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"precison": "x", "n-max": 30}))
+        code = main(["--config", str(path), "lvalue", "--pair", "delta:12,delta:16",
+                     "--s", "40", "--precision", "10"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: config key 'precison' is not one of the shared "
+                                    "flags: precision, fixtures, cache-dir, json-out, n-max"]
 
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

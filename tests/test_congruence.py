@@ -7,7 +7,7 @@ import pytest
 
 from rscong.congruence import (check_congruent, eisenstein_screen,
                                excluded_primes, sturm_bound)
-from rscong.exactnum import (AlgNum, NotIntegral, QuadField, RATIONAL,
+from rscong.exactnum import (AlgNum, ExactError, NotIntegral, QuadField, RATIONAL,
                              factor_rational_prime)
 from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp
 
@@ -63,6 +63,43 @@ class TestCheckCongruent:
         bad = NewformData.from_values(d.level, d.weight, d.char, values, is_eigenform=False)
         with pytest.raises(NotIntegral):
             check_congruent(d, bad, rational_prime(5), n_extra=10)
+
+
+def cut(h: NewformData, n: int) -> NewformData:
+    """h with its coefficients a(1..n) only."""
+    return replace(h, x=h.x[: n + 1], y=h.y[: n + 1])
+
+
+class TestSturmRefusal:
+    """No comparison stops short of the Sturm bound, 5 for weight 13 at
+    level 3: below it the congruence check raises and the screen does not
+    run."""
+
+    @pytest.mark.parametrize("l", [5, 7, 13])
+    def test_congruence_below_sturm_raises(self, h_prime, h_dprime, l):
+        P = factor_rational_prime(l, F26)[0]
+        with pytest.raises(ExactError, match=r"3\.13\.b\.a: n_max = 1 is below the bound 5 "):
+            check_congruent(cut(h_prime, 1), cut(h_dprime, 1), P, n_extra=50)
+
+    @pytest.mark.parametrize("l", [5, 7, 13])
+    def test_screen_below_sturm_is_unchecked(self, h_prime, l):
+        P = factor_rational_prime(l, F26)[0]
+        alarm = eisenstein_screen(cut(h_prime, 1), P)
+        assert alarm == f"unchecked: 3.13.b.a: n_max = 1 is below the bound 6 the " \
+                        f"comparison mod {l} needs"
+
+    def test_at_the_bound(self, h_prime, h_dprime):
+        # the Sturm bound decides, and n_extra counts only as far as both forms reach
+        rep = check_congruent(cut(h_prime, 5), cut(h_dprime, 5), L13, n_extra=50)
+        assert rep.congruent and rep.bound_used == 5
+        rep = check_congruent(cut(h_prime, 10), h_dprime, L13, n_extra=50)
+        assert rep.congruent and rep.bound_used == 10
+        assert eisenstein_screen(cut(h_prime, 6), L13) == "eis-13-3"
+
+    @pytest.mark.parametrize("l", [5, 7])
+    def test_full_fixtures_differ_at_two(self, h_prime, h_dprime, l):
+        rep = check_congruent(h_prime, h_dprime, factor_rational_prime(l, F26)[0])
+        assert not rep.congruent and rep.first_failure == 2 and rep.bound_used == 5
 
 
 class TestEisensteinScreen:

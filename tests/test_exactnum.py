@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rscong.exactnum import (AlgNum, ExactError, FieldMismatch, PrimeIdeal,
                              QuadField, RAMIFIED, RATIONAL, SPLIT, compositum,
-                             congruent_mod, factor_rational_prime, kronecker,
+                             factor_rational_prime, kronecker,
                              quad_normalize, valuation, vp)
 
 F26 = QuadField(-26)
@@ -146,8 +146,8 @@ class TestFieldAxioms:
     @settings(max_examples=200, deadline=None)
     def test_norm_trace_vs_conjugate(self, a, b):
         x = AlgNum(F26, a, b)
-        assert (x * x.conj()).as_rat() == x.norm()
-        assert (x + x.conj()).as_rat() == 2 * x.a
+        assert x * x.conj() == x.norm()
+        assert x + x.conj() == 2 * x.a
 
     @given(small_rats, small_rats)
     @settings(max_examples=100, deadline=None)
@@ -168,5 +168,4 @@ class TestFieldPromotion:
         x = AlgNum.rational(3)
         y = sqrt26()
         assert (x + y).field == F26
-        assert congruent_mod(AlgNum.rational(14).promote(F26),
-                             AlgNum.rational(1).promote(F26), L13)
+        assert valuation(AlgNum.rational(14).promote(F26) - AlgNum.rational(1), L13) >= 1

@@ -15,7 +15,8 @@ from rscong import forms
 from rscong.exactnum import AlgNum, ExactError, QuadField
 from rscong.forms import (DELTA_WEIGHTS, DirichletChar, NewformData, bernoulli,
                           bernoulli_chi, char_from_kronecker, delta_family_qexp,
-                          eisenstein_qexp, eta_series, primes_upto, trivial_char)
+                          divisor_sum, eisenstein_qexp, eta_series, primes_upto,
+                          trivial_char)
 from rscong.ingest import load_fixture, parse_record, save_fixture
 
 CHI3 = char_from_kronecker(-3)
@@ -93,12 +94,53 @@ class TestEisenstein:
             assert E.a(m * n) == E.a(m) * E.a(n)
 
 
+def _quartic_mod5() -> DirichletChar:
+    """2 -> i: values in Q(i), coordinates over D = 1 with y != 0."""
+    i = AlgNum(QuadField(-1), 0, 1)
+    return DirichletChar(5, (AlgNum.rational(0), AlgNum.rational(1), i, -i,
+                             AlgNum.rational(-1)))
+
+
+def _cubic_mod7() -> DirichletChar:
+    """3 -> (-1 + sqrt(-3)) / 2: values in Q(sqrt(-3)) over D = 2."""
+    w = AlgNum(QuadField(-3), Fraction(-1, 2), Fraction(1, 2))
+    vals, c = [AlgNum.rational(0)] * 7, AlgNum.rational(1)
+    for j in range(6):
+        vals[pow(3, j, 7)], c = c, c * w
+    return DirichletChar(7, tuple(vals))
+
+
+SUM_CHARS = {"1": trivial_char(), "chi-3": CHI3, "chi-4": char_from_kronecker(-4),
+             "quartic5": _quartic_mod5(), "cubic7": _cubic_mod7()}
+
+
+class TestDivisorSum:
+    # each character on either side; Q(i) and Q(sqrt(-3)) have no compositum
+    @pytest.mark.parametrize("outer, inner", [(o, i) for o in SUM_CHARS for i in SUM_CHARS
+                                              if {o, i} != {"quartic5", "cubic7"}])
+    def test_matches_direct_sum(self, outer, inner):
+        # a(n) = sum_{d|n} outer(n/d) inner(d) d^(k-1), one AlgNum at a time
+        f, g = SUM_CHARS[outer], SUM_CHARS[inner]
+        n_max = 60
+        for k in (1, 3, 4):
+            x, y, D, F = divisor_sum(k, f, g, n_max)
+            assert len(x) == len(y) == n_max + 1 and x[0] == y[0] == 0
+            assert math.gcd(D, *x, *y) == 1  # D is the least denominator
+            for n in range(1, n_max + 1):
+                direct = sum((f(n // d) * g(d) * d ** (k - 1)
+                              for d in range(1, n + 1) if n % d == 0), AlgNum.rational(0))
+                assert AlgNum(F, Fraction(x[n], D), Fraction(y[n], D)) == direct
+
+    def test_coordinates_of_a_quadratic_character(self):
+        _, y, D, F = divisor_sum(2, trivial_char(), _cubic_mod7(), 30)
+        assert (F.d0, D) == (-3, 2) and any(y)
+
+
 class TestDeltaFamily:
     def test_tau_values(self):
         d = delta_family_qexp(12, 10)
         assert d.a(2) == -24 and d.a(1) == 1
-        assert [int(d.a(n).as_rat()) for n in range(1, 8)] == \
-            [1, -24, 252, -1472, 4830, -6048, -16744]
+        assert [d.a(n) for n in range(1, 8)] == [1, -24, 252, -1472, 4830, -6048, -16744]
 
     def test_tau_is_computed_once_per_n_max(self):
         forms._delta_int.cache_clear()
@@ -262,6 +304,8 @@ class TestRepresentation:
         for k in (12, 16):
             assert count(lambda: delta_family_qexp(k, 100)) == \
                 count(lambda: delta_family_qexp(k, 2000))
+        assert count(lambda: eisenstein_qexp(13, CHI3, 100)) == \
+            count(lambda: eisenstein_qexp(13, CHI3, 2000))
 
 
 class TestFixtureForms:

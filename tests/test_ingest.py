@@ -113,6 +113,13 @@ class TestCharacterTable:
         with pytest.raises(IntegrityError, match=r"unit residue mod 1, \[0\]"):
             record_to_newform(parse_record(obj))
 
+    def test_table_must_be_a_character(self):
+        # chi(1) = 5, chi(2) = -1: one value per unit residue and the parity
+        # of weight 13, but not multiplicative
+        with pytest.raises(IntegrityError, match=r"not a character: chi\(1 \* 1\) != "
+                                                 r"chi\(1\) chi\(1\) mod 3"):
+            record_to_newform(self._record(((1, (5, 1, 0, 1)), (2, self.MINUS_ONE))))
+
     def test_parity_must_match_weight(self):
         # chi(-1) = (-1)^k: the trivial character mod 3 and the odd weight 13
         with pytest.raises(IntegrityError, match=r"= 1, but weight 13 needs chi\(-1\) = -1"):

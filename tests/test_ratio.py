@@ -8,11 +8,15 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from oracles import delta_family_ratio
+
 from rscong.exactnum import (AlgNum, QuadField, RATIONAL, factor_rational_prime,
                              valuation, workdps)
+from rscong.forms import delta_family_qexp
+from rscong.rankin import rs_coefficients
 from rscong.ratio import (CONGRUENT, INDETERMINATE, NOT_CONGRUENT, RatioVerdict,
                           ReconstructionFailed, compare_ratios, height_bits,
-                          reconstruct_algebraic)
+                          ratio_at, reconstruct_algebraic)
 
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
@@ -114,3 +118,37 @@ class TestCompare:
             c13 = compare_ratios(v1, v3, L13) == CONGRUENT
             if c12 and c23:
                 assert c13  # v(a-c) >= min(v(a-b), v(b-c))
+
+
+class TestClosedFormRatios:
+    """Every ratio of a level-1 pair that the unfolding gives in closed form
+    (2m + 2 - k - k1 >= 4), reconstructed at P = 40, and its mirror
+    k + k1 - 2 - m through the functional equation."""
+
+    CASES = [(22, 12, 600, m) for m in (18, 19, 20)] + [(22, 16, 600, 20)] \
+        + [(26, 12, 800, m) for m in range(20, 25)] + [(26, 16, 800, m) for m in (22, 23, 24)]
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return {(k, k1): rs_coefficients(delta_family_qexp(k, n), delta_family_qexp(k1, n), n)
+                for k, k1, n, _ in self.CASES}
+
+    def test_cases_are_every_covered_right_half_ratio(self):
+        assert len(self.CASES) == 12
+        for k, k1 in {(k, k1) for k, k1, _, _ in self.CASES}:
+            covered = [m for m in range(k1, k - 1) if 2 * m + 2 - k - k1 >= 4]
+            assert covered == [m for kk, kk1, _, m in self.CASES if (kk, kk1) == (k, k1)]
+
+    def test_printed_values(self):
+        assert delta_family_ratio(22, 12, 20) == Fraction(11, 50)
+        assert delta_family_ratio(26, 12, 24) == Fraction(691, 5460)
+        with pytest.raises(ValueError):
+            delta_family_ratio(22, 12, 17)  # next to the centre: E_2 is not modular
+
+    @pytest.mark.parametrize("k, k1, n, m", CASES)
+    def test_engine_matches_closed_form(self, series, k, k1, n, m):
+        rs = series[(k, k1)]
+        expect = delta_family_ratio(k, k1, m)
+        assert ratio_at(rs, m, 40).ratio_exact == expect
+        assert ratio_at(rs, k + k1 - 2 - m, 40).ratio_exact == 1 / expect
+
