@@ -133,8 +133,16 @@ def parse_record(obj: dict) -> FormRecord:
         r, v = item
         _expect(isinstance(r, int), f"/char/values/{i}/0", "expected integer residue")
         values.append((r, _parse_quad(v, f"/char/values/{i}/1")))
-    _expect(isinstance(obj["an"], list), "/an", "expected list")
-    coeffs = tuple(_parse_quad(v, f"/an/{i}") for i, v in enumerate(obj["an"]))
+    an = obj["an"]
+    _expect(isinstance(an, list), "/an", "expected list")
+    # `_parse_quad`'s checks on the whole list at once; it runs per entry
+    # only to name the first entry that fails them
+    if not all(isinstance(v, list) and len(v) == 4 and isinstance(v[0], int)
+               and isinstance(v[1], int) and isinstance(v[2], int) and isinstance(v[3], int)
+               and v[1] != 0 and v[3] != 0 for v in an):
+        for i, v in enumerate(an):
+            _parse_quad(v, f"/an/{i}")
+    coeffs = tuple(map(tuple, an))
     return FormRecord(
         label=obj["label"], level=obj["level"], weight=obj["weight"],
         char_modulus=char["modulus"], char_values=tuple(values),

@@ -43,7 +43,8 @@ The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
 
 computed once per s.  Its terms are real: x_n / (D n^s) and y_n / (D n^s),
 each one correctly rounded division of integers, times G_s.  The two
-coordinates are summed apart with `mpmath.fsum`, and A(s) = Sx + sqrt(d0) Sy.
+coordinates are summed apart with `libmp.mpf_sum`, the sum `mpmath.fsum`
+runs, and A(s) = Sx + sqrt(d0) Sy.
 Neither sum embeds a coefficient; only the root number is embedded, once per
 s.  The dual series of the functional equation has the
 complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
@@ -69,6 +70,17 @@ target / n_max, target = 10^-(P + 8) mass, and every smoothed sum adds that
 rounding budget to its tail, so `LValueResult.err_bound` stays certified.
 Ladder entries are keyed by the exact bits of x and the digits: an entry is
 never upgraded in place, so no value depends on which calls ran first.
+
+The per-term path runs on raw libmp values.  The grid point, the two
+coordinates, the digit choice, the term products and the final sums of a
+smoothed sum; the entry a = 4 pi sqrt(x), a^(nu+1), the rungs and the
+prefactor product of the ladder; and the scaling sqrt(pi/2x) e^(-x) of the
+asymptotic Bessel branch are libmp calls on (sign, man, exp, bc) tuples.
+Each call names the precision and the rounding of the mpf operator it
+replaces, down to the rounding of -x before the exponential, so every value
+keeps the bits those operators gave, without their object and context work.
+mpf objects exist only at `KernelLadder.G`, `J` and `bessel_at`, at
+`besselk_pair`, and at the returned sums.
 """
 
 from __future__ import annotations
@@ -81,6 +93,8 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import libmp, mp
+from mpmath.libmp import (mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_hypot, mpf_mul, mpf_mul_int,
+                          mpf_neg, mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sum)
 
 from .exactnum import GUARD_DIGITS, AlgNum, ExactError
 from .rankin import RankinSeries, archimedean_factor, root_number
@@ -245,16 +259,21 @@ def besselk_pair(nu: int, x, digits: int):
     floors of the recurrence.
     """
     x = mp.mpf(x)
-    with mp.workdps(digits + 12):
-        p = mp.prec + ASYMPTOTIC_GUARD_BITS
-        X = libmp.to_fixed(x._mpf_, p)
-        a = _asymptotic_sum(nu, X, p, digits)
-        if a is not None:
-            b = _asymptotic_sum(nu + 1, X, p, digits)
-            if b is not None:
-                fac = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
-                return (fac * mp.make_mpf(libmp.from_man_exp(a, -p)),
-                        fac * mp.make_mpf(libmp.from_man_exp(b, -p)))
+    prec = libmp.dps_to_prec(digits + 12)
+    p = prec + ASYMPTOTIC_GUARD_BITS
+    X = libmp.to_fixed(x._mpf_, p)
+    a = _asymptotic_sum(nu, X, p, digits)
+    if a is not None:
+        b = _asymptotic_sum(nu + 1, X, p, digits)
+        if b is not None:
+            # sqrt(pi / (2x)) e^(-x), every step rounded as by mpf operators at
+            # digits + 12 digits, -x included
+            xm = x._mpf_
+            half = mpf_div(mpf_pi(prec, "n"), mpf_mul_int(xm, 2, prec, "n"), prec, "n")
+            fac = mpf_mul(mpf_sqrt(half, prec, "n"),
+                          mpf_exp(mpf_neg(xm, prec, "n"), prec, "n"), prec, "n")
+            return (mp.make_mpf(mpf_mul(fac, libmp.from_man_exp(a, -p), prec, "n")),
+                    mp.make_mpf(mpf_mul(fac, libmp.from_man_exp(b, -p), prec, "n")))
     boost = int(0.8686 * float(x)) + 30
     with mp.workdps(digits + boost):
         p = mp.prec
@@ -282,37 +301,44 @@ class KernelLadder:
     reaches every integer s >= k with all terms positive (no cancellation),
     so J has the relative accuracy of the two Bessel values.
 
-    An entry is keyed by the exact bits of x and the digits asked for.
-    `digits` is the engine's working precision, the ceiling of those and
-    the precision of a.  It also keeps a^(mu+1) for its top rung mu, which
-    each new rung multiplies by a twice.  The prefactor (2 pi)^(-2s)
-    2^(k+1-2s) is kept per s and working precision.
+    An entry is keyed by the exact bits of x, rounded to the working
+    precision, and the digits asked for.  `digits` is the engine's working
+    precision, the ceiling of those and the precision of a.  The entry holds
+    a, the Bessel pair and its rungs J as raw libmp values, and a^(mu+1) for
+    its top rung mu, which each new rung multiplies by a twice; every
+    operation rounds to nearest at the precision of the mpf operator it
+    stands for, digits + ENTRY_GUARD digits on the rungs.  `G`, `J` and
+    `bessel_at` return mpf values.  The prefactor (2 pi)^(-2s) 2^(k+1-2s) is
+    kept per s and working precision.
     """
 
     def __init__(self, k: int, digits: int):
         self.k = k
         self.nu = k - 1
         self.digits = digits
+        self.prec = libmp.dps_to_prec(digits)
         self._cache: dict = {}
         self._pref: dict = {}
 
     def _entry(self, x_val, digits: int):
-        key = (mpmath.mpf(x_val)._mpf_, digits)  # exact bits: shared by every engine
-        ent = self._cache.get(key)
+        x = mpmath.mpf(x_val)._mpf_  # the exact bits at the working precision
+        ent = self._cache.get((x, digits))
         if ent is None:
+            prec, eprec = self.prec, libmp.dps_to_prec(digits + ENTRY_GUARD)
+            a = mpf_mul(mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n"), mpf_sqrt(x, prec, "n"),
+                        prec, "n")  # 4 pi sqrt(x)
             with mp.workdps(self.digits):
-                a = 4 * mpmath.pi * mpmath.sqrt(x_val)
-                k0, k1 = besselk_pair(self.nu, a, digits)
-            with mp.workdps(digits + ENTRY_GUARD):
-                power = a ** (self.nu + 1)
-                J = {self.nu + 1: power * k1}
-                ent = {"a": a, "k0": k0, "k1": k1, "J": J, "power": power * a}
-            self._cache[key] = ent
+                k0, k1 = besselk_pair(self.nu, mp.make_mpf(a), digits)
+            power = mpf_pow_int(a, self.nu + 1, eprec, "n")
+            ent = self._cache[x, digits] = {
+                "a": a, "k0": k0._mpf_, "k1": k1._mpf_, "prec": eprec,
+                "J": {self.nu + 1: mpf_mul(power, k1._mpf_, eprec, "n")},
+                "power": mpf_mul(power, a, eprec, "n")}
         return ent
 
     def bessel_at(self, x_val, digits: int):
         ent = self._entry(x_val, digits)
-        return ent["a"], ent["k0"], ent["k1"]
+        return mp.make_mpf(ent["a"]), mp.make_mpf(ent["k0"]), mp.make_mpf(ent["k1"])
 
     def J(self, mu: int, x_val, digits: int):
         nu = self.nu
@@ -321,17 +347,19 @@ class KernelLadder:
         ent = self._entry(x_val, digits)
         J = ent["J"]
         top = max(J)
-        a, k0, k1 = ent["a"], ent["k0"], ent["k1"]
-        with mp.workdps(digits + ENTRY_GUARD):
+        if top < mu:
+            a, k0, k1, prec, power = ent["a"], ent["k0"], ent["k1"], ent["prec"], ent["power"]
             while top < mu:
-                power = ent["power"]
-                higher = power * a
-                J[top + 2] = (((top + 1) ** 2 - nu * nu) * J[top]
-                              + (top + 1 - nu) * power * k0
-                              + higher * k1)
-                ent["power"] = higher * a
+                higher = mpf_mul(power, a, prec, "n")
+                J[top + 2] = mpf_add(
+                    mpf_add(mpf_mul_int(J[top], (top + 1) ** 2 - nu * nu, prec, "n"),
+                            mpf_mul(mpf_mul_int(power, top + 1 - nu, prec, "n"), k0, prec, "n"),
+                            prec, "n"),
+                    mpf_mul(higher, k1, prec, "n"), prec, "n")
+                power = mpf_mul(higher, a, prec, "n")
                 top += 2
-        return J[mu]
+            ent["power"] = power
+        return mp.make_mpf(J[mu])
 
     def prefactor(self, s: int):
         """(2 pi)^(-2s) 2^(k+1-2s) at the working precision, computed once
@@ -344,8 +372,10 @@ class KernelLadder:
         return pref
 
     def G(self, s: int, x_val, digits: int):
-        """G_s(x) with a relative error below about 10^-digits."""
-        return self.prefactor(s) * self.J(2 * s - self.k, x_val, digits)
+        """G_s(x) with a relative error below about 10^-digits, rounded to the
+        working precision."""
+        return mp.make_mpf(mpf_mul(self.prefactor(s)._mpf_,
+                                   self.J(2 * s - self.k, x_val, digits)._mpf_, mp.prec, "n"))
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +459,22 @@ def _zeta_scaled_up(two_sigma: int, C: int) -> int:
     return -(-(S + (3 << C) << C) // (dn * eta_factor))
 
 
+def _rational(p: int, q: int, prec: int):
+    """p / q for integers p and q > 0 as a raw mpf, rounded to nearest at
+    prec bits: the bits of `libmp.from_rational`, since a correctly rounded
+    quotient is unique, from one integer division with a sticky bit."""
+    if not p:
+        return libmp.fzero
+    sign = int(p < 0)
+    p = abs(p)
+    extra = prec + q.bit_length() - p.bit_length() + 5  # the quotient keeps prec + 4 bits
+    quot, rem = divmod(p << extra, q) if extra >= 0 else divmod(p, q << -extra)
+    if rem:
+        quot = quot << 1 | 1
+        extra += 1
+    return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -503,46 +549,53 @@ class LEngine:
         the first G and each G computed bounds the next.
         """
         rs = self.rs
-        d0 = rs.field.d0
+        d0, n_max = rs.field.d0, rs.n_max
         scale, q = self.scale, self.q
         with mp.workdps(self.dps):
+            prec = mp.prec
             root = mpmath.sqrt(abs(d0))
             mass = abs(archimedean_factor(s, self.k, self.dps))
             target = mass * mp.mpf(10) ** (-(self.P + 8))
             # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
-            base = (self.P + 8 + TERM_GUARD + math.log10(2 * rs.n_max)
+            base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
                     - float(mpmath.log10(mass)))
-            g_bound = mass
+            # raw libmp values from here on, each operation rounded to nearest
+            # at prec, as the mpf operator it stands for
+            grid, r = scale._mpf_, root._mpf_
+            g_bound = mass._mpf_
             excess = 0.0  # digits a term needed above the working precision
             sx, sy = [], []  # the terms of each coordinate
             n = 0
             check_every = 64
             while True:
                 n += 1
-                if n > rs.n_max:
+                if n > n_max:
                     est = self._estimate_needed(s, q, target)
                     raise InsufficientCoefficients(
-                        est, f"AFE at s={s} needs roughly n_max >= {est}, have {rs.n_max}")
+                        est, f"AFE at s={s} needs roughly n_max >= {est}, have {n_max}")
                 X, Y = rs.x[n], rs.y[n]
                 if X or Y:
-                    x = mp.mpf(n) * scale
+                    x = mp.make_mpf(mpf_mul_int(grid, n, prec, "n"))  # n * scale
                     den = rs.D * n ** s
-                    cx = mp.make_mpf(libmp.from_rational(X, den, mp.prec, "n"))
-                    cy = mp.make_mpf(libmp.from_rational(Y, den, mp.prec, "n"))
-                    c = mpmath.hypot(cx, root * cy) if d0 < 0 else abs(cx + root * cy)
-                    need = base + math.log10(2) * mpmath.mag(c * g_bound)
+                    cx, cy = _rational(X, den, prec), _rational(Y, den, prec)
+                    ry = mpf_mul(r, cy, prec, "n")
+                    c = (mpf_hypot(cx, ry, prec, "n") if d0 < 0
+                         else mpf_abs(mpf_add(cx, ry, prec, "n"), prec, "n"))
+                    _, _, e, bc = mpf_mul(c, g_bound, prec, "n")
+                    need = base + math.log10(2) * (e + bc)  # e + bc = mag(c g_bound)
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
-                    g = self.ladder.G(s, x, digits)
-                    sx.append(cx * g)
-                    sy.append(cy * g)
+                    g = self.ladder.G(s, x, digits)._mpf_
+                    sx.append(mpf_mul(cx, g, prec, "n"))
+                    sy.append(mpf_mul(cy, g, prec, "n"))
                     g_bound = g
-                if n % check_every == 0 or n == rs.n_max:
+                if n % check_every == 0 or n == n_max:
                     tail = self._afe_tail_bound(s, q, n)
                     if tail < target:
-                        Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
+                        Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
+                        Sy = root * mp.make_mpf(mpf_sum(sy, prec, "n"))
                         A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
                         return A, tail + target * mp.mpf(10) ** excess
             # unreachable

@@ -4,7 +4,8 @@ Nothing in `rscong` calls these: they restate a result of the paper in a
 second way (the root number solved numerically from the approximate
 functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
 a time, the direct sum embedded and summed in mpmath, the Bessel K series
-and asymptotic expansion in mpf arithmetic, the Euler product of
+and asymptotic expansion in mpf arithmetic, the smoothed sum and its kernel
+ladder in mpf operators, the Euler product of
 the Rankin-Selberg series, the printed Kostant and w6 identities, the
 support claims behind the closed-form local constant, the local constant as
 a product of two geometric factors, the successive ratios of level-1
@@ -23,8 +24,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
+from rscong import lvalue
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
 from rscong.exactnum import AlgNum, ExactError, QuadField, vp
 from rscong.forms import (DirichletChar, NewformData, bernoulli, delta_family_qexp,
@@ -32,7 +34,7 @@ from rscong.forms import (DirichletChar, NewformData, bernoulli, delta_family_qe
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
                              SteinbergTwist, UnramifiedPS)
 from rscong.lvalue import LEngine
-from rscong.rankin import RankinSeries, rs_coefficients
+from rscong.rankin import RankinSeries, archimedean_factor, rs_coefficients
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,138 @@ def besselk_asymptotic(nu: int, x, digits: int):
             return None  # divergence point reached
         acc += nxt
         term = nxt
+
+
+# ---------------------------------------------------------------------------
+# the smoothed sum and its kernel in mpf operators
+# ---------------------------------------------------------------------------
+
+def besselk_pair_mpf(nu: int, x, digits: int):
+    """`lvalue.besselk_pair` with the scaling of its asymptotic branch,
+    sqrt(pi/2x) e^(-x), in mpf operators at digits + 12 digits.  The
+    fixed-point sums are the library's; the series branch, which has no mpf
+    arithmetic, is the library's as a whole."""
+    x = mp.mpf(x)
+    with mp.workdps(digits + 12):
+        p = mp.prec + lvalue.ASYMPTOTIC_GUARD_BITS
+        X = libmp.to_fixed(x._mpf_, p)
+        a = lvalue._asymptotic_sum(nu, X, p, digits)
+        b = None if a is None else lvalue._asymptotic_sum(nu + 1, X, p, digits)
+        if b is not None:
+            fac = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
+            return (fac * mp.make_mpf(libmp.from_man_exp(a, -p)),
+                    fac * mp.make_mpf(libmp.from_man_exp(b, -p)))
+    return lvalue.besselk_pair(nu, x, digits)
+
+
+class KernelLadderMpf:
+    """`lvalue.KernelLadder` in mpf operators: every rung, power and
+    product a new mpf at a precision set by `mp.workdps`."""
+
+    def __init__(self, k: int, digits: int):
+        self.k = k
+        self.nu = k - 1
+        self.digits = digits
+        self._cache: dict = {}
+        self._pref: dict = {}
+
+    def _entry(self, x_val, digits: int):
+        key = (mpmath.mpf(x_val)._mpf_, digits)
+        ent = self._cache.get(key)
+        if ent is None:
+            with mp.workdps(self.digits):
+                a = 4 * mpmath.pi * mpmath.sqrt(x_val)
+                k0, k1 = besselk_pair_mpf(self.nu, a, digits)
+            with mp.workdps(digits + lvalue.ENTRY_GUARD):
+                power = a ** (self.nu + 1)
+                J = {self.nu + 1: power * k1}
+                ent = {"a": a, "k0": k0, "k1": k1, "J": J, "power": power * a}
+            self._cache[key] = ent
+        return ent
+
+    def bessel_at(self, x_val, digits: int):
+        ent = self._entry(x_val, digits)
+        return ent["a"], ent["k0"], ent["k1"]
+
+    def J(self, mu: int, x_val, digits: int):
+        nu = self.nu
+        ent = self._entry(x_val, digits)
+        J = ent["J"]
+        top = max(J)
+        a, k0, k1 = ent["a"], ent["k0"], ent["k1"]
+        with mp.workdps(digits + lvalue.ENTRY_GUARD):
+            while top < mu:
+                power = ent["power"]
+                higher = power * a
+                J[top + 2] = (((top + 1) ** 2 - nu * nu) * J[top]
+                              + (top + 1 - nu) * power * k0
+                              + higher * k1)
+                ent["power"] = higher * a
+                top += 2
+        return J[mu]
+
+    def prefactor(self, s: int):
+        key = (s, mp.prec)
+        pref = self._pref.get(key)
+        if pref is None:
+            pref = self._pref[key] = ((2 * mpmath.pi) ** (-2 * s)
+                                      * mp.mpf(2) ** (self.k + 1 - 2 * s))
+        return pref
+
+    def G(self, s: int, x_val, digits: int):
+        return self.prefactor(s) * self.J(2 * s - self.k, x_val, digits)
+
+
+def with_mpf_ladder(eng: LEngine) -> LEngine:
+    """A copy of `eng` whose kernel is a fresh `KernelLadderMpf`, for
+    `smoothed_sum_mpf`; its tail bounds read that ladder too."""
+    ref = copy.copy(eng)
+    ref.ladder = KernelLadderMpf(eng.k, eng.dps)
+    return ref
+
+
+def smoothed_sum_mpf(eng: LEngine, s: int):
+    """`LEngine._smoothed_sum` in mpf operators: (A(s), bound) on the grid
+    and kernel of `eng`, each term's coordinates, digits and products new
+    mpf values at dps, summed with `mpmath.fsum`."""
+    rs = eng.rs
+    d0 = rs.field.d0
+    scale, q = eng.scale, eng.q
+    with mp.workdps(eng.dps):
+        root = mpmath.sqrt(abs(d0))
+        mass = abs(archimedean_factor(s, eng.k, eng.dps))
+        target = mass * mp.mpf(10) ** (-(eng.P + 8))
+        base = (eng.P + 8 + lvalue.TERM_GUARD + math.log10(2 * rs.n_max)
+                - float(mpmath.log10(mass)))
+        g_bound = mass
+        excess = 0.0
+        sx, sy = [], []
+        n = 0
+        while True:
+            n += 1
+            if n > rs.n_max:
+                raise lvalue.InsufficientCoefficients(0)
+            X, Y = rs.x[n], rs.y[n]
+            if X or Y:
+                x = mp.mpf(n) * scale
+                den = rs.D * n ** s
+                cx = mp.make_mpf(libmp.from_rational(X, den, mp.prec, "n"))
+                cy = mp.make_mpf(libmp.from_rational(Y, den, mp.prec, "n"))
+                c = mpmath.hypot(cx, root * cy) if d0 < 0 else abs(cx + root * cy)
+                need = base + math.log10(2) * mpmath.mag(c * g_bound)
+                band = lvalue.KERNEL_DIGIT_BAND * math.ceil(need / lvalue.KERNEL_DIGIT_BAND)
+                digits = min(max(band, lvalue.KERNEL_FLOOR_DIGITS), eng.dps)
+                excess = max(excess, need - digits)
+                g = eng.ladder.G(s, x, digits)
+                sx.append(cx * g)
+                sy.append(cy * g)
+                g_bound = g
+            if n % 64 == 0 or n == rs.n_max:
+                tail = eng._afe_tail_bound(s, q, n)
+                if tail < target:
+                    Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
+                    A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
+                    return A, tail + target * mp.mpf(10) ** excess
 
 
 # ---------------------------------------------------------------------------

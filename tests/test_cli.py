@@ -153,17 +153,51 @@ LOCAL_ARGV = argv_of("local-constant", {
     "--steinberg": RATIONAL, "--ps-trace": RATIONAL, "--ps-det": RATIONAL})
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(COSET_ARGV, LOCAL_ARGV))
-def test_cheap_subcommands_fail_only_with_an_error_line(argv):
-    # small integers keep the trial factoring of --p cheap
+def assert_exit_0_or_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1)
     assert "Traceback" not in err.getvalue()
     if code == 1:
-        assert err.getvalue().startswith("error:") and out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:")
+        assert out.getvalue() == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(COSET_ARGV, LOCAL_ARGV))
+def test_cheap_subcommands_fail_only_with_an_error_line(argv):
+    # small integers keep the trial factoring of --p cheap
+    assert_exit_0_or_one_error_line(argv)
+
+
+#: level-1 forms cut to 1-3 coefficients, the committed fixtures, and
+#: references that do not resolve
+FORM_REF = st.one_of(
+    st.builds("delta:{}:{}".format, st.sampled_from([12, 16, 22, 26]), st.integers(1, 3)),
+    st.sampled_from(["delta:16", "delta:26", "3.13.b.a", "3.13.b.b"]),
+    st.sampled_from(["delta:13:2", "delta:16:0", "delta:x", "nope"]))
+#: `--n-max` 1 to 3 keeps every run, fixtures included, to milliseconds
+TINY_FLAGS = st.builds(lambda n, p: [f"--n-max={n}", f"--precision={p}", f"--fixtures={FIXTURES}"],
+                       st.integers(1, 3), st.integers(-1, 40))
+PAIR_ARGV = st.builds(
+    lambda f1, f2, s, flags: ["lvalue", f"--pair={f1},{f2}", f"--s={s}"] + flags,
+    FORM_REF, FORM_REF, st.integers(-2, 60), TINY_FLAGS)
+CONGRUENT_ARGV = st.builds(
+    lambda f1, f2, p, flags: ["congruent", f"--form1={f1}", f"--form2={f2}", f"--prime={p}",
+                              flags[0], flags[2]],
+    FORM_REF, FORM_REF, PRIME, TINY_FLAGS)
+VERIFY_ARGV = st.builds(
+    lambda f1, f2, aux, p, flags: ["verify", f"--form1={f1}", f"--form2={f2}", f"--aux={aux}",
+                                   f"--prime={p}"] + flags,
+    FORM_REF, FORM_REF, FORM_REF, PRIME, TINY_FLAGS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(PAIR_ARGV, CONGRUENT_ARGV, VERIFY_ARGV))
+def test_form_subcommands_at_tiny_n_max_fail_only_with_an_error_line(argv):
+    # `fetch` is left out: it would reach the network
+    assert_exit_0_or_one_error_line(argv)
 
 
 class TestCongruentCli:

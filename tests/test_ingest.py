@@ -66,6 +66,26 @@ class TestSchema:
             parse_record(obj)
         assert err.value.pointer == "/an/1"
 
+    @pytest.mark.parametrize("bad, pointer", [
+        ([1, 1, 0], "/an/4321"),
+        ([1, 1, 0, 0], "/an/4321"),
+        ([1, 1, 0.5, 1], "/an/4321/2"),
+        ((1, 1, 0, 1), "/an/4321"),
+    ])
+    def test_bad_quad_deep_in_the_list(self, bad, pointer):
+        an = [[1, 1, 0, 1]] * 6000
+        an[4321] = bad
+        an[5000] = [1, 1]  # a later bad entry is not the one named
+        with pytest.raises(SchemaError) as err:
+            parse_record(minimal_obj(an=an))
+        assert err.value.pointer == pointer
+
+    def test_quads_accept_what_the_entry_check_accepts(self):
+        # bool is an int to `isinstance`, so both the list check and the
+        # entry check accept it
+        an = [[1, 1, 0, 1], [True, 1, False, True], [-2, 3, 4, -5]]
+        assert parse_record(minimal_obj(an=an)).coeffs == tuple(map(tuple, an))
+
     def test_zero_denominator(self):
         obj = minimal_obj(an=[[1, 0, 0, 1]])
         with pytest.raises(SchemaError):

@@ -3,16 +3,18 @@ from __future__ import annotations
 import functools
 import gc
 import math
+import random
 import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
 from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direct_sum_reference,
-                     direct_tail_reference, probe_root_number, weight24_eigenform)
+                     direct_tail_reference, probe_root_number, smoothed_sum_at,
+                     smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
@@ -450,6 +452,54 @@ class TestTaperedKernel:
             with mp.workdps(hi.dps):
                 assert abs(res.value - exact) <= res.err_bound, s
                 assert abs(A - A2) + abs(B - B2) <= bound, s
+
+
+class TestRawPathBits:
+    """The smoothed sums on raw libmp values keep the bits of the same sums
+    in mpf operators (`oracles.smoothed_sum_mpf`): A(s) and its bound."""
+
+    @staticmethod
+    def assert_same_bits(eng, ref, s):
+        A, bound = eng._smoothed_sum(s)
+        A_ref, bound_ref = smoothed_sum_mpf(ref, s)
+        assert (A._mpc_, bound._mpf_) == (A_ref._mpc_, bound_ref._mpf_), s
+
+    def test_quotient_is_from_rational(self):
+        # halfway cases among them: an odd integer times a power of two
+        rng = random.Random(17)
+        for _ in range(20000):
+            q = rng.randrange(1, 1 << rng.randrange(1, 300))
+            p = rng.randrange(-(1 << 400), 1 << 400) >> rng.randrange(0, 400)
+            if rng.random() < 0.2:
+                p = q * (2 * rng.randrange(-99, 99) + 1) << rng.randrange(0, 9)
+            prec = rng.randrange(2, 320)
+            assert lvalue._rational(p, q, prec) == libmp.from_rational(p, q, prec, "n"), (p, q, prec)
+
+    @pytest.mark.parametrize("k2", [16, 22])
+    def test_every_critical_point_p30(self, k2):
+        n = 600
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(k2, n), n)
+        eng = LEngine(rs, 30)
+        ref = with_mpf_ladder(eng)
+        for s in range(12, k2):
+            self.assert_same_bits(eng, ref, s)
+
+    def test_level3_pair_p120(self, rs_74_prime):
+        eng = LEngine(rs_74_prime, 120)
+        ref = with_mpf_ladder(eng)
+        for s in (14, 25):
+            self.assert_same_bits(eng, ref, s)
+
+    def test_off_grid(self):
+        # `smoothed_sum_at` on the second smoothing scale of `probe_root_number`
+        n = 600
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        eng = LEngine(rs, 30)
+        ref = with_mpf_ladder(eng)
+        with mp.workdps(eng.dps):
+            scale = 21 / (16 * eng.sqrtQ)
+            ref.scale, ref.q = scale, 4 * mpmath.pi * mpmath.sqrt(scale)
+        assert smoothed_sum_at(eng, 14, scale)._mpc_ == smoothed_sum_mpf(ref, 14)[0]._mpc_
 
 
 class TestEngineSmallPair:

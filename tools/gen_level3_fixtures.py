@@ -38,24 +38,31 @@ LEVEL = 3
 
 def series_mul_int(f: list[int], g: list[int], n_max: int) -> list[int]:
     """Product of integer q-expansions truncated at q^n_max, via Kronecker
-    substitution: pack into one big int per series and use int multiply."""
+    substitution: pack into one big int per series and use int multiply.
+
+    Every coefficient, of the factors and of the product, fits a signed slot
+    of w bytes: it is stored as c + h, h = 2^(8w - 1), so a series packs and
+    unpacks through one `to_bytes`/`from_bytes` in linear time, and the
+    packed offsets sum_i h 2^(8wi) are taken off again as one integer."""
     la, lb = min(len(f), n_max + 1), min(len(g), n_max + 1)
     if la == 0 or lb == 0:
         return [0] * (n_max + 1)
     bits = max((abs(c).bit_length() for c in f[:la] + g[:lb]), default=1)
-    b = 2 * bits + (min(la, lb)).bit_length() + 2
-    B = 1 << b
-    nf = sum(c << (b * i) for i, c in enumerate(f[:la]))
-    ng = sum(c << (b * i) for i, c in enumerate(g[:lb]))
-    prod = nf * ng
-    out = []
-    for _ in range(n_max + 1):
-        d = prod % B
-        if d > B // 2:
-            d -= B
-        prod = (prod - d) >> b
-        out.append(d)
-    return out
+    w = -(-(2 * bits + (min(la, lb)).bit_length() + 2) // 8)
+    h = 1 << (8 * w - 1)
+
+    def offset(n: int) -> int:  # sum_{i<n} h 2^(8wi)
+        return int.from_bytes(h.to_bytes(w, "little") * n, "little")
+
+    def pack(cs: list[int]) -> int:  # sum_i c_i 2^(8wi)
+        slots = b"".join((c + h).to_bytes(w, "little") for c in cs)
+        return int.from_bytes(slots, "little") - offset(len(cs))
+
+    m = n_max + 1
+    # the slots above q^n_max add a multiple of 2^(8wm), which the mask drops
+    low = (pack(f[:la]) * pack(g[:lb]) + offset(m)) & ((1 << (8 * w * m)) - 1)
+    raw = low.to_bytes(w * m, "little")
+    return [int.from_bytes(raw[w * i:w * (i + 1)], "little") - h for i in range(m)]
 
 
 def theta_a2(n_max: int) -> list[int]:
