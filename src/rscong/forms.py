@@ -5,19 +5,17 @@ and one denominator, as `rankin.RankinSeries` keeps b_n, so rational and
 quadratic eigenforms share one code path downstream; `from_values` is the one
 conversion from exact values.  Every Eisenstein-type expansion (E_k(chi) with
 its exact constant term, the level-1 E_{k-12} below, the fixture generator's
-weight-1 and weight-3 series) is one integer divisor sum, `divisor_sum`.  The
-one-dimensional level-1 cuspform family Delta * E_{k-12} has integer
-coefficients, the coordinates with D = 1: Delta comes from J.C.P. Miller's
-power recurrence for q * eta^24; each other member of the family is an
-eigenform, so only its a(p) are convolved and the Hecke recursion
-(`_hecke_fill`) supplies the rest.  The offline fixture generator in `tools/`
-carries its own general series product.
+weight-1 and weight-3 series) is one integer divisor sum, `divisor_sum`.
+Every product of integer q-series (here and in the fixture generator) is one
+packed integer multiply, `series_mul`.  The one-dimensional level-1 cuspform
+family Delta * E_{k-12} has integer coefficients, the coordinates with D = 1:
+Delta = q * (eta^3)^8 squares Jacobi's series for eta^3 three times, and each
+other member is one product Delta * E_{k-12}.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -32,23 +30,39 @@ import mpmath
 # integer q-series helpers (index = exponent of q)
 # ---------------------------------------------------------------------------
 
-def eta_series(n_max: int) -> list[int]:
-    """prod_{n>=1} (1 - q^n) via the pentagonal number theorem."""
-    out = [0] * (n_max + 1)
-    out[0] = 1
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n_max and g2 > n_max:
-            break
-        s = 1 if k % 2 == 0 else -1
-        if g1 <= n_max:
-            out[g1] += s
-        if g2 <= n_max:
-            out[g2] += s
-        k += 1
-    return out
+def series_mul(f, g, n_max: int) -> list[int]:
+    """The coefficients of q^0 .. q^n_max of the product of two integer
+    q-series, by Kronecker substitution: one integer multiply.
+
+    Every coefficient is stored as c + h in a w-byte slot, h = 2^(8w - 1),
+    so a series packs and unpacks through one `from_bytes`/`to_bytes`, and
+    the packed offsets sum_i h 2^(8wi) are taken off as one integer.  A
+    product coefficient is a sum of at most min(len f, len g) products, so
+    8w >= bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1 keeps
+    it, and every factor coefficient, inside the slot.  f * f packs once and
+    squares, which CPython does faster than a general multiply."""
+    m = n_max + 1
+    square = f is g
+    f, g = f[:m], g[:m]
+    if not f or not g:
+        return [0] * m
+    bits = (max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length()
+            + min(len(f), len(g)).bit_length() + 1)
+    w = -(-bits // 8)
+    h = 1 << (8 * w - 1)
+
+    def offset(n: int) -> int:  # sum_{i<n} h 2^(8wi)
+        return int.from_bytes(h.to_bytes(w, "little") * n, "little")
+
+    def pack(cs) -> int:  # sum_i c_i 2^(8wi)
+        slots = b"".join((c + h).to_bytes(w, "little") for c in cs)
+        return int.from_bytes(slots, "little") - offset(len(cs))
+
+    a = pack(f)
+    # the slots above q^n_max add a multiple of 2^(8wm), which the mask drops
+    low = (a * (a if square else pack(g)) + offset(m)) & ((1 << (8 * w * m)) - 1)
+    raw = low.to_bytes(w * m, "little")
+    return [int.from_bytes(raw[w * i:w * (i + 1)], "little") - h for i in range(m)]
 
 
 def primes_upto(n: int) -> list[int]:
@@ -321,28 +335,22 @@ def _delta_int(n_max: int) -> tuple[int, ...]:
     """tau(0..n_max) of Delta = q * eta^24, kept for the last n_max asked
     for: every weight of the family at one n_max shares it.
 
-    J.C.P. Miller's power recurrence over the sparse pentagonal eta series:
-    g = eta^24 has g_0 = 1 and n g_n = sum_{j>=1} (25 j - n) eta_j g_{n-j},
-    where the division is exact.
+    eta^3 = prod (1 - q^m)^3 = sum_m (-1)^m (2m + 1) q^(m(m+1)/2) (Jacobi),
+    squared three times to q^(n_max - 1).
     """
-    terms = [(j, c) for j, c in enumerate(eta_series(n_max)) if j and c]
-    g = [1] + [0] * (n_max - 1)
-    live = 0
-    for n in range(1, n_max):
-        while live < len(terms) and terms[live][0] <= n:
-            live += 1
-        g[n] = sum((25 * j - n) * c * g[n - j] for j, c in terms[:live]) // n
-    return (0, *g)
+    e = [0] * n_max
+    m = 0
+    while m * (m + 1) // 2 < n_max:
+        e[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
+        m += 1
+    for _ in range(3):
+        e = series_mul(e, e, n_max - 1)
+    return (0, *e)
 
 
 def delta_family_qexp(k: int, n_max: int) -> NewformData:
     """The unique normalized cuspform of level 1 and weight k, for the
-    weights where the space is one-dimensional.
-
-    Above weight 12 the form is the eigenform Delta * E_{k-12}: its a(p) is
-    the convolution of the two series at each prime p, and `_hecke_fill`
-    supplies every other coefficient.
-    """
+    weights where the space is one-dimensional: Delta * E_{k-12}."""
     if k not in DELTA_WEIGHTS:
         raise ExactError(f"weight {k} is not in the one-dimensional family {DELTA_WEIGHTS}")
     tau = _delta_int(n_max)
@@ -354,42 +362,6 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
         c = int(-2 * r / bernoulli(r))
         one = trivial_char()
         e = [1] + [c * s for s in divisor_sum(r, one, one, n_max)[0][1:]]
-        coeffs = [0, 1] + [None] * (n_max - 1)
-        for p in primes_upto(n_max):
-            coeffs[p] = sum(map(operator.mul, tau[: p + 1], reversed(e[: p + 1])))
-        _hecke_fill(coeffs, k)
-    return NewformData(level=1, weight=k, char=trivial_char(1), x=tuple(coeffs[: n_max + 1]),
+        coeffs = tuple(series_mul(tau, e, n_max))
+    return NewformData(level=1, weight=k, char=trivial_char(1), x=coeffs,
                        y=(0,) * (n_max + 1), D=1, field=RATIONAL, label=f"1.{k}.a")
-
-
-def _hecke_fill(a: list, weight: int) -> None:
-    """Fill the None entries of a level-1 eigenform's integer a(0..n), in
-    place, from a(1) and the a(p): a(p^r) = a(p) a(p^(r-1)) - p^(k-1)
-    a(p^(r-2)), and coprime factors multiply."""
-    n_target = len(a) - 1
-    for p in primes_upto(math.isqrt(n_target)):
-        tw = p ** (weight - 1)
-        pk = p * p
-        while pk <= n_target:
-            a[pk] = a[p] * a[pk // p] - tw * a[pk // p // p]
-            pk *= p
-    for n in range(2, n_target + 1):
-        if a[n] is None:
-            m = n
-            p = _least_prime_factor(n)
-            q = 1
-            while m % p == 0:
-                m //= p
-                q *= p
-            a[n] = a[q] * a[m]
-
-
-def _least_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n

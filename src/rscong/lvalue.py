@@ -110,6 +110,8 @@ KERNEL_DIGIT_BAND = 10
 TERM_GUARD = 2
 #: digits on top of an entry's own for the arithmetic of its ladder
 ENTRY_GUARD = 10
+#: a smoothed sum checks its tail bound at every multiple of this n, and at n_max
+TAIL_CHECK_EVERY = 64
 
 
 class InsufficientCoefficients(ExactError):
@@ -554,8 +556,7 @@ class LEngine:
         with mp.workdps(self.dps):
             prec = mp.prec
             root = mpmath.sqrt(abs(d0))
-            mass = abs(archimedean_factor(s, self.k, self.dps))
-            target = mass * mp.mpf(10) ** (-(self.P + 8))
+            mass, target = self._target(s)
             # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
             base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
@@ -567,11 +568,11 @@ class LEngine:
             excess = 0.0  # digits a term needed above the working precision
             sx, sy = [], []  # the terms of each coordinate
             n = 0
-            check_every = 64
             while True:
                 n += 1
                 if n > n_max:
-                    est = self._estimate_needed(s, q, target)
+                    # Lambda(s) needs A(s^) too, s^ = k + k2 - 1 - s
+                    est = max(map(self._estimate_needed, {s, self.k + self.k2 - 1 - s}))
                     raise InsufficientCoefficients(
                         est, f"AFE at s={s} needs roughly n_max >= {est}, have {n_max}")
                 X, Y = rs.x[n], rs.y[n]
@@ -591,7 +592,7 @@ class LEngine:
                     sx.append(mpf_mul(cx, g, prec, "n"))
                     sy.append(mpf_mul(cy, g, prec, "n"))
                     g_bound = g
-                if n % check_every == 0 or n == n_max:
+                if n % TAIL_CHECK_EVERY == 0 or n == n_max:
                     tail = self._afe_tail_bound(s, q, n)
                     if tail < target:
                         Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
@@ -600,13 +601,30 @@ class LEngine:
                         return A, tail + target * mp.mpf(10) ** excess
             # unreachable
 
-    def _estimate_needed(self, s: int, q, target) -> int:
-        n = 1024
-        while n < 10 ** 8:
-            if self._afe_tail_bound(s, q, n) < target:
-                return n
-            n *= 2
-        return n
+    def _target(self, s: int):
+        """(mass, target): the kernel mass of A(s), which bounds the first
+        G_s, and the truncation error the sum must get below."""
+        mass = abs(archimedean_factor(s, self.k, self.dps))
+        return mass, mass * mp.mpf(10) ** (-(self.P + 8))
+
+    def _estimate_needed(self, s: int) -> int:
+        """The least n_max at which the sum for A(s) certifies: n_max, or the
+        least multiple of TAIL_CHECK_EVERY above it where `_afe_tail_bound`
+        is below the target, by doubling (to 10^8) and then bisection."""
+        n_max, step, target = self.rs.n_max, TAIL_CHECK_EVERY, self._target(s)[1]
+        if self._afe_tail_bound(s, self.q, n_max) < target:
+            return n_max
+        lo = n_max // step  # in units of step; the tail at lo fails
+        hi = lo + 1
+        while step * hi < 10 ** 8 and not self._afe_tail_bound(s, self.q, step * hi) < target:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self._afe_tail_bound(s, self.q, step * mid) < target:
+                hi = mid
+            else:
+                lo = mid
+        return step * hi
 
     # -- the two-sided AFE ---------------------------------------------------
     def _alpha_pow(self, s: int):

@@ -6,7 +6,8 @@ functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
 a time, the direct sum embedded and summed in mpmath, the Bessel K series
 and asymptotic expansion in mpf arithmetic, the smoothed sum and its kernel
 ladder in mpf operators, the Euler product of
-the Rankin-Selberg series, the printed Kostant and w6 identities, the
+the Rankin-Selberg series, the eta product by the pentagonal number theorem,
+the printed Kostant and w6 identities, the
 support claims behind the closed-form local constant, the local constant as
 a product of two geometric factors, the successive ratios of level-1
 pairs in closed form from the unfolding) so the pipeline's version can be
@@ -409,6 +410,25 @@ def direct_tail_reference(eng: LEngine, s: int, N: int):
         sig = mp.mpf(sigma.numerator) / sigma.denominator
         return mpmath.zeta(sig) ** 4 - mpmath.fsum(d4(n) * mp.mpf(n) ** -sig
                                                    for n in range(1, N + 1))
+
+
+def eta_series(n_max: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n) to q^n_max, by the pentagonal number theorem."""
+    out = [0] * (n_max + 1)
+    out[0] = 1
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > n_max and g2 > n_max:
+            break
+        s = 1 if k % 2 == 0 else -1
+        if g1 <= n_max:
+            out[g1] += s
+        if g2 <= n_max:
+            out[g2] += s
+        k += 1
+    return out
 
 
 def qmul(f: list[int], g: list[int]) -> list[int]:

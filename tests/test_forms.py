@@ -8,14 +8,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import char_inverse, conjugate_form, weight24_eigenform
+from oracles import char_inverse, conjugate_form, eta_series, qmul, weight24_eigenform
 
 from rscong import forms
 from rscong.exactnum import AlgNum, ExactError, QuadField
 from rscong.forms import (DELTA_WEIGHTS, DirichletChar, NewformData, bernoulli,
                           bernoulli_chi, char_from_kronecker, delta_family_qexp,
-                          divisor_sum, eisenstein_qexp, eta_series, primes_upto,
+                          divisor_sum, eisenstein_qexp, primes_upto, series_mul,
                           trivial_char)
 from rscong.ingest import load_fixture, parse_record, save_fixture
 
@@ -142,6 +144,16 @@ class TestDeltaFamily:
         assert d.a(2) == -24 and d.a(1) == 1
         assert [d.a(n) for n in range(1, 8)] == [1, -24, 252, -1472, 4830, -6048, -16744]
 
+    #: a(0..3) of each weight; at n = 0 the Jacobi series for eta^3 is empty
+    FIRST = {12: (0, 1, -24, 252), 16: (0, 1, 216, -3348), 18: (0, 1, -528, -4284),
+             20: (0, 1, 456, 50652), 22: (0, 1, -288, -128844), 26: (0, 1, -48, -195804)}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k", DELTA_WEIGHTS)
+    def test_shortest_expansions_are_pinned(self, k, n):
+        f = delta_family_qexp(k, n)
+        assert (f.x, f.y, f.D) == (self.FIRST[k][:n + 1], (0,) * (n + 1), 1)
+
     def test_tau_is_computed_once_per_n_max(self):
         forms._delta_int.cache_clear()
         family = [delta_family_qexp(k, 300) for k in DELTA_WEIGHTS]
@@ -236,6 +248,39 @@ class TestSeriesHelpers:
 
     def test_primes(self):
         assert primes_upto(20) == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def schoolbook(f, g, n_max: int) -> list[int]:
+    m = n_max + 1
+    return qmul(*((list(s) + [0] * m)[:m] for s in (f, g)))
+
+
+#: signed coefficients of 0 to 400 bits, drawn size first
+COEFFS = st.integers(0, 400).flatmap(lambda b: st.integers(-(1 << b), 1 << b))
+SERIES = st.one_of(
+    st.lists(COEFFS, max_size=40),
+    st.lists(st.just(0), max_size=40),  # all zero, or empty
+    st.lists(COEFFS, min_size=1, max_size=1),
+    st.builds(lambda c, n: [c] * n, COEFFS, st.integers(1, 40)))
+#: every coefficient at one extreme: a product coefficient reaches
+#: min(len f, len g) max|f| max|g|, the size the slot is chosen for
+BIG = (1 << 400) - 1
+
+
+class TestSeriesMul:
+    @settings(max_examples=300, deadline=None)
+    @given(SERIES, SERIES, st.integers(0, 44))
+    @example([BIG] * 5, [-BIG] * 10, 3)  # below both lengths
+    @example([BIG] * 5, [-BIG] * 10, 4)  # equal to the shorter
+    @example([-BIG] * 10, [BIG, 0, -BIG, 0, BIG], 9)  # equal to the longer
+    @example([-BIG] * 10, [BIG, 0, -BIG, 0, BIG], 12)  # above both
+    @example([63] * 7, [127] * 7, 6)  # 7 * 63 * 127 >= 2^15 needs the slot's last bit
+    @example([], [3, 4], 2)
+    @example([0, 0], [0], 1)
+    @example([5], [], -1)  # eta^3 to q^-1 at n_max = 0 is empty
+    def test_matches_schoolbook(self, f, g, n_max):
+        assert series_mul(f, g, n_max) == schoolbook(f, g, n_max)
+        assert series_mul(f, f, n_max) == schoolbook(f, f, n_max)  # one packing, squared
 
 
 class TestRepresentation:

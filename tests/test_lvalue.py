@@ -13,13 +13,12 @@ import pytest
 from mpmath import libmp, mp
 
 from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direct_sum_reference,
-                     direct_tail_reference, probe_root_number, smoothed_sum_at,
+                     direct_tail_reference, eta_series, probe_root_number, smoothed_sum_at,
                      smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
-from rscong.forms import (DirichletChar, NewformData, delta_family_qexp, eta_series,
-                          trivial_char)
+from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
                            LEngine, besselk_pair, d4_upto, get_engine)
 from rscong.rankin import (NormalizationError, archimedean_factor,
@@ -256,12 +255,21 @@ class TestDirect:
             assert res.method == "direct" and res.err_bound < abs(res.value) * 1e-8
             afe, afe_bound = wide.lambda_afe(s)  # n = 400 certifies the AFE
             assert abs(res.value - afe) <= res.err_bound + afe_bound, s
-        # where neither certifies, the error is the AFE's, with its n_max
-        eng = LEngine(rs, 20)
-        for s in (21, 25):
+        # where neither certifies, the error is the AFE's, with the least
+        # multiple of 64 (the sums' grid of tail checks) at which both A(s)
+        # and A(s^) certify: A(21) alone needs 320 and A(17) 384; A(25) alone
+        # needs 256 and A(13) 448
+        def engine(n):
+            return LEngine(rs_coefficients(h_prime, delta_family_qexp(26, n), n), 20)
+
+        eng = engine(200)
+        for s, need in ((21, 384), (25, 448)):
             with pytest.raises(InsufficientCoefficients) as err:
                 eng.L_at(s)
-            assert err.value.n_needed == 1024 and "AFE" in str(err.value), s
+            assert err.value.n_needed == need and "AFE" in str(err.value), s
+            engine(need).lambda_afe(s)
+            with pytest.raises(InsufficientCoefficients):
+                engine(need - 64).lambda_afe(s)
 
     @pytest.fixture(scope="class")
     def engine_p120(self):
@@ -335,6 +343,19 @@ class TestDirect:
         need = err.value.n_needed
         assert 1 < need < 4096
         assert engine(need).L_at(40).method == "direct"
+
+    def test_afe_needed_n_max_is_estimated_from_the_one_given(self):
+        # s = 13 on (12,16) at P = 30: n_max = 64 falls short, and 128, the
+        # next multiple of 64, certifies A(13) and A(14); the estimate starts
+        # from the n_max given, not from a fixed 1024
+        def engine(n):
+            rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+            return LEngine(rs, 30)
+
+        with pytest.raises(InsufficientCoefficients) as err:
+            engine(64).L_at(13)
+        assert err.value.n_needed == 128 and "AFE" in str(err.value)
+        assert engine(128).L_at(13).method == "afe"
 
     @pytest.mark.parametrize("case", ["even", "odd"])
     def test_sum_is_within_its_charged_rounding(self, case, engine_p120, h_dprime):

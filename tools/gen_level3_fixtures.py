@@ -27,42 +27,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from rscong.congruence import check_congruent
 from rscong.exactnum import AlgNum, QuadField, RATIONAL, factor_rational_prime, quad_normalize
 from rscong.forms import (NewformData, char_from_kronecker, divisor_sum, eisenstein_qexp,
-                          trivial_char)
+                          series_mul, trivial_char)
 from rscong.ingest import load_fixture, newform_record, save_fixture
 
 CHI = char_from_kronecker(-3)
 ONE = trivial_char()
 WEIGHT = 13
 LEVEL = 3
-
-
-def series_mul_int(f: list[int], g: list[int], n_max: int) -> list[int]:
-    """Product of integer q-expansions truncated at q^n_max, via Kronecker
-    substitution: pack into one big int per series and use int multiply.
-
-    Every coefficient, of the factors and of the product, fits a signed slot
-    of w bytes: it is stored as c + h, h = 2^(8w - 1), so a series packs and
-    unpacks through one `to_bytes`/`from_bytes` in linear time, and the
-    packed offsets sum_i h 2^(8wi) are taken off again as one integer."""
-    la, lb = min(len(f), n_max + 1), min(len(g), n_max + 1)
-    if la == 0 or lb == 0:
-        return [0] * (n_max + 1)
-    bits = max((abs(c).bit_length() for c in f[:la] + g[:lb]), default=1)
-    w = -(-(2 * bits + (min(la, lb)).bit_length() + 2) // 8)
-    h = 1 << (8 * w - 1)
-
-    def offset(n: int) -> int:  # sum_{i<n} h 2^(8wi)
-        return int.from_bytes(h.to_bytes(w, "little") * n, "little")
-
-    def pack(cs: list[int]) -> int:  # sum_i c_i 2^(8wi)
-        slots = b"".join((c + h).to_bytes(w, "little") for c in cs)
-        return int.from_bytes(slots, "little") - offset(len(cs))
-
-    m = n_max + 1
-    # the slots above q^n_max add a multiple of 2^(8wm), which the mask drops
-    low = (pack(f[:la]) * pack(g[:lb]) + offset(m)) & ((1 << (8 * w * m)) - 1)
-    raw = low.to_bytes(w * m, "little")
-    return [int.from_bytes(raw[w * i:w * (i + 1)], "little") - h for i in range(m)]
 
 
 def theta_a2(n_max: int) -> list[int]:
@@ -78,16 +49,16 @@ def eis3(n_max: int) -> list[int]:
 def basis_m13(n_max: int) -> list[list[int]]:
     a = theta_a2(n_max)
     b = eis3(n_max)
-    a2 = series_mul_int(a, a, n_max)
-    a4 = series_mul_int(a2, a2, n_max)
-    a8 = series_mul_int(a4, a4, n_max)
-    b2 = series_mul_int(b, b, n_max)
-    b4 = series_mul_int(b2, b2, n_max)
-    a13 = series_mul_int(series_mul_int(a8, a4, n_max), a, n_max)
-    a10b = series_mul_int(series_mul_int(a8, a2, n_max), b, n_max)
-    a7b2 = series_mul_int(series_mul_int(a4, series_mul_int(a2, a, n_max), n_max), b2, n_max)
-    a4b3 = series_mul_int(a4, series_mul_int(b2, b, n_max), n_max)
-    ab4 = series_mul_int(a, b4, n_max)
+    a2 = series_mul(a, a, n_max)
+    a4 = series_mul(a2, a2, n_max)
+    a8 = series_mul(a4, a4, n_max)
+    b2 = series_mul(b, b, n_max)
+    b4 = series_mul(b2, b2, n_max)
+    a13 = series_mul(series_mul(a8, a4, n_max), a, n_max)
+    a10b = series_mul(series_mul(a8, a2, n_max), b, n_max)
+    a7b2 = series_mul(series_mul(a4, series_mul(a2, a, n_max), n_max), b2, n_max)
+    a4b3 = series_mul(a4, series_mul(b2, b, n_max), n_max)
+    ab4 = series_mul(a, b4, n_max)
     return [a13, a10b, a7b2, a4b3, ab4]
 
 
