@@ -39,15 +39,16 @@ digits of each branch hold what the fixed-point floors lose.
 
 The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
 
-    A(s) = sum_n c_n n^(-s) G_s(n / sqrt(Q)),
+    A(s) = sum_{n<=N} c_n n^(-s) G_s(n / sqrt(Q)),
 
-computed once per s.  Its terms are real: x_n / (D n^s) and y_n / (D n^s),
-each one correctly rounded division of integers, times G_s.  The two
-coordinates are summed apart with `libmp.mpf_sum`, the sum `mpmath.fsum`
-runs, and A(s) = Sx + sqrt(d0) Sy.
-Neither sum embeds a coefficient; only the root number is embedded, once per
-s.  The dual series of the functional equation has the
-complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
+computed once per s.  N is the least multiple of 64, or n_max, at which
+`_afe_tail_bound` certifies the tail, found before any term is summed by
+`_least_n`, the one search that also gives the direct sum's n_max estimate.
+The terms are real: x_n / (D n^s) and y_n / (D n^s), each one correctly
+rounded division of integers, times G_s, and the two coordinates are summed
+apart (`libmp.mpf_sum`): A(s) = Sx + sqrt(d0) Sy.  Neither sum embeds a
+coefficient; only the root number is embedded, once per s.  The dual series
+has the complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
 conj(A(s^)), and Lambda(s) = A(s) + eps Q^alpha(s) conj(A(s^)) with the
 bound tail(s) + |Q^alpha(s)| tail(s^).  The root number is exact:
 `rankin.root_number` takes it from the local types of the pair, and
@@ -110,7 +111,7 @@ KERNEL_DIGIT_BAND = 10
 TERM_GUARD = 2
 #: digits on top of an entry's own for the arithmetic of its ladder
 ENTRY_GUARD = 10
-#: a smoothed sum checks its tail bound at every multiple of this n, and at n_max
+#: a smoothed sum may stop at every multiple of this n, and at n_max
 TAIL_CHECK_EVERY = 64
 
 
@@ -477,6 +478,31 @@ def _rational(p: int, q: int, prec: int):
     return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
 
 
+def _least_n(bound, target, n_max: int, step: int, above: int = 0):
+    """(N, bound(N)) for the least N > `above` with bound(N) < target, N on
+    the grid of the multiples of `step` and n_max; past 2^40, (2^40, bound).
+    `bound` must fail up to some N and pass from there on, as a tail bound
+    that is +inf below its guards and does not grow past them: the search
+    doubles over the multiples of `step`, bisects, and tries n_max between
+    the last multiple that fails and the first that passes."""
+    top = (1 << 40) // step  # the one cap of every truncated sum
+    lo = above // step  # grid indices; step * lo is not an answer
+    hi = min(lo + 1, top)
+    while not (b := bound(step * hi)) < target:
+        if hi == top:
+            return step * hi, b
+        lo, hi = hi, min(2 * hi, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (m := bound(step * mid)) < target:
+            hi, b = mid, m
+        else:
+            lo = mid
+    if max(above, step * lo) < n_max < step * hi and (m := bound(n_max)) < target:
+        return n_max, m
+    return step * hi, b
+
+
 # ---------------------------------------------------------------------------
 # the engine
 # ---------------------------------------------------------------------------
@@ -513,11 +539,13 @@ class LEngine:
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
     def _afe_tail_bound(self, s: int, q, N: int):
-        """Bound on sum_{n>N} d4(n) n^(w/2 - s) G_s((q sqrt(n)/4pi)^2)...
+        """Bound on sum_{n>N} d4(n) n^(w/2 - s) G_s((q sqrt(n)/4pi)^2).
 
         Uses |b_n| <= d4(n) n^(w/2) <= 8 n^(1 + w/2), the log-convexity bound
         K_nu(a) <= K_nu(a0) e^(a0 - a), and an incomplete-gamma estimate.
-        Returns +inf when N is still too small for the estimate to apply.
+        It is +inf below the two guards and does not grow with N past them, so
+        `_least_n` finds the least N that passes; correctness needs only that
+        the N a sum stops at passes, which the search guarantees.
         """
         mu = 2 * s - self.k
         beta = Fraction(self.k2, 2)  # 1 + w/2 - s + mu/2, independent of s
@@ -529,21 +557,18 @@ class LEngine:
         a0, k0, _ = self.ladder.bessel_at(xN, KERNEL_FLOOR_DIGITS)
         CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
         pref = self.ladder.prefactor(s)
-        # single term at n = N+1 plus integral comparison for the rest
-        def fterm(n):
-            an = q * mpmath.sqrt(n)
-            return 8 * mp.mpf(n) ** (1 + Fraction(self.w, 2) - s) * pref * 2 * CK \
-                * an ** mu * mpmath.exp(-an)
+        decay = mpmath.exp(-aN)
+        term = 8 * mp.mpf(N + 1) ** (1 + Fraction(self.w, 2) - s) * pref * 2 * CK \
+            * aN ** mu * decay
         b2 = 2 * float(beta) + 1
-        gN = q * mpmath.sqrt(N + 1)
-        integral = (2 / q ** (2 * float(beta) + 2)) * gN ** b2 * mpmath.exp(-gN) \
-            / (1 - b2 / gN)
+        integral = (2 / q ** (2 * float(beta) + 2)) * aN ** b2 * decay / (1 - b2 / aN)
         integral *= 8 * pref * 2 * CK * q ** mu
-        return fterm(N + 1) + integral
+        return term + integral
 
     def _smoothed_sum(self, s: int):
-        """A(s) = sum_n c_n n^(-s) G_s(n / sqrt(Q)) with rigorous adaptive
-        cutoff.
+        """A(s) = sum_{n<=N} c_n n^(-s) G_s(n / sqrt(Q)), N from `_cutoff`
+        before any term is summed; an N above n_max raises
+        InsufficientCoefficients with the larger of the N of A(s) and A(s^).
 
         Returns (sum, bound): the bound covers the truncated tail and the
         rounding budget of the terms, each evaluated at the digits it needs
@@ -552,29 +577,25 @@ class LEngine:
         """
         rs = self.rs
         d0, n_max = rs.field.d0, rs.n_max
-        scale, q = self.scale, self.q
         with mp.workdps(self.dps):
             prec = mp.prec
             root = mpmath.sqrt(abs(d0))
-            mass, target = self._target(s)
+            mass, target, N, tail = self._cutoff(s)
+            if N > n_max:
+                est = max(N, self._cutoff(self.k + self.k2 - 1 - s)[2])
+                raise InsufficientCoefficients(
+                    est, f"AFE at s={s} needs roughly n_max >= {est}, have {n_max}")
             # term n gets need = base + log10(|c_n| n^-s g_bound) digits, which
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
             base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
                     - float(mpmath.log10(mass)))
             # raw libmp values from here on, each operation rounded to nearest
             # at prec, as the mpf operator it stands for
-            grid, r = scale._mpf_, root._mpf_
+            grid, r = self.scale._mpf_, root._mpf_
             g_bound = mass._mpf_
             excess = 0.0  # digits a term needed above the working precision
             sx, sy = [], []  # the terms of each coordinate
-            n = 0
-            while True:
-                n += 1
-                if n > n_max:
-                    # Lambda(s) needs A(s^) too, s^ = k + k2 - 1 - s
-                    est = max(map(self._estimate_needed, {s, self.k + self.k2 - 1 - s}))
-                    raise InsufficientCoefficients(
-                        est, f"AFE at s={s} needs roughly n_max >= {est}, have {n_max}")
+            for n in range(1, N + 1):
                 X, Y = rs.x[n], rs.y[n]
                 if X or Y:
                     x = mp.make_mpf(mpf_mul_int(grid, n, prec, "n"))  # n * scale
@@ -592,39 +613,19 @@ class LEngine:
                     sx.append(mpf_mul(cx, g, prec, "n"))
                     sy.append(mpf_mul(cy, g, prec, "n"))
                     g_bound = g
-                if n % TAIL_CHECK_EVERY == 0 or n == n_max:
-                    tail = self._afe_tail_bound(s, q, n)
-                    if tail < target:
-                        Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
-                        Sy = root * mp.make_mpf(mpf_sum(sy, prec, "n"))
-                        A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
-                        return A, tail + target * mp.mpf(10) ** excess
-            # unreachable
+            Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
+            Sy = root * mp.make_mpf(mpf_sum(sy, prec, "n"))
+            A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
+            return A, tail + target * mp.mpf(10) ** excess
 
-    def _target(self, s: int):
-        """(mass, target): the kernel mass of A(s), which bounds the first
-        G_s, and the truncation error the sum must get below."""
+    def _cutoff(self, s: int):
+        """(mass, target, N, tail) of A(s): its kernel mass, which bounds the
+        first G_s, its truncation target, and where it stops (`_least_n`)."""
         mass = abs(archimedean_factor(s, self.k, self.dps))
-        return mass, mass * mp.mpf(10) ** (-(self.P + 8))
-
-    def _estimate_needed(self, s: int) -> int:
-        """The least n_max at which the sum for A(s) certifies: n_max, or the
-        least multiple of TAIL_CHECK_EVERY above it where `_afe_tail_bound`
-        is below the target, by doubling (to 10^8) and then bisection."""
-        n_max, step, target = self.rs.n_max, TAIL_CHECK_EVERY, self._target(s)[1]
-        if self._afe_tail_bound(s, self.q, n_max) < target:
-            return n_max
-        lo = n_max // step  # in units of step; the tail at lo fails
-        hi = lo + 1
-        while step * hi < 10 ** 8 and not self._afe_tail_bound(s, self.q, step * hi) < target:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self._afe_tail_bound(s, self.q, step * mid) < target:
-                hi = mid
-            else:
-                lo = mid
-        return step * hi
+        target = mass * mp.mpf(10) ** (-(self.P + 8))
+        N, tail = _least_n(functools.partial(self._afe_tail_bound, s, self.q), target,
+                           self.rs.n_max, TAIL_CHECK_EVERY)
+        return mass, target, N, tail
 
     # -- the two-sided AFE ---------------------------------------------------
     def _alpha_pow(self, s: int):
@@ -704,8 +705,8 @@ class LEngine:
     def _direct_sum(self, s, target=mp.inf):
         """(finite part, certified absolute tail) by direct summation over
         the available coefficients.  A tail above `target` raises
-        InsufficientCoefficients, with an estimate of the n_max needed,
-        before any term is summed.
+        InsufficientCoefficients before any term is summed, with the least
+        n_max above the one given at which `_tail_beyond` passes.
 
         With b_n = (x_n + y_n sqrt(d0)) / D as the series keeps it, each
         coordinate is one exact integer sum at scale 2^B, B = mp.prec + 20 +
@@ -723,9 +724,8 @@ class LEngine:
         with mp.workdps(self.dps):
             tail = self._direct_tail_bound(s, rs.n_max)
             if tail > target:
-                need = 2 * rs.n_max
-                while need < 1 << 40 and self._tail_beyond(s, need) >= target:
-                    need = min(2 * need, 1 << 40)
+                need = _least_n(functools.partial(self._tail_beyond, s), target, rs.n_max, 1,
+                                above=rs.n_max)[0]
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
                     f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")

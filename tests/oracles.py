@@ -5,9 +5,9 @@ second way (the root number solved numerically from the approximate
 functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
 a time, the direct sum embedded and summed in mpmath, the Bessel K series
 and asymptotic expansion in mpf arithmetic, the smoothed sum and its kernel
-ladder in mpf operators, the Euler product of
-the Rankin-Selberg series, the eta product by the pentagonal number theorem,
-the printed Kostant and w6 identities, the
+ladder in mpf operators, the cutoff of a smoothed sum by a linear scan, the
+Euler product of the Rankin-Selberg series, the eta product by the
+pentagonal number theorem, the printed Kostant and w6 identities, the
 support claims behind the closed-form local constant, the local constant as
 a product of two geometric factors, the successive ratios of level-1
 pairs in closed form from the unfolding) so the pipeline's version can be
@@ -301,6 +301,22 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
                     Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
                     A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
                     return A, tail + target * mp.mpf(10) ** excess
+
+
+def cutoff_scan(eng: LEngine, s: int):
+    """(N, tail): where A(s) stops, by a linear scan of the grid of
+    `lvalue._least_n`, every multiple of 64 and n_max in turn, up to the
+    first N at which `_afe_tail_bound` is below the target of the sum."""
+    n_max = eng.rs.n_max
+    with mp.workdps(eng.dps):
+        target = abs(archimedean_factor(s, eng.k, eng.dps)) * mp.mpf(10) ** (-(eng.P + 8))
+        N = 0
+        while True:
+            after = N - N % 64 + 64
+            N = n_max if N < n_max < after else after
+            tail = eng._afe_tail_bound(s, eng.q, N)
+            if tail < target:
+                return N, tail
 
 
 # ---------------------------------------------------------------------------

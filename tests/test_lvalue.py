@@ -12,9 +12,9 @@ import mpmath
 import pytest
 from mpmath import libmp, mp
 
-from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, direct_sum_reference,
-                     direct_tail_reference, eta_series, probe_root_number, smoothed_sum_at,
-                     smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
+from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, cutoff_scan,
+                     direct_sum_reference, direct_tail_reference, eta_series, probe_root_number,
+                     smoothed_sum_at, smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
@@ -344,6 +344,18 @@ class TestDirect:
         assert 1 < need < 4096
         assert engine(need).L_at(40).method == "direct"
 
+    def test_direct_estimate_is_the_least_n_max_that_certifies(self):
+        # s = 40 on (12,16) at P = 10: `_tail_beyond` fails at 2 and passes
+        # at 3, so n_max = 1 is told 3
+        rs = rs_coefficients(delta_family_qexp(12, 1), delta_family_qexp(16, 1), 1)
+        eng = LEngine(rs, 10)
+        with pytest.raises(InsufficientCoefficients) as err:
+            eng.direct_lambda(40)
+        assert err.value.n_needed == 3
+        with mp.workdps(eng.dps):
+            assert not eng._tail_beyond(40, 2) < mp.mpf(10) ** -10
+            assert eng._tail_beyond(40, 3) < mp.mpf(10) ** -10
+
     def test_afe_needed_n_max_is_estimated_from_the_one_given(self):
         # s = 13 on (12,16) at P = 30: n_max = 64 falls short, and 128, the
         # next multiple of 64, certifies A(13) and A(14); the estimate starts
@@ -521,6 +533,80 @@ class TestRawPathBits:
             scale = 21 / (16 * eng.sqrtQ)
             ref.scale, ref.q = scale, 4 * mpmath.pi * mpmath.sqrt(scale)
         assert smoothed_sum_at(eng, 14, scale)._mpc_ == smoothed_sum_mpf(ref, 14)[0]._mpc_
+
+
+class TestCutoffSearch:
+    """`lvalue._least_n` decides where every sum stops: the N a linear scan
+    of the same grid gives, before any kernel point is read, with a number
+    of tail bounds that grows as log N."""
+
+    @pytest.mark.parametrize("step, above", [(64, 0), (1, 0), (1, 5), (64, 100)])
+    def test_least_n_on_a_step_bound(self, step, above):
+        # a bound that fails below t and passes from t on; the answer is the
+        # least grid point past `above` and t, and nothing off the grid is read
+        for n_max in (1, 63, 64, 100, 127, 640, 1000):
+            grid = {n_max} if n_max > above else set()
+            for t in (1, 2, 63, 64, 65, 100, 127, 128, 500, 4097, 10 ** 6, 1 << 41):
+                seen = []
+
+                def bound(N):
+                    seen.append(N)
+                    return 0 if N >= t else mp.inf
+
+                least = step * -(-max(t, above + 1) // step)  # first multiple past both
+                want = min({least} | {N for N in grid if N >= t})
+                want = (want, 0) if want <= 1 << 40 else (1 << 40, mp.inf)
+                assert lvalue._least_n(bound, 1, n_max, step, above) == want, (n_max, t)
+                assert all(N > above and (N % step == 0 or N == n_max) for N in seen)
+
+    @pytest.mark.parametrize("h, k2, n, P", [
+        *((12, k2, 600, P) for k2 in (16, 26) for P in (8, 30, 120)),
+        (12, 16, 127, 30),  # every cutoff is n_max itself, no multiple of 64
+        ("3.13.b.a", 26, 1200, 30)])
+    def test_search_matches_a_scan(self, h, k2, n, P, h_prime):
+        h = h_prime if h == "3.13.b.a" else delta_family_qexp(h, n)
+        eng = LEngine(rs_coefficients(h, delta_family_qexp(k2, n), n), P)
+        cutoffs = set()
+        for s in range(eng.k, eng.k2):
+            with mp.workdps(eng.dps):
+                N, tail = eng._cutoff(s)[2:]
+            ref_N, ref_tail = cutoff_scan(eng, s)
+            assert (N, tail._mpf_) == (ref_N, ref_tail._mpf_), s
+            cutoffs.add(N)
+        if n == 127:
+            assert cutoffs == {127}
+
+    def test_short_sum_reads_no_kernel_point(self, monkeypatch):
+        # (12,16) at s = 13, P = 30: n_max = 64 falls short of 128, which the
+        # search finds before a term is summed
+        def no_kernel(*_):
+            raise AssertionError("kernel point evaluated")
+
+        n = 64
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        monkeypatch.setattr(KernelLadder, "G", no_kernel)
+        with pytest.raises(InsufficientCoefficients) as err:
+            LEngine(rs, 30).L_at(13)
+        assert err.value.n_needed == 128
+
+    @pytest.mark.parametrize("s", [13, 25])
+    def test_tail_bounds_grow_as_log_n(self, s, h_prime, h_aux26, monkeypatch):
+        # 3.13.b.a x delta:26 at n = 4000, P = 120: a scan every 64 terms
+        # would bound the tail N / 64 times
+        eng = LEngine(rs_coefficients(h_prime, h_aux26, 4000), 120)
+        calls = []
+        bound = LEngine._afe_tail_bound
+
+        def counted(self, *args):
+            calls.append(args)
+            return bound(self, *args)
+
+        monkeypatch.setattr(LEngine, "_afe_tail_bound", counted)
+        eng._smoothed_sum(s)
+        count = len(calls)
+        with mp.workdps(eng.dps):
+            N = eng._cutoff(s)[2]
+        assert count <= 2 * math.ceil(math.log2(N / 64)) + 2, (N, count)
 
 
 class TestEngineSmallPair:
