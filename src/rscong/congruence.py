@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import ExactError, NotIntegral, PrimeIdeal, valuation
+from .exactnum import ExactError, NotIntegral, PrimeIdeal, _factor_trial, valuation
 from .forms import NewformData, eisenstein_qexp, primes_upto
 
 
@@ -38,7 +38,7 @@ class CongruenceReport:
 
 def gamma0_index(N: int) -> int:
     mu = N
-    for p in {q for q in primes_upto(N) if N % q == 0}:
+    for p in _factor_trial(N):
         mu = mu // p * (p + 1)
     return mu
 
@@ -98,10 +98,11 @@ def eisenstein_screen(h: NewformData, P: PrimeIdeal) -> str | None:
 
 
 def excluded_primes(k: int, k2: int, N: int, N2: int) -> dict[str, list[int]]:
-    """The computable excluded prime sets: small-weight primes and level primes."""
+    """The computable excluded prime sets: small-weight primes and the
+    primes dividing either level."""
     if min(k, k2, N, N2) < 1:
         raise ExactError("weights and levels must be positive")
     bound = max(k, k2)
     s_weight = primes_upto(bound)
-    s_level = sorted({p for p in primes_upto(N * N2) if (N * N2) % p == 0})
+    s_level = sorted(_factor_trial(N).keys() | _factor_trial(N2).keys())
     return {"S_weight": s_weight, "S_level": s_level}

@@ -108,7 +108,7 @@ def _parse_quad(val, pointer: str) -> tuple[int, int, int, int]:
     _expect(isinstance(val, list) and len(val) == 4, pointer,
             "expected [a_num, a_den, b_num, b_den]")
     for i, x in enumerate(val):
-        _expect(isinstance(x, int), f"{pointer}/{i}", "expected integer")
+        _expect(type(x) is int, f"{pointer}/{i}", "expected integer")
     _expect(val[1] != 0 and val[3] != 0, pointer, "zero denominator")
     return tuple(val)
 
@@ -118,12 +118,14 @@ def parse_record(obj: dict) -> FormRecord:
     for key in ("label", "level", "weight", "char", "field_disc", "an"):
         _expect(key in obj, f"/{key}", "missing field")
     _expect(isinstance(obj["label"], str), "/label", "expected string")
-    _expect(isinstance(obj["level"], int) and obj["level"] >= 1, "/level", "expected positive integer")
-    _expect(isinstance(obj["weight"], int) and obj["weight"] >= 1, "/weight", "expected positive integer")
-    _expect(isinstance(obj["field_disc"], int), "/field_disc", "expected integer")
+    # JSON true and false load as bool, a subclass of int: integers are
+    # checked by exact type
+    for key in ("level", "weight"):
+        _expect(type(obj[key]) is int and obj[key] >= 1, f"/{key}", "expected positive integer")
+    _expect(type(obj["field_disc"]) is int, "/field_disc", "expected integer")
     char = obj["char"]
     _expect(isinstance(char, dict), "/char", "expected object")
-    _expect(isinstance(char.get("modulus"), int) and char["modulus"] >= 1,
+    _expect(type(char.get("modulus")) is int and char["modulus"] >= 1,
             "/char/modulus", "expected positive integer")
     _expect(isinstance(char.get("values"), list), "/char/values", "expected list")
     values = []
@@ -131,14 +133,14 @@ def parse_record(obj: dict) -> FormRecord:
         _expect(isinstance(item, list) and len(item) == 2, f"/char/values/{i}",
                 "expected [residue, value]")
         r, v = item
-        _expect(isinstance(r, int), f"/char/values/{i}/0", "expected integer residue")
+        _expect(type(r) is int, f"/char/values/{i}/0", "expected integer residue")
         values.append((r, _parse_quad(v, f"/char/values/{i}/1")))
     an = obj["an"]
     _expect(isinstance(an, list), "/an", "expected list")
     # `_parse_quad`'s checks on the whole list at once; it runs per entry
     # only to name the first entry that fails them
-    if not all(isinstance(v, list) and len(v) == 4 and isinstance(v[0], int)
-               and isinstance(v[1], int) and isinstance(v[2], int) and isinstance(v[3], int)
+    if not all(isinstance(v, list) and len(v) == 4 and type(v[0]) is int
+               and type(v[1]) is int and type(v[2]) is int and type(v[3]) is int
                and v[1] != 0 and v[3] != 0 for v in an):
         for i, v in enumerate(an):
             _parse_quad(v, f"/an/{i}")

@@ -24,18 +24,18 @@ is the inverse Mellin transform of the archimedean factor divided by w; for
 integer s in the critical window it reduces exactly to an incomplete
 Bessel-K moment, computed by a stable three-term ladder from two Bessel
 values per summation point (`KernelLadder`), times a prefactor the ladder
-keeps per s and working precision.  A trapezoidal contour quadrature kept
-in the tests is an independent reference for this kernel.
+keeps per s.  A trapezoidal contour quadrature kept in the tests is an
+independent reference for this kernel.
 
 The Bessel pair K_nu, K_{nu+1} (`besselk_pair`) comes from the expansion in
 1/x where that reaches the digits asked for, and otherwise from the
 ascending series for K_0 and K_1 and the upward recurrence.  Both branches
 add Python integers scaled by 2^-p, as the direct sum does, and make two
-mpf values once, at the end: at these sizes an mpf operation costs several
-integer ones.  The expansion stops by the DLMF 10.40(ii) remainder bound,
-and the series only where its tail is geometric with ratio at most 1/2, so
-each omitted tail is at most a small multiple of a term computed; the guard
-digits of each branch hold what the fixed-point floors lose.
+raw libmp values once, at the end: at these sizes a libmp operation costs
+several integer ones.  The expansion stops by the DLMF 10.40(ii) remainder
+bound, and the series only where its tail is geometric with ratio at most
+1/2, so each omitted tail is at most a small multiple of a term computed;
+the guard digits of each branch hold what the fixed-point floors lose.
 
 The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
 
@@ -72,16 +72,20 @@ rounding budget to its tail, so `LValueResult.err_bound` stays certified.
 Ladder entries are keyed by the exact bits of x and the digits: an entry is
 never upgraded in place, so no value depends on which calls ran first.
 
-The per-term path runs on raw libmp values.  The grid point, the two
-coordinates, the digit choice, the term products and the final sums of a
-smoothed sum; the entry a = 4 pi sqrt(x), a^(nu+1), the rungs and the
-prefactor product of the ladder; and the scaling sqrt(pi/2x) e^(-x) of the
-asymptotic Bessel branch are libmp calls on (sign, man, exp, bc) tuples.
-Each call names the precision and the rounding of the mpf operator it
-replaces, down to the rounding of -x before the exponential, so every value
-keeps the bits those operators gave, without their object and context work.
-mpf objects exist only at `KernelLadder.G`, `J` and `bessel_at`, at
-`besselk_pair`, and at the returned sums.
+The per-term path runs on raw libmp values, at precisions the code names
+and never mpmath's working precision.  The grid point, the two coordinates,
+the digit choice, the term products and the final sums of a smoothed sum
+are at the engine's `prec`; the entry a = 4 pi sqrt(x), the prefactor and
+`KernelLadder.G` at the ladder's, which is the same; a^(nu+1) and the rungs
+at the entry's digits plus a guard; the scaling sqrt(pi/2x) e^(-x) of the
+asymptotic Bessel branch and log(x/2) of the series at the branch's own.
+Each libmp call on (sign, man, exp, bc) tuples rounds as the mpf operator
+it replaces did at that precision, down to the rounding of -x before the
+exponential, so every value keeps the bits those operators gave, without
+their object and context work.  The grid point goes to `G` raw and `G`'s
+value comes back raw; mpf objects exist only at the returned sums and in
+the tail bounds, which make mpf values of the three kernel numbers they
+read, once per bound.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import libmp, mp
-from mpmath.libmp import (mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_hypot, mpf_mul, mpf_mul_int,
-                          mpf_neg, mpf_pi, mpf_pow_int, mpf_sqrt, mpf_sum)
+from mpmath.libmp import (from_int, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_hypot, mpf_log,
+                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt,
+                          mpf_sum)
 
 from .exactnum import GUARD_DIGITS, AlgNum, ExactError
 from .rankin import RankinSeries, archimedean_factor, root_number
@@ -119,10 +124,6 @@ class InsufficientCoefficients(ExactError):
     def __init__(self, n_needed: int, message: str = ""):
         self.n_needed = n_needed
         super().__init__(message or f"need Dirichlet coefficients up to n = {n_needed}")
-
-
-class KernelSpecError(ExactError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ def _asymptotic_sum(nu: int, X: int, p: int, digits: int):
 
 
 def _besselk_series(nu: int, x, p: int):
-    """(K_nu(x), K_{nu+1}(x)) as integers at scale 2^p, from the ascending
-    series for K_0 and K_1 and the upward recurrence
+    """(K_nu(x), K_{nu+1}(x)) as integers at scale 2^p for a raw x, from the
+    ascending series for K_0 and K_1 and the upward recurrence
     K_{n+1} = K_{n-1} + (2n/x) K_n.
 
     With z = x^2/4, H_j the harmonic numbers, t_j = z^j / (j!)^2 and
@@ -185,13 +186,13 @@ def _besselk_series(nu: int, x, p: int):
     t_j < 2^(3-p) sum t and u_j < 2^(3-p) sum u.
     """
     one = 1 << p
-    X = libmp.to_fixed(x._mpf_, p)
+    X = libmp.to_fixed(x, p)
     inv = (one << p) // X  # 1/x
     half = X >> 1
     z = X * X >> (p + 2)
     # m_geom >= x / sqrt(2): from term m_geom - 1 on, each ratio is <= 1/2
     m_geom = (math.isqrt((X + 1) ** 2 >> 1) >> p) + 1
-    lh = libmp.to_fixed(mpmath.log(x / 2)._mpf_, p)
+    lh = libmp.to_fixed(mpf_log(mpf_div(x, from_int(2), p, "n"), p, "n"), p)  # log(x/2)
     gamma = libmp.euler_fixed(p)
     t = i0 = i1 = one
     s0 = 0
@@ -219,12 +220,12 @@ def _besselk_series(nu: int, x, p: int):
 
 
 def besselk_pair(nu: int, x, digits: int):
-    """(K_nu(x), K_{nu+1}(x)) for integer nu >= 0 and real x > 0, each with a
-    relative error below 10^-digits.
+    """(K_nu(x), K_{nu+1}(x)) as raw libmp values, for integer nu >= 0 and a
+    raw real x > 0, each with a relative error below 10^-digits.
 
     Both branches add integers at scale 2^p, where every step is a floor
-    that loses under one unit 2^-p; the pair becomes two mpf values once,
-    at the end.
+    that loses under one unit 2^-p; the pair becomes two raw values once,
+    at the end, each rounded to nearest at the precision the branch names.
 
     Asymptotic branch, p = the bits of digits + 12 digits plus
     ASYMPTOTIC_GUARD_BITS: the expansions in 1/x (`_asymptotic_sum`) of
@@ -241,7 +242,8 @@ def besselk_pair(nu: int, x, digits: int):
     Series branch, where either expansion cannot reach `digits`: K_0 and
     K_1 by the ascending series at p = the bits of digits + 0.8686x + 30
     digits, since the sums cancel to about e^(-2x) of their size, then the
-    stable upward recurrence, one floor a step (`_besselk_series`).
+    stable upward recurrence, one floor a step (`_besselk_series`); log(x/2)
+    is rounded to nearest at p bits, x/2 first.
       Truncation: a sum stops after term j only once (j + 1)^2 >= 2z, so
     every later ratio t_{i+1}/t_i (and u_{i+1}/u_i) is at most 1/2, and
     H_{j+m} <= H_j + m/(j+1).  The omitted tails are then at most t_j of
@@ -261,28 +263,23 @@ def besselk_pair(nu: int, x, digits: int):
     10^-digits of K_0 and K_1 for J < 2^10 and x > 10^-2, and so do the nu
     floors of the recurrence.
     """
-    x = mp.mpf(x)
     prec = libmp.dps_to_prec(digits + 12)
     p = prec + ASYMPTOTIC_GUARD_BITS
-    X = libmp.to_fixed(x._mpf_, p)
+    X = libmp.to_fixed(x, p)
     a = _asymptotic_sum(nu, X, p, digits)
     if a is not None:
         b = _asymptotic_sum(nu + 1, X, p, digits)
         if b is not None:
-            # sqrt(pi / (2x)) e^(-x), every step rounded as by mpf operators at
+            # sqrt(pi / (2x)) e^(-x), every step rounded to nearest at
             # digits + 12 digits, -x included
-            xm = x._mpf_
-            half = mpf_div(mpf_pi(prec, "n"), mpf_mul_int(xm, 2, prec, "n"), prec, "n")
+            half = mpf_div(mpf_pi(prec, "n"), mpf_mul_int(x, 2, prec, "n"), prec, "n")
             fac = mpf_mul(mpf_sqrt(half, prec, "n"),
-                          mpf_exp(mpf_neg(xm, prec, "n"), prec, "n"), prec, "n")
-            return (mp.make_mpf(mpf_mul(fac, libmp.from_man_exp(a, -p), prec, "n")),
-                    mp.make_mpf(mpf_mul(fac, libmp.from_man_exp(b, -p), prec, "n")))
-    boost = int(0.8686 * float(x)) + 30
-    with mp.workdps(digits + boost):
-        p = mp.prec
-        km, kc = _besselk_series(nu, x, p)
-        return (mp.make_mpf(libmp.from_man_exp(km, -p, p, "n")),
-                mp.make_mpf(libmp.from_man_exp(kc, -p, p, "n")))
+                          mpf_exp(mpf_neg(x, prec, "n"), prec, "n"), prec, "n")
+            return (mpf_mul(fac, libmp.from_man_exp(a, -p), prec, "n"),
+                    mpf_mul(fac, libmp.from_man_exp(b, -p), prec, "n"))
+    p = libmp.dps_to_prec(digits + int(0.8686 * libmp.to_float(x, rnd="n")) + 30)
+    km, kc = _besselk_series(nu, x, p)
+    return libmp.from_man_exp(km, -p, p, "n"), libmp.from_man_exp(kc, -p, p, "n")
 
 
 # ---------------------------------------------------------------------------
@@ -304,50 +301,57 @@ class KernelLadder:
     reaches every integer s >= k with all terms positive (no cancellation),
     so J has the relative accuracy of the two Bessel values.
 
-    An entry is keyed by the exact bits of x, rounded to the working
-    precision, and the digits asked for.  `digits` is the engine's working
-    precision, the ceiling of those and the precision of a.  The entry holds
-    a, the Bessel pair and its rungs J as raw libmp values, and a^(mu+1) for
-    its top rung mu, which each new rung multiplies by a twice; every
-    operation rounds to nearest at the precision of the mpf operator it
-    stands for, digits + ENTRY_GUARD digits on the rungs.  `G`, `J` and
-    `bessel_at` return mpf values.  The prefactor (2 pi)^(-2s) 2^(k+1-2s) is
-    kept per s and working precision.
+    Every value in and out is raw libmp.  An entry is keyed by the raw bits
+    of x its caller passes and the digits asked for; it holds a, the Bessel
+    pair and its rungs J, and a^(mu+1) for its top rung mu, which each new
+    rung multiplies by a twice.  `prec`, the bits of the `digits` the ladder
+    is made with, is the precision of a, of the prefactor
+    (2 pi)^(-2s) 2^(k+1-2s), kept per s, and of G; the rungs are at the
+    entry's digits + ENTRY_GUARD digits.  Every operation rounds to nearest.
     """
 
     def __init__(self, k: int, digits: int):
         self.k = k
         self.nu = k - 1
-        self.digits = digits
         self.prec = libmp.dps_to_prec(digits)
         self._cache: dict = {}
         self._pref: dict = {}
 
-    def _entry(self, x_val, digits: int):
-        x = mpmath.mpf(x_val)._mpf_  # the exact bits at the working precision
+    def _entry(self, x, digits: int):
         ent = self._cache.get((x, digits))
         if ent is None:
             prec, eprec = self.prec, libmp.dps_to_prec(digits + ENTRY_GUARD)
             a = mpf_mul(mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n"), mpf_sqrt(x, prec, "n"),
                         prec, "n")  # 4 pi sqrt(x)
-            with mp.workdps(self.digits):
-                k0, k1 = besselk_pair(self.nu, mp.make_mpf(a), digits)
+            k0, k1 = besselk_pair(self.nu, a, digits)
             power = mpf_pow_int(a, self.nu + 1, eprec, "n")
             ent = self._cache[x, digits] = {
-                "a": a, "k0": k0._mpf_, "k1": k1._mpf_, "prec": eprec,
-                "J": {self.nu + 1: mpf_mul(power, k1._mpf_, eprec, "n")},
+                "a": a, "k0": k0, "k1": k1, "prec": eprec,
+                "J": {self.nu + 1: mpf_mul(power, k1, eprec, "n")},
                 "power": mpf_mul(power, a, eprec, "n")}
         return ent
 
-    def bessel_at(self, x_val, digits: int):
-        ent = self._entry(x_val, digits)
-        return mp.make_mpf(ent["a"]), mp.make_mpf(ent["k0"]), mp.make_mpf(ent["k1"])
+    def bessel_at(self, x, digits: int):
+        """(a, K_nu(a), K_{nu+1}(a)) at a = 4 pi sqrt(x)."""
+        ent = self._entry(x, digits)
+        return ent["a"], ent["k0"], ent["k1"]
 
-    def J(self, mu: int, x_val, digits: int):
-        nu = self.nu
-        if mu < nu + 1 or (mu - nu) % 2 == 0:
-            raise KernelSpecError(f"ladder needs mu >= {nu + 1} with mu - nu odd, got {mu}")
-        ent = self._entry(x_val, digits)
+    def prefactor(self, s: int):
+        """(2 pi)^(-2s) 2^(k+1-2s), computed once per s; the power of two is
+        exact."""
+        pref = self._pref.get(s)
+        if pref is None:
+            two_pi = mpf_mul_int(mpf_pi(self.prec, "n"), 2, self.prec, "n")
+            pref = self._pref[s] = mpf_shift(mpf_pow_int(two_pi, -2 * s, self.prec, "n"),
+                                             self.k + 1 - 2 * s)
+        return pref
+
+    def G(self, s: int, x, digits: int):
+        """G_s(x) for s >= k with a relative error below about 10^-digits:
+        the rungs of the entry of x climbed to mu = 2s - k, which keeps
+        mu - nu odd, times the prefactor."""
+        mu, nu = 2 * s - self.k, self.nu
+        ent = self._entry(x, digits)
         J = ent["J"]
         top = max(J)
         if top < mu:
@@ -362,23 +366,7 @@ class KernelLadder:
                 power = mpf_mul(higher, a, prec, "n")
                 top += 2
             ent["power"] = power
-        return mp.make_mpf(J[mu])
-
-    def prefactor(self, s: int):
-        """(2 pi)^(-2s) 2^(k+1-2s) at the working precision, computed once
-        per (s, mp.prec)."""
-        key = (s, mp.prec)
-        pref = self._pref.get(key)
-        if pref is None:
-            pref = self._pref[key] = ((2 * mpmath.pi) ** (-2 * s)
-                                      * mp.mpf(2) ** (self.k + 1 - 2 * s))
-        return pref
-
-    def G(self, s: int, x_val, digits: int):
-        """G_s(x) with a relative error below about 10^-digits, rounded to the
-        working precision."""
-        return mp.make_mpf(mpf_mul(self.prefactor(s)._mpf_,
-                                   self.J(2 * s - self.k, x_val, digits)._mpf_, mp.prec, "n"))
+        return mpf_mul(self.prefactor(s), J[mu], self.prec, "n")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +515,7 @@ class LEngine:
         self.dps = P + GUARD_DIGITS + LADDER_GUARD
         self.k, self.k2 = rs.gamma
         self.w = self.k + self.k2 - 2
+        self.prec = libmp.dps_to_prec(self.dps)  # the ladder's precision too
         ladder = _ladders.get((self.k, self.dps))
         if ladder is None:
             ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
@@ -538,7 +527,7 @@ class LEngine:
             self.q = 4 * mpmath.pi * mpmath.sqrt(self.scale)
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
-    def _afe_tail_bound(self, s: int, q, N: int):
+    def _afe_tail_bound(self, s: int, N: int):
         """Bound on sum_{n>N} d4(n) n^(w/2 - s) G_s((q sqrt(n)/4pi)^2).
 
         Uses |b_n| <= d4(n) n^(w/2) <= 8 n^(1 + w/2), the log-convexity bound
@@ -547,16 +536,16 @@ class LEngine:
         `_least_n` finds the least N that passes; correctness needs only that
         the N a sum stops at passes, which the search guarantees.
         """
-        mu = 2 * s - self.k
+        q, mu = self.q, 2 * s - self.k
         beta = Fraction(self.k2, 2)  # 1 + w/2 - s + mu/2, independent of s
         aN = q * mpmath.sqrt(N + 1)
         if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < 2 * float(beta) + 8:
             return mp.inf
         xN = (aN / (4 * mpmath.pi)) ** 2
         # only a constant of the bound: the floor precision, inflated by its error
-        a0, k0, _ = self.ladder.bessel_at(xN, KERNEL_FLOOR_DIGITS)
+        a0, k0, _ = self.ladder.bessel_at(xN._mpf_, KERNEL_FLOOR_DIGITS)
+        a0, k0, pref = map(mp.make_mpf, (a0, k0, self.ladder.prefactor(s)))
         CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
-        pref = self.ladder.prefactor(s)
         decay = mpmath.exp(-aN)
         term = 8 * mp.mpf(N + 1) ** (1 + Fraction(self.w, 2) - s) * pref * 2 * CK \
             * aN ** mu * decay
@@ -577,8 +566,8 @@ class LEngine:
         """
         rs = self.rs
         d0, n_max = rs.field.d0, rs.n_max
+        prec = self.prec
         with mp.workdps(self.dps):
-            prec = mp.prec
             root = mpmath.sqrt(abs(d0))
             mass, target, N, tail = self._cutoff(s)
             if N > n_max:
@@ -589,8 +578,8 @@ class LEngine:
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
             base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
                     - float(mpmath.log10(mass)))
-            # raw libmp values from here on, each operation rounded to nearest
-            # at prec, as the mpf operator it stands for
+            # raw libmp values from here on, G's included, each operation
+            # rounded to nearest at prec, as the mpf operator it stands for
             grid, r = self.scale._mpf_, root._mpf_
             g_bound = mass._mpf_
             excess = 0.0  # digits a term needed above the working precision
@@ -598,7 +587,7 @@ class LEngine:
             for n in range(1, N + 1):
                 X, Y = rs.x[n], rs.y[n]
                 if X or Y:
-                    x = mp.make_mpf(mpf_mul_int(grid, n, prec, "n"))  # n * scale
+                    x = mpf_mul_int(grid, n, prec, "n")  # n * scale
                     den = rs.D * n ** s
                     cx, cy = _rational(X, den, prec), _rational(Y, den, prec)
                     ry = mpf_mul(r, cy, prec, "n")
@@ -609,7 +598,7 @@ class LEngine:
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
-                    g = self.ladder.G(s, x, digits)._mpf_
+                    g = self.ladder.G(s, x, digits)
                     sx.append(mpf_mul(cx, g, prec, "n"))
                     sy.append(mpf_mul(cy, g, prec, "n"))
                     g_bound = g
@@ -623,7 +612,7 @@ class LEngine:
         first G_s, its truncation target, and where it stops (`_least_n`)."""
         mass = abs(archimedean_factor(s, self.k, self.dps))
         target = mass * mp.mpf(10) ** (-(self.P + 8))
-        N, tail = _least_n(functools.partial(self._afe_tail_bound, s, self.q), target,
+        N, tail = _least_n(functools.partial(self._afe_tail_bound, s), target,
                            self.rs.n_max, TAIL_CHECK_EVERY)
         return mass, target, N, tail
 
@@ -676,25 +665,25 @@ class LEngine:
         Since zeta^4 is the Dirichlet series of d4, the tail is zeta(sigma)^4
         less the head sum_{n<=N} d4(n) n^(-sigma); the same identity is why
         |b_n| <= d4(n) n^(w/2).  Both are taken at scale 2^C, with
-        C = mp.prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up`
+        C = self.prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up`
         is at least zeta(sigma) 2^C, so the ceiling of Z^4 / 2^(3C) is at least
         zeta(sigma)^4 2^C, and each head term is floored (`_scaled_quotient`),
         so the head is at most its true value.  Their difference times 2^-C is
-        rounded up to mp.prec bits, so the result is never below the tail.
+        rounded up to self.prec bits, so the result is never below the tail.
 
         For sigma >= 5/2 it is above the tail by at most N + 32 units of 2^-C
         (N floors, and Z at most 3.2 units high) and one unit in the last
-        place.  The tail is at least (N + 1)^(-sigma), 2^(mp.prec + 40) of
-        those units, so the bound is within (N + 32) 2^-(mp.prec + 40) of the
+        place.  The tail is at least (N + 1)^(-sigma), 2^(self.prec + 40) of
+        those units, so the bound is within (N + 32) 2^-(self.prec + 40) of the
         tail, relatively.
         """
         two_sigma = 2 * s - self.w
-        C = mp.prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
+        C = self.prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
         d4 = d4_upto(N)
         head = sum(_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, N + 1))
         Z = _zeta_scaled_up(two_sigma, C)
         tail = -(-Z ** 4 >> 3 * C) - head
-        return mp.make_mpf(libmp.from_man_exp(tail, -C, mp.prec, "c"))
+        return mp.make_mpf(libmp.from_man_exp(tail, -C, self.prec, "c"))
 
     def _tail_beyond(self, s, N: int):
         """A cruder upper bound of the same tail, from d4(n) <= 8n and an
@@ -709,12 +698,12 @@ class LEngine:
         n_max above the one given at which `_tail_beyond` passes.
 
         With b_n = (x_n + y_n sqrt(d0)) / D as the series keeps it, each
-        coordinate is one exact integer sum at scale 2^B, B = mp.prec + 20 +
+        coordinate is one exact integer sum at scale 2^B, B = self.prec + 20 +
         bitlen(n_max), of the floors of x_n 2^B / (D n^s).  Each sum is
         converted to an mpf once, and the sqrt(d0) one multiplied by
         sqrt(d0), imaginary for d0 < 0.  The floors lose under
         n_max 2^-B (1 + |sqrt(d0)|), and the conversions, the root and the
-        two operations after them at most 2^(3 - mp.prec) of the two sums'
+        two operations after them at most 2^(3 - self.prec) of the two sums'
         magnitudes; both are added to the tail, rounding up.
         """
         if 2 * s <= self.k + self.k2 + 2:  # `_tail_beyond` needs s - w/2 - 2 > 0
@@ -729,7 +718,7 @@ class LEngine:
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
                     f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
-            B = mp.prec + 20 + rs.n_max.bit_length()
+            B = self.prec + 20 + rs.n_max.bit_length()
             sx = sy = 0
             for n, (x, y) in enumerate(zip(rs.x, rs.y)):
                 if x or y:
@@ -741,9 +730,9 @@ class LEngine:
             val = mpmath.mpc(mpmath.ldexp(sx, -B))
             if sy:
                 val += mpmath.ldexp(sy, -B) * mpmath.sqrt(d0)
-            units = rs.n_max * (1 + root) + ((abs(sx) + root * abs(sy)) >> (mp.prec - 3)) + 1
-            charge = libmp.from_man_exp(units, -B, mp.prec, "c")
-            return val, mp.make_mpf(libmp.mpf_add(tail._mpf_, charge, mp.prec, "c"))
+            units = rs.n_max * (1 + root) + ((abs(sx) + root * abs(sy)) >> (self.prec - 3)) + 1
+            charge = libmp.from_man_exp(units, -B, self.prec, "c")
+            return val, mp.make_mpf(libmp.mpf_add(tail._mpf_, charge, self.prec, "c"))
 
     def direct_lambda(self, s):
         """(Lambda(s), bound) by direct summation, the tail of the finite part

@@ -176,10 +176,11 @@ def besselk_asymptotic(nu: int, x, digits: int):
 # ---------------------------------------------------------------------------
 
 def besselk_pair_mpf(nu: int, x, digits: int):
-    """`lvalue.besselk_pair` with the scaling of its asymptotic branch,
-    sqrt(pi/2x) e^(-x), in mpf operators at digits + 12 digits.  The
-    fixed-point sums are the library's; the series branch, which has no mpf
-    arithmetic, is the library's as a whole."""
+    """`lvalue.besselk_pair` on an mpf x, with the scaling of its asymptotic
+    branch, sqrt(pi/2x) e^(-x), in mpf operators at digits + 12 digits.  The
+    fixed-point sums are the library's; the series branch, whose one
+    operation outside the integer sums is log(x/2), is the library's as a
+    whole, its raw pair made mpf values."""
     x = mp.mpf(x)
     with mp.workdps(digits + 12):
         p = mp.prec + lvalue.ASYMPTOTIC_GUARD_BITS
@@ -190,12 +191,14 @@ def besselk_pair_mpf(nu: int, x, digits: int):
             fac = mpmath.sqrt(mpmath.pi / (2 * x)) * mpmath.exp(-x)
             return (fac * mp.make_mpf(libmp.from_man_exp(a, -p)),
                     fac * mp.make_mpf(libmp.from_man_exp(b, -p)))
-    return lvalue.besselk_pair(nu, x, digits)
+    return tuple(map(mp.make_mpf, lvalue.besselk_pair(nu, x._mpf_, digits)))
 
 
 class KernelLadderMpf:
     """`lvalue.KernelLadder` in mpf operators: every rung, power and
-    product a new mpf at a precision set by `mp.workdps`."""
+    product a new mpf at a precision set by `mp.workdps`.  `bessel_at` and
+    `prefactor`, which `LEngine._afe_tail_bound` reads, take and return raw
+    values as the library's do."""
 
     def __init__(self, k: int, digits: int):
         self.k = k
@@ -218,9 +221,9 @@ class KernelLadderMpf:
             self._cache[key] = ent
         return ent
 
-    def bessel_at(self, x_val, digits: int):
-        ent = self._entry(x_val, digits)
-        return ent["a"], ent["k0"], ent["k1"]
+    def bessel_at(self, x, digits: int):
+        ent = self._entry(mp.make_mpf(x), digits)
+        return ent["a"]._mpf_, ent["k0"]._mpf_, ent["k1"]._mpf_
 
     def J(self, mu: int, x_val, digits: int):
         nu = self.nu
@@ -240,15 +243,15 @@ class KernelLadderMpf:
         return J[mu]
 
     def prefactor(self, s: int):
-        key = (s, mp.prec)
-        pref = self._pref.get(key)
+        pref = self._pref.get(s)
         if pref is None:
-            pref = self._pref[key] = ((2 * mpmath.pi) ** (-2 * s)
-                                      * mp.mpf(2) ** (self.k + 1 - 2 * s))
+            with mp.workdps(self.digits):
+                pref = self._pref[s] = ((2 * mpmath.pi) ** (-2 * s)
+                                        * mp.mpf(2) ** (self.k + 1 - 2 * s))._mpf_
         return pref
 
     def G(self, s: int, x_val, digits: int):
-        return self.prefactor(s) * self.J(2 * s - self.k, x_val, digits)
+        return mp.make_mpf(self.prefactor(s)) * self.J(2 * s - self.k, x_val, digits)
 
 
 def with_mpf_ladder(eng: LEngine) -> LEngine:
@@ -265,7 +268,7 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
     mpf values at dps, summed with `mpmath.fsum`."""
     rs = eng.rs
     d0 = rs.field.d0
-    scale, q = eng.scale, eng.q
+    scale = eng.scale
     with mp.workdps(eng.dps):
         root = mpmath.sqrt(abs(d0))
         mass = abs(archimedean_factor(s, eng.k, eng.dps))
@@ -296,7 +299,7 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
                 sy.append(cy * g)
                 g_bound = g
             if n % 64 == 0 or n == rs.n_max:
-                tail = eng._afe_tail_bound(s, q, n)
+                tail = eng._afe_tail_bound(s, n)
                 if tail < target:
                     Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
                     A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
@@ -314,7 +317,7 @@ def cutoff_scan(eng: LEngine, s: int):
         while True:
             after = N - N % 64 + 64
             N = n_max if N < n_max < after else after
-            tail = eng._afe_tail_bound(s, eng.q, N)
+            tail = eng._afe_tail_bound(s, N)
             if tail < target:
                 return N, tail
 

@@ -11,6 +11,8 @@ import sys
 import weakref
 from pathlib import Path
 
+from mpmath.libmp import from_int
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
 
@@ -26,7 +28,7 @@ def test_tracer_installs_and_uninstalls():
         assert len(tracer._undo) == len(originals)
         from rscong import lvalue
 
-        lvalue.besselk_pair(12, 5, 20)
+        lvalue.besselk_pair(12, from_int(5), 20)
         assert [span[0] for span in tracer.spans] == ["lvalue.besselk_pair"]
     finally:
         tracer.uninstall()

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 
 from rscong.congruence import (check_congruent, eisenstein_screen,
-                               excluded_primes, sturm_bound)
+                               excluded_primes, gamma0_index, sturm_bound)
 from rscong.exactnum import (AlgNum, ExactError, NotIntegral, QuadField, RATIONAL,
                              factor_rational_prime)
-from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp
+from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp, primes_upto
 
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
@@ -137,3 +137,21 @@ class TestExcludedPrimes:
     def test_level_factorization(self):
         out = excluded_primes(4, 8, 6, 35)
         assert out["S_level"] == [2, 3, 5, 7]
+
+    def test_levels_are_factored_as_the_sieve_finds_them(self):
+        # every N, N2 <= 60 against the primes up to N N2 that divide it
+        primes = primes_upto(60 * 60)
+        for N in range(1, 61):
+            mu = N
+            for p in (q for q in primes if N % q == 0):
+                mu = mu // p * (p + 1)
+            assert gamma0_index(N) == mu, N
+            for N2 in range(1, 61):
+                sieved = [p for p in primes if N * N2 % p == 0]
+                assert excluded_primes(2, 4, N, N2)["S_level"] == sieved, (N, N2)
+
+    def test_large_prime_levels(self):
+        # a sieve up to N N2 ~ 10^20 cannot run; factoring each level can
+        p, q = 10 ** 10 + 19, 10 ** 10 + 33
+        assert excluded_primes(2, 4, p, q)["S_level"] == [p, q]
+        assert gamma0_index(p) == p + 1

@@ -81,10 +81,29 @@ class TestSchema:
         assert err.value.pointer == pointer
 
     def test_quads_accept_what_the_entry_check_accepts(self):
-        # bool is an int to `isinstance`, so both the list check and the
-        # entry check accept it
-        an = [[1, 1, 0, 1], [True, 1, False, True], [-2, 3, 4, -5]]
+        # the list check and the entry check agree: both take exact integers,
+        # and both refuse a JSON boolean, which `isinstance` counts as an int
+        an = [[1, 1, 0, 1], [-2, 3, 4, -5]]
         assert parse_record(minimal_obj(an=an)).coeffs == tuple(map(tuple, an))
+        with pytest.raises(SchemaError) as err:
+            parse_record(minimal_obj(an=[*an, [True, 1, False, True]]))
+        assert err.value.pointer == "/an/2/0"
+
+    @pytest.mark.parametrize("pointer", [
+        "/level", "/weight", "/field_disc", "/char/modulus", "/char/values/0/0",
+        "/char/values/0/1/0", "/an/0/1"])
+    def test_boolean_is_not_an_integer(self, pointer):
+        # a JSON true or false where the schema needs an integer is named by
+        # its pointer; true is 1 to Python and would load as a valid value
+        obj = minimal_obj()
+        *path, last = [int(p) if p.isdigit() else p for p in pointer.split("/")[1:]]
+        node = obj
+        for step in path:
+            node = node[step]
+        node[last] = bool(node[last])
+        with pytest.raises(SchemaError) as err:
+            parse_record(obj)
+        assert err.value.pointer == pointer
 
     def test_zero_denominator(self):
         obj = minimal_obj(an=[[1, 0, 0, 1]])

@@ -19,10 +19,14 @@ from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, cutof
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
 from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
-from rscong.lvalue import (InsufficientCoefficients, KernelLadder, KernelSpecError,
-                           LEngine, besselk_pair, d4_upto, get_engine)
+from rscong.lvalue import (InsufficientCoefficients, KernelLadder, LEngine, besselk_pair,
+                           d4_upto, get_engine)
 from rscong.rankin import (NormalizationError, archimedean_factor,
                            root_number, rs_coefficients)
+
+
+class KernelSpecError(ValueError):
+    """A contour the reference quadrature cannot use."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +64,13 @@ def afe_kernel(x, s, spec: AfeKernelSpec, k: int):
         return (acc * h / (2 * mpmath.pi)).real
 
 
+def on_mpf(fn, *args):
+    """`fn` on raw libmp values: each mpf argument passed raw, and the raw
+    result, or each value of a raw pair or triple, returned as an mpf."""
+    out = fn(*(a._mpf_ if isinstance(a, mpmath.mpf) else a for a in args))
+    return tuple(map(mp.make_mpf, out)) if isinstance(out[0], tuple) else mp.make_mpf(out)
+
+
 @pytest.fixture(scope="module")
 def engine_small(rs_small):
     return LEngine(rs_small, 40)
@@ -91,7 +102,7 @@ class TestBesselK:
                     ref.append(ref[-2] + 2 * n / mp.mpf(a) * ref[-1])
             for nu in (11, 12, 15, 21, 25):
                 for d in (20, 40, 90):
-                    got = besselk_pair(nu, a, d)
+                    got = on_mpf(besselk_pair, nu, mp.mpf(a), d)
                     with mp.workdps(110):
                         for g, w in zip(got, ref[nu - 11:nu - 9]):
                             assert abs(g - w) <= abs(w) * mp.mpf(10) ** -d, (nu, a, d)
@@ -104,7 +115,7 @@ class TestBesselK:
         ref = _mpmath_besselk(a)
         for nu in (11, 12, 25):
             for d in (20, 40, 50, 100, 130):
-                got = besselk_pair(nu, a, d)
+                got = on_mpf(besselk_pair, nu, mp.mpf(a), d)
                 with mp.workdps(d + 12):
                     oracle = [besselk_asymptotic(n, mp.mpf(a), d) for n in (nu, nu + 1)]
                 series = None in oracle
@@ -130,8 +141,8 @@ class TestBesselK:
 
     def test_precision_scales(self):
         x = mp.mpf(50)
-        lo = besselk_pair(12, x, 30)[0]
-        hi = besselk_pair(12, x, 90)[0]
+        lo = on_mpf(besselk_pair, 12, x, 30)[0]
+        hi = on_mpf(besselk_pair, 12, x, 90)[0]
         with mp.workdps(95):
             assert abs(lo - hi) / abs(hi) < mp.mpf(10) ** -28
 
@@ -144,7 +155,7 @@ class TestKernel:
         with mp.workdps(45):
             for s in (13, 19, 25):
                 for x in (mp.mpf(1) / 3, mp.mpf(2), mp.mpf(8)):
-                    fast = ladder.G(s, x, 40)
+                    fast = on_mpf(ladder.G, s, x, 40)
                     ref = afe_kernel(x, s, spec, k)
                     assert abs(fast - ref) / abs(fast) < mp.mpf(10) ** -25
 
@@ -152,14 +163,14 @@ class TestKernel:
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
             for s in (13, 20, 25):
-                tiny = ladder.G(s, mp.mpf(10) ** -30, 40)
+                tiny = on_mpf(ladder.G, s, mp.mpf(10) ** -30, 40)
                 linf = archimedean_factor(s, 13, 55)
                 assert abs(tiny - linf) / abs(linf) < mp.mpf(10) ** -20
 
     def test_monotone_decay(self):
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
-            vals = [ladder.G(19, mp.mpf(x), 40) for x in (1, 2, 4, 8, 16, 32)]
+            vals = [on_mpf(ladder.G, 19, mp.mpf(x), 40) for x in (1, 2, 4, 8, 16, 32)]
             assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_contour_pole_rejected(self):
@@ -168,22 +179,18 @@ class TestKernel:
         with pytest.raises(KernelSpecError):
             afe_kernel(mp.mpf(1), 5, AfeKernelSpec(c=1.0), 13)  # s + c <= k - 1
 
-    def test_prefactor_is_kept_per_precision(self):
-        # one ladder, G under two working precisions in turn: each must have
-        # the bits of a fresh computation at its own precision
-        k, x = 13, mp.mpf(2)
-        ladder = KernelLadder(k, 40)
-        for dps in (45, 60, 45, 60):
+    def test_raw_bits_ignore_the_working_precision(self):
+        # a fresh ladder, and both Bessel branches, under three mpmath
+        # contexts: the kernel reads only the precisions it names
+        x = libmp.from_rational(7, 3, 200, "n")
+        seen = set()
+        for dps in (15, 60, 400):
             with mp.workdps(dps):
-                for s in (13, 19):
-                    fresh = ((2 * mpmath.pi) ** (-2 * s) * mp.mpf(2) ** (k + 1 - 2 * s)
-                             * ladder.J(2 * s - k, x, 40))
-                    assert ladder.G(s, x, 40)._mpf_ == fresh._mpf_, (dps, s)
-
-    def test_ladder_parity_guard(self):
-        ladder = KernelLadder(13, 30)
-        with pytest.raises(KernelSpecError):
-            ladder.J(14, mp.mpf(2), 30)  # even offset from nu = 12
+                ladder = KernelLadder(13, 40)
+                seen.add((tuple(ladder.G(s, x, d) for s in (13, 19, 25) for d in (20, 40)),
+                          besselk_pair(12, libmp.from_int(5), 20),  # the series branch
+                          besselk_pair(12, libmp.from_int(150), 20)))  # the expansion
+        assert len(seen) == 1
 
 
 class Unread(tuple):
@@ -307,6 +314,16 @@ class TestDirect:
         ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert ref <= bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
+
+    def test_tail_bound_reads_the_engine_precision(self):
+        # the bits of the bound do not depend on mpmath's working precision
+        n = 200
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        eng = LEngine(rs, 30)
+        with mp.workdps(15):
+            low = eng._direct_tail_bound(40, n)._mpf_
+        with mp.workdps(eng.dps):
+            assert eng._direct_tail_bound(40, n)._mpf_ == low
 
     @pytest.mark.parametrize("two_sigma", [5, 6, 27, 37, 44, 76, 90, 120])
     @pytest.mark.parametrize("C", [64, 700])
