@@ -26,7 +26,7 @@ from . import __version__
 from .congruence import check_congruent, eisenstein_screen
 from .exactnum import AlgNum, ExactError, PrimeIdeal, compositum, factor_rational_prime, is_prime
 from .forms import NewformData, delta_family_qexp
-from .ingest import fetch_newform, load_fixture, save_fixture
+from .ingest import NotFound, fetch_newform, load_fixture, save_fixture
 from .lvalue import L_at
 from .rankin import rs_coefficients
 from .ratio import INDETERMINATE, NOT_CONGRUENT, full_report, report_text
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
             if val == []:  # argparse of some Python versions reads the value "--" as []
                 setattr(args, key, "--")
         return args.func(args)
-    except (CliError, ExactError, OSError, ValueError) as exc:
+    except (CliError, ExactError, NotFound, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -272,8 +272,8 @@ def fetch_newform(label: str, n_max: int, base_url: str,
         try:
             body = transport(url)
             break
-        except NotFound:
-            raise
+        except NotFound as exc:
+            raise NotFound(f"GET {url}: not found") from exc
         except Exception as exc:  # noqa: BLE001 - network layer boundary
             last_exc = exc
             if attempt + 1 < FETCH_ATTEMPTS:

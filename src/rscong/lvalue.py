@@ -10,8 +10,10 @@ The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s), which is
 zeta(s - w/2)^4 less its first N terms: an upper bound of zeta from
 Borwein's algorithm, to the fourth power, less N floored terms, all integers
 scaled by one power of two and converted rounding up, so the bound is never
-below the tail it bounds and exceeds it only by those roundings.  The
-direct finite part is an exact integer sum too: with the series'
+below the tail it bounds and exceeds it only by those roundings.  It reads
+no coefficient: it depends only on (sigma, N, precision), sigma = s - w/2,
+and is computed once per key per process (`_direct_tail`), whichever series
+asks.  The direct finite part is an exact integer sum too: with the series'
 b_n = (x_n + y_n sqrt(d0)) / D, each integer coordinate is summed as the
 floors of x_n 2^B / (D n^s), and each sum is converted once.  What the
 floors and the conversions lose is charged to the returned tail, rounding
@@ -450,6 +452,35 @@ def _zeta_scaled_up(two_sigma: int, C: int) -> int:
     return -(-(S + (3 << C) << C) // (dn * eta_factor))
 
 
+@functools.lru_cache(maxsize=256)  # bounded: 256 entries hold about 100 kB at P = 120
+def _direct_tail(two_sigma: int, N: int, prec: int):
+    """A raw upper bound, at prec bits, of sum_{n>N} d4(n) n^(-sigma),
+    sigma = two_sigma / 2 > 1.  It depends only on (sigma, N, prec), so it is
+    memoised on those three ints: computed once per key per process, and its
+    bits do not depend on which caller asked first.
+
+    Since zeta^4 is the Dirichlet series of d4, the tail is zeta(sigma)^4
+    less the head sum_{n<=N} d4(n) n^(-sigma); the same identity is why
+    |b_n| <= d4(n) n^(w/2).  Both are taken at scale 2^C, with
+    C = prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up` is at
+    least zeta(sigma) 2^C, so the ceiling of Z^4 / 2^(3C) is at least
+    zeta(sigma)^4 2^C, and each head term is floored (`_scaled_quotient`), so
+    the head is at most its true value.  Their difference times 2^-C is
+    rounded up to prec bits, so the result is never below the tail.
+
+    For sigma >= 5/2 it is above the tail by at most N + 32 units of 2^-C
+    (N floors, and Z at most 3.2 units high) and one unit in the last place.
+    The tail is at least (N + 1)^(-sigma), 2^(prec + 40) of those units, so
+    the bound is within (N + 32) 2^-(prec + 40) of the tail, relatively.
+    """
+    C = prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
+    d4 = d4_upto(N)
+    head = sum(_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, N + 1))
+    Z = _zeta_scaled_up(two_sigma, C)
+    tail = -(-Z ** 4 >> 3 * C) - head
+    return libmp.from_man_exp(tail, -C, prec, "c")
+
+
 def _rational(p: int, q: int, prec: int):
     """p / q for integers p and q > 0 as a raw mpf, rounded to nearest at
     prec bits: the bits of `libmp.from_rational`, since a correctly rounded
@@ -660,30 +691,10 @@ class LEngine:
 
     # -- direct summation -----------------------------------------------------
     def _direct_tail_bound(self, s, N: int):
-        """An upper bound of sum_{n>N} d4(n) n^(-sigma), sigma = s - w/2.
-
-        Since zeta^4 is the Dirichlet series of d4, the tail is zeta(sigma)^4
-        less the head sum_{n<=N} d4(n) n^(-sigma); the same identity is why
-        |b_n| <= d4(n) n^(w/2).  Both are taken at scale 2^C, with
-        C = self.prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up`
-        is at least zeta(sigma) 2^C, so the ceiling of Z^4 / 2^(3C) is at least
-        zeta(sigma)^4 2^C, and each head term is floored (`_scaled_quotient`),
-        so the head is at most its true value.  Their difference times 2^-C is
-        rounded up to self.prec bits, so the result is never below the tail.
-
-        For sigma >= 5/2 it is above the tail by at most N + 32 units of 2^-C
-        (N floors, and Z at most 3.2 units high) and one unit in the last
-        place.  The tail is at least (N + 1)^(-sigma), 2^(self.prec + 40) of
-        those units, so the bound is within (N + 32) 2^-(self.prec + 40) of the
-        tail, relatively.
-        """
-        two_sigma = 2 * s - self.w
-        C = self.prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
-        d4 = d4_upto(N)
-        head = sum(_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, N + 1))
-        Z = _zeta_scaled_up(two_sigma, C)
-        tail = -(-Z ** 4 >> 3 * C) - head
-        return mp.make_mpf(libmp.from_man_exp(tail, -C, self.prec, "c"))
+        """`_direct_tail` at sigma = s - w/2 and the engine's precision, raw:
+        it reads no coefficient, so engines of one (sigma, N, prec) share it,
+        and it is computed once per key per process."""
+        return _direct_tail(2 * s - self.w, N, self.prec)
 
     def _tail_beyond(self, s, N: int):
         """A cruder upper bound of the same tail, from d4(n) <= 8n and an
@@ -693,9 +704,12 @@ class LEngine:
 
     def _direct_sum(self, s, target=mp.inf):
         """(finite part, certified absolute tail) by direct summation over
-        the available coefficients.  A tail above `target` raises
-        InsufficientCoefficients before any term is summed, with the least
-        n_max above the one given at which `_tail_beyond` passes.
+        the available coefficients.  The tail bound is `_direct_tail_bound`
+        at n_max, kept raw: it depends only on (sigma, n_max, self.prec), so
+        it is computed once per key per process and shared by every engine.
+        A tail above `target` raises InsufficientCoefficients before any term
+        is summed, with the least n_max above the one given at which
+        `_tail_beyond` passes.
 
         With b_n = (x_n + y_n sqrt(d0)) / D as the series keeps it, each
         coordinate is one exact integer sum at scale 2^B, B = self.prec + 20 +
@@ -712,12 +726,13 @@ class LEngine:
         rs = self.rs
         with mp.workdps(self.dps):
             tail = self._direct_tail_bound(s, rs.n_max)
-            if tail > target:
+            if libmp.mpf_gt(tail, target._mpf_):
                 need = _least_n(functools.partial(self._tail_beyond, s), target, rs.n_max, 1,
                                 above=rs.n_max)[0]
                 raise InsufficientCoefficients(
                     need, f"direct sum at s={s}, P={self.P} needs n_max ~ {need}; "
-                    f"certified tail with n_max={rs.n_max} is {mpmath.nstr(tail, 3)}")
+                    f"certified tail with n_max={rs.n_max} is "
+                    f"{mpmath.nstr(mp.make_mpf(tail), 3)}")
             B = self.prec + 20 + rs.n_max.bit_length()
             sx = sy = 0
             for n, (x, y) in enumerate(zip(rs.x, rs.y)):
@@ -732,7 +747,7 @@ class LEngine:
                 val += mpmath.ldexp(sy, -B) * mpmath.sqrt(d0)
             units = rs.n_max * (1 + root) + ((abs(sx) + root * abs(sy)) >> (self.prec - 3)) + 1
             charge = libmp.from_man_exp(units, -B, self.prec, "c")
-            return val, mp.make_mpf(libmp.mpf_add(tail._mpf_, charge, self.prec, "c"))
+            return val, mp.make_mpf(libmp.mpf_add(tail, charge, self.prec, "c"))
 
     def direct_lambda(self, s):
         """(Lambda(s), bound) by direct summation, the tail of the finite part

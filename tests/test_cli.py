@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rscong import cli, ingest
 from rscong.cli import build_parser, main
+from rscong.forms import delta_family_qexp
+from rscong.ingest import canonical_bytes, newform_record
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -276,6 +281,63 @@ class TestLvalueCli:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert f"precision P = {precision}" in err
+
+
+class TestFetchCli:
+    """`rscong fetch` through `main`, its transport a fake: no network."""
+
+    BASE = "http://db"
+    URL = "http://db/1.12.a.a?n_max=30"
+
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        """Serves `fake.body` (an exception is raised) and records the URLs;
+        backoff sleeps are recorded, not slept."""
+        fake = SimpleNamespace(body=canonical_bytes(newform_record(delta_family_qexp(12, 30))),
+                               urls=[], sleeps=[])
+
+        def transport(url):
+            fake.urls.append(url)
+            if isinstance(fake.body, Exception):
+                raise fake.body
+            return fake.body
+
+        monkeypatch.setattr(ingest, "_default_transport", transport)
+        # the default `sleep` is bound when `fetch_newform` is defined
+        monkeypatch.setattr(cli, "fetch_newform",
+                            functools.partial(ingest.fetch_newform, sleep=fake.sleeps.append))
+        return fake
+
+    def fetch(self, tmp_path, *extra):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["fetch", "--label", "1.12.a.a", "--base-url", self.BASE, "--n-max", "30",
+                         "--cache-dir", str(tmp_path / "cache"), *extra])
+        return code, out.getvalue(), err.getvalue()
+
+    def test_writes_fixture_and_summary_then_hits_the_cache(self, fake, tmp_path):
+        out_path, json_path = tmp_path / "f.json", tmp_path / "summary.json"
+        code, out, err = self.fetch(tmp_path, "--out", str(out_path), "--json-out", str(json_path))
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == fake.body
+        assert json.loads(json_path.read_text()) == {
+            "label": "1.12.a", "level": 1, "weight": 12, "n_max": 30, "field_disc": 0}
+        code, out, _ = self.fetch(tmp_path)
+        assert code == 0 and json.loads(out)["weight"] == 12
+        assert fake.urls == [self.URL]  # the second call never reached the transport
+
+    @pytest.mark.parametrize("case", ["not found", "network", "not json"])
+    def test_failure_is_one_error_line(self, fake, tmp_path, case):
+        fake.body = {"not found": ingest.NotFound(self.URL), "network": OSError("reset"),
+                     "not json": b"<html>"}[case]
+        code, out, err = self.fetch(tmp_path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+        if case != "not json":
+            assert self.URL in err
+        assert len(fake.urls) == (3 if case == "network" else 1)
+        assert fake.sleeps == ([0.5, 1.0] if case == "network" else [])
 
 
 class TestVerifyCli:

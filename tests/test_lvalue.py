@@ -295,7 +295,7 @@ class TestDirect:
             s, N = 32, n
         assert (2 * s - eng.w) % 2 == (case == "odd")
         with mp.workdps(eng.dps):
-            bound = eng._direct_tail_bound(s, N)
+            bound = on_mpf(eng._direct_tail_bound, s, N)
         ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert bound >= ref
@@ -310,7 +310,7 @@ class TestDirect:
         h, s = (delta_family_qexp(12, 8), 51) if case == "even" else (h_prime, 32)
         eng = LEngine(rs_coefficients(h, delta_family_qexp(16, 8), 8), P)
         with mp.workdps(eng.dps):
-            bound = eng._direct_tail_bound(s, N)
+            bound = on_mpf(eng._direct_tail_bound, s, N)
         ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert ref <= bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
@@ -320,10 +320,48 @@ class TestDirect:
         n = 200
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
         eng = LEngine(rs, 30)
+        lvalue._direct_tail.cache_clear()
         with mp.workdps(15):
-            low = eng._direct_tail_bound(40, n)._mpf_
+            low = eng._direct_tail_bound(40, n)
+        lvalue._direct_tail.cache_clear()
         with mp.workdps(eng.dps):
-            assert eng._direct_tail_bound(40, n)._mpf_ == low
+            assert eng._direct_tail_bound(40, n) == low
+
+    def test_tail_bits_ignore_the_memo(self):
+        # each bound and err_bound from a cleared memo, from a warm one, and
+        # with the points asked in reverse order
+        n, points = 200, (30, 40, 50)
+        rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
+        eng = LEngine(rs, 30)
+
+        def bits(s):
+            return eng._direct_tail_bound(s, n), eng.L_at(s).err_bound._mpf_
+
+        cold = {}
+        for s in points:
+            lvalue._direct_tail.cache_clear()
+            cold[s] = bits(s)
+        assert {s: bits(s) for s in points} == cold
+        lvalue._direct_tail.cache_clear()
+        assert {s: bits(s) for s in reversed(points)} == cold
+
+    def test_engines_of_one_sigma_compute_the_bound_once(self):
+        # sigma = s - w/2 = 25 and 30 on four pairs of different weights, at
+        # one n_max and precision: 16 reads, 2 keys
+        n = 8
+        engines = [LEngine(rs_coefficients(delta_family_qexp(k, n), delta_family_qexp(k2, n), n),
+                           30) for k, k2 in ((12, 16), (12, 22), (16, 26), (18, 20))]
+        lvalue._direct_tail.cache_clear()
+        for sigma in (25, 30):
+            for eng in engines:
+                s = sigma + eng.w // 2
+                _, tail = eng._direct_sum(s)
+                assert on_mpf(eng._direct_tail_bound, s, n) <= tail
+        info = lvalue._direct_tail.cache_info()
+        assert (info.misses, info.hits) == (2, 14)
+
+    def test_tail_memo_is_bounded(self):
+        assert isinstance(lvalue._direct_tail.cache_info().maxsize, int)
 
     @pytest.mark.parametrize("two_sigma", [5, 6, 27, 37, 44, 76, 90, 120])
     @pytest.mark.parametrize("C", [64, 700])
@@ -399,7 +437,7 @@ class TestDirect:
         for s in points:
             val, tail = eng._direct_sum(s)
             with mp.workdps(eng.dps):
-                bound = eng._direct_tail_bound(s, eng.rs.n_max)
+                bound = on_mpf(eng._direct_tail_bound, s, eng.rs.n_max)
             ref = direct_sum_reference(eng, s)
             with mp.workdps(eng.dps + 40):
                 budget = tail - bound
@@ -417,7 +455,7 @@ class TestDirect:
     def test_tail_bound_value_is_pinned(self, engine_p120):
         # the value the rounded mpf sum of the sieve stretch gave
         with mp.workdps(engine_p120.dps):
-            bound = engine_p120._direct_tail_bound(51, 2000)
+            bound = on_mpf(engine_p120._direct_tail_bound, 51, 2000)
             pinned = mp.mpf("3.080765016350320682313274139546132729654e-122")
             assert abs(bound / pinned - 1) < mp.mpf(10) ** -30
 
@@ -456,6 +494,7 @@ class TestEngineLifetime:
         eng = get_engine(rs_a, P)
         assert get_engine(rs_a, P) is eng
         assert get_engine(rs_b, P).ladder is eng.ladder
+        assert eng.L_at(60).method == "direct"  # the memoised tail holds no engine
         refs = [weakref.ref(eng), weakref.ref(eng.ladder)]
         del eng, rs_a, rs_b
         gc.collect()
