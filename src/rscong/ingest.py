@@ -204,15 +204,20 @@ def canonical_bytes(rec: FormRecord) -> bytes:
     return (json.dumps(rec.to_json_obj(), sort_keys=True, indent=1) + "\n").encode()
 
 
-def load_fixture(path: str | Path) -> NewformData:
-    """The checked newform of a fixture file (`record_to_newform` is the
-    integrity gate)."""
-    raw = Path(path).read_bytes()
+def _checked_record(raw: bytes) -> tuple[FormRecord, NewformData]:
+    """The record JSON `raw` holds and its newform, checked by
+    `record_to_newform`, the integrity gate."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.pos, exc.msg) from exc
-    return record_to_newform(parse_record(obj))
+    rec = parse_record(obj)
+    return rec, record_to_newform(rec)
+
+
+def load_fixture(path: str | Path) -> NewformData:
+    """The checked newform of a fixture file."""
+    return _checked_record(Path(path).read_bytes())[1]
 
 
 def save_fixture(rec: FormRecord, path: str | Path) -> None:
@@ -254,17 +259,21 @@ def fetch_newform(label: str, n_max: int, base_url: str,
 
     Cache entries are content-addressed: the payload checksum is stored in a
     sidecar and re-verified on every hit, so a corrupted file falls through
-    to a refetch.
+    to a refetch, as does a sidecar that is not a JSON object with the
+    payload's sha256.  The errors of a bad body start with `GET <url>: `.
     """
     directory = Path(directory) if directory is not None else cache_dir()
     directory.mkdir(parents=True, exist_ok=True)
     data_path, meta_path = _cache_paths(directory, label, n_max)
     if data_path.exists() and meta_path.exists():
         payload = data_path.read_bytes()
-        meta = json.loads(meta_path.read_text())
-        if hashlib.sha256(payload).hexdigest() == meta.get("sha256"):
+        try:
+            meta = json.loads(meta_path.read_bytes())
+        except ValueError:  # not JSON, or not text
+            meta = None
+        if isinstance(meta, dict) and meta.get("sha256") == hashlib.sha256(payload).hexdigest():
             return parse_record(json.loads(payload))
-        # checksum mismatch: treat as absent
+        # a corrupt sidecar or a checksum mismatch: treat as absent
     transport = transport or _default_transport
     url = f"{base_url.rstrip('/')}/{label}?n_max={n_max}"
     last_exc: Exception | None = None
@@ -281,11 +290,10 @@ def fetch_newform(label: str, n_max: int, base_url: str,
     else:
         raise NetworkError(f"GET {url} failed after {FETCH_ATTEMPTS} attempts: {last_exc}")
     try:
-        obj = json.loads(body)
-    except json.JSONDecodeError as exc:
-        raise FormatError(exc.pos, exc.msg) from exc
-    rec = parse_record(obj)
-    record_to_newform(rec)
+        rec = _checked_record(body)[0]
+    except (FormatError, SchemaError, IntegrityError) as exc:
+        exc.args = (f"GET {url}: {exc}",)
+        raise
     payload = canonical_bytes(rec)
     meta = {
         "sha256": hashlib.sha256(payload).hexdigest(),

@@ -39,19 +39,22 @@ bound, and the series only where its tail is geometric with ratio at most
 1/2, so each omitted tail is at most a small multiple of a term computed;
 the guard digits of each branch hold what the fixed-point floors lose.
 
-The AFE has one smoothed sum per s, on the one grid x_n = n / sqrt(Q):
+The AFE has one smoothed sum per s, on the one grid x_n = n / M, M the
+square root of the conductor Q = M^2:
 
-    A(s) = sum_{n<=N} c_n n^(-s) G_s(n / sqrt(Q)),
+    A(s) = sum_{n<=N} c_n n^(-s) G_s(n / M),
 
-computed once per s.  N is the least multiple of 64, or n_max, at which
-`_afe_tail_bound` certifies the tail, found before any term is summed by
-`_least_n`, the one search that also gives the direct sum's n_max estimate.
-The terms are real: x_n / (D n^s) and y_n / (D n^s), each one correctly
-rounded division of integers, times G_s, and the two coordinates are summed
-apart (`libmp.mpf_sum`): A(s) = Sx + sqrt(d0) Sy.  Neither sum embeds a
-coefficient; only the root number is embedded, once per s.  The dual series
-has the complex-conjugate coefficients, so its sum at s^ = k + k2 - 1 - s is
-conj(A(s^)), and Lambda(s) = A(s) + eps Q^alpha(s) conj(A(s^)) with the
+computed once per s; the grid is one raw value, the engine's `scale` = 1/M,
+which the terms and the tail bound both read.  N is the least multiple of
+64, or n_max, at which `_afe_tail_bound` certifies the tail, found before
+any term is summed by `_least_n`, the one search that also gives the direct
+sum's n_max estimate.  The terms are real: x_n / (D n^s) and y_n / (D n^s),
+each one correctly rounded division of integers, times G_s, and the two
+coordinates are summed apart (`libmp.mpf_sum`): A(s) = Sx + sqrt(d0) Sy.
+Neither sum embeds a coefficient; only the root number is embedded, once
+per s.  The dual series has the complex-conjugate coefficients, so its sum
+at s^ = k + k2 - 1 - s is conj(A(s^)), and Lambda(s) = A(s) +
+eps Q^alpha(s) conj(A(s^)), Q^alpha(s) = M^(k + k2 - 1 - 2s), with the
 bound tail(s) + |Q^alpha(s)| tail(s^).  The root number is exact:
 `rankin.root_number` takes it from the local types of the pair, and
 `LEngine.solve_root_number` returns that element of the coefficient field.
@@ -96,7 +99,6 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import libmp, mp
@@ -544,7 +546,7 @@ class LEngine:
         self.rs = rs
         self.P = P
         self.dps = P + GUARD_DIGITS + LADDER_GUARD
-        self.k, self.k2 = rs.gamma
+        self.k, self.k2 = rs.k, rs.k2
         self.w = self.k + self.k2 - 2
         self.prec = libmp.dps_to_prec(self.dps)  # the ladder's precision too
         ladder = _ladders.get((self.k, self.dps))
@@ -552,14 +554,12 @@ class LEngine:
             ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
         self.ladder = ladder
         self._sums: dict = {}  # s -> (A(s), its bound)
-        with mp.workdps(self.dps):
-            self.sqrtQ = mpmath.sqrt(mp.mpf(rs.Q.numerator) / rs.Q.denominator)
-            self.scale = 1 / self.sqrtQ  # the grid x_n = n / sqrt(Q)
-            self.q = 4 * mpmath.pi * mpmath.sqrt(self.scale)
+        self.scale = _rational(1, rs.M, self.prec)  # the grid x_n = n / M, raw
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
     def _afe_tail_bound(self, s: int, N: int):
-        """Bound on sum_{n>N} d4(n) n^(w/2 - s) G_s((q sqrt(n)/4pi)^2).
+        """Bound on sum_{n>N} d4(n) n^(w/2 - s) G_s((q sqrt(n)/4pi)^2),
+        q = 4 pi sqrt(scale), with mu = 2s - k: 1 + w/2 - s = (k2 - mu)/2.
 
         Uses |b_n| <= d4(n) n^(w/2) <= 8 n^(1 + w/2), the log-convexity bound
         K_nu(a) <= K_nu(a0) e^(a0 - a), and an incomplete-gamma estimate.
@@ -567,10 +567,10 @@ class LEngine:
         `_least_n` finds the least N that passes; correctness needs only that
         the N a sum stops at passes, which the search guarantees.
         """
-        q, mu = self.q, 2 * s - self.k
-        beta = Fraction(self.k2, 2)  # 1 + w/2 - s + mu/2, independent of s
+        k2, mu = self.k2, 2 * s - self.k
+        q = 4 * mpmath.pi * mpmath.sqrt(mp.make_mpf(self.scale))
         aN = q * mpmath.sqrt(N + 1)
-        if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < 2 * float(beta) + 8:
+        if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < k2 + 8:
             return mp.inf
         xN = (aN / (4 * mpmath.pi)) ** 2
         # only a constant of the bound: the floor precision, inflated by its error
@@ -578,15 +578,13 @@ class LEngine:
         a0, k0, pref = map(mp.make_mpf, (a0, k0, self.ladder.prefactor(s)))
         CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
         decay = mpmath.exp(-aN)
-        term = 8 * mp.mpf(N + 1) ** (1 + Fraction(self.w, 2) - s) * pref * 2 * CK \
-            * aN ** mu * decay
-        b2 = 2 * float(beta) + 1
-        integral = (2 / q ** (2 * float(beta) + 2)) * aN ** b2 * decay / (1 - b2 / aN)
+        term = 8 * mp.mpf(N + 1) ** (mp.mpf(k2 - mu) / 2) * pref * 2 * CK * aN ** mu * decay
+        integral = (2 / q ** (k2 + 2)) * aN ** (k2 + 1) * decay / (1 - (k2 + 1) / aN)
         integral *= 8 * pref * 2 * CK * q ** mu
         return term + integral
 
     def _smoothed_sum(self, s: int):
-        """A(s) = sum_{n<=N} c_n n^(-s) G_s(n / sqrt(Q)), N from `_cutoff`
+        """A(s) = sum_{n<=N} c_n n^(-s) G_s(n * scale), N from `_cutoff`
         before any term is summed; an N above n_max raises
         InsufficientCoefficients with the larger of the N of A(s) and A(s^).
 
@@ -611,7 +609,7 @@ class LEngine:
                     - float(mpmath.log10(mass)))
             # raw libmp values from here on, G's included, each operation
             # rounded to nearest at prec, as the mpf operator it stands for
-            grid, r = self.scale._mpf_, root._mpf_
+            grid, r = self.scale, root._mpf_
             g_bound = mass._mpf_
             excess = 0.0  # digits a term needed above the working precision
             sx, sy = [], []  # the terms of each coordinate
@@ -649,9 +647,8 @@ class LEngine:
 
     # -- the two-sided AFE ---------------------------------------------------
     def _alpha_pow(self, s: int):
-        # Q^((k + k2 - 1)/2 - s)
-        e2 = self.k + self.k2 - 1 - 2 * s  # twice the exponent
-        return self.sqrtQ ** e2
+        # Q^((k + k2 - 1)/2 - s) = M^(k + k2 - 1 - 2s)
+        return mp.mpf(self.rs.M) ** (self.k + self.k2 - 1 - 2 * s)
 
     def solve_root_number(self) -> AlgNum:
         """The exact root number of the series (`rankin.root_number`)."""
@@ -662,14 +659,11 @@ class LEngine:
         real, or no coefficient has a sqrt(d0) part."""
         return self.rs.field.d0 > 0 or not any(self.rs.y)
 
-    def central_point(self) -> int | None:
-        tot = self.k + self.k2 - 1
-        return tot // 2 if tot % 2 == 0 else None
-
     def certified_zero(self, s: int) -> bool:
         """True when Lambda(s) = 0 exactly: the self-dual functional equation
-        with root number -1 forces the central value to vanish."""
-        if s != self.central_point() or not self.is_self_dual():
+        with root number -1 forces the value at the centre 2s = k + k2 - 1 to
+        vanish."""
+        if 2 * s != self.k + self.k2 - 1 or not self.is_self_dual():
             return False
         return self.solve_root_number() == -1
 
@@ -690,24 +684,18 @@ class LEngine:
             return A + eps.embed(self.dps) * alpha * B.conjugate(), tail_a + abs(alpha) * tail_b
 
     # -- direct summation -----------------------------------------------------
-    def _direct_tail_bound(self, s, N: int):
-        """`_direct_tail` at sigma = s - w/2 and the engine's precision, raw:
-        it reads no coefficient, so engines of one (sigma, N, prec) share it,
-        and it is computed once per key per process."""
-        return _direct_tail(2 * s - self.w, N, self.prec)
-
     def _tail_beyond(self, s, N: int):
-        """A cruder upper bound of the same tail, from d4(n) <= 8n and an
-        integral comparison; it only estimates the n_max a direct sum needs."""
-        margin = s - Fraction(self.w, 2) - 2
-        return 8 * mp.mpf(N) ** (2 + Fraction(self.w, 2) - s) / float(margin)
+        """8 N^(2 - sigma) / (sigma - 2), sigma = s - w/2: a cruder bound of
+        the direct tail, from d4(n) <= 8n and an integral comparison; it only
+        estimates the n_max a direct sum needs."""
+        two_sigma = 2 * s - self.w
+        return 16 * mp.mpf(N) ** (mp.mpf(4 - two_sigma) / 2) / (two_sigma - 4)
 
     def _direct_sum(self, s, target=mp.inf):
         """(finite part, certified absolute tail) by direct summation over
-        the available coefficients.  The tail bound is `_direct_tail_bound`
-        at n_max, kept raw: it depends only on (sigma, n_max, self.prec), so
-        it is computed once per key per process and shared by every engine.
-        A tail above `target` raises InsufficientCoefficients before any term
+        the available coefficients.  The tail bound is `_direct_tail` at
+        sigma = s - w/2, n_max and self.prec, kept raw and shared by every
+        engine.  A tail above `target` raises InsufficientCoefficients before any term
         is summed, with the least n_max above the one given at which
         `_tail_beyond` passes.
 
@@ -725,7 +713,7 @@ class LEngine:
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
         with mp.workdps(self.dps):
-            tail = self._direct_tail_bound(s, rs.n_max)
+            tail = _direct_tail(2 * s - self.w, rs.n_max, self.prec)
             if libmp.mpf_gt(tail, target._mpf_):
                 need = _least_n(functools.partial(self._tail_beyond, s), target, rs.n_max, 1,
                                 above=rs.n_max)[0]

@@ -3,6 +3,11 @@ Dirichlet-L correction, the exact root number, archimedean factor, critical
 set and the twist-range bookkeeping.  The Euler product the coefficients are checked against lives
 in the tests.
 
+Lambda(s) = L_inf(s) L(s) has L_inf(s) = (2 pi)^(-2s) Gamma(s) Gamma(s+1-k),
+as factorials at the integer s the pipeline reads, and conductor Q = M^2 for
+the squarefree M = lcm of the levels that `root_number` accepts; the series
+keeps M alone.
+
 Conventions: the pair is stored with weights k < k2.  The finite part is
 
     sum_n b_n n^(-s)  =  L^(M)(2s - (k + k2 - 2), chi*chi2) * sum_n a_n(h) a_n(h2) n^(-s),
@@ -35,8 +40,7 @@ class PoleError(ExactError):
 
 
 class NormalizationError(ExactError):
-    """The root number is not given by a local type this code covers, or the
-    series' conductor Q is not the product of the local conductors."""
+    """The root number is not given by a local type this code covers."""
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,9 @@ class RankinSeries:
     x: tuple[int, ...]
     y: tuple[int, ...]
     D: int
-    M: int
-    gamma: tuple[int, int]  # (k, k2) with k < k2
-    Q: Fraction
+    M: int  # the lcm of the levels; the conductor is M^2
+    k: int  # the weights, k < k2
+    k2: int
     #: L-value engines by precision, filled by `lvalue.get_engine`
     engines: dict = dataclasses.field(default_factory=dict, init=False, repr=False,
                                       compare=False)
@@ -58,14 +62,6 @@ class RankinSeries:
     @property
     def n_max(self) -> int:
         return len(self.x) - 1
-
-    @property
-    def k(self) -> int:
-        return self.gamma[0]
-
-    @property
-    def k2(self) -> int:
-        return self.gamma[1]
 
     @property
     def field(self) -> QuadField:
@@ -110,12 +106,13 @@ def rs_coefficients(h: NewformData, h2: NewformData, n_max: int) -> RankinSeries
                 bx[n] += u * X + d0 * v * Y
                 by[n] += u * Y + v * X
     return RankinSeries(h=h, h2=h2, x=tuple(bx), y=tuple(by), D=Dc * h.D * h2.D, M=M,
-                        gamma=(k, k2), Q=Fraction(M) ** 2)
+                        k=k, k2=k2)
 
 
 def root_number(rs: RankinSeries) -> AlgNum:
     """The root number eps of Lambda(s) = eps Q^((k+k2-1)/2 - s) Lambda~(k+k2-1-s),
-    exactly, as the product of local factors eps_p over p | M (eps_inf = 1).
+    Q = M^2, exactly, as the product of local factors eps_p over p | M
+    (eps_inf = 1).
 
     Each p | M must divide exactly one level, once; call that form f and the
     p-part of its nebentypus chi_p.  For trivial chi_p (a Steinberg twist,
@@ -123,11 +120,9 @@ def root_number(rs: RankinSeries) -> AlgNum:
     principal series) eps_p = chi_p(-1) conj(a_p(f))^2 / p^(k_f-1), the sign
     coming from tau(chi_p)^2 = chi_p(-1) p (W. Li, "L-series of Rankin type
     and their functional equations", Math. Ann. 244, 1979).  Any other local
-    type, and a conductor Q other than the product of the p^2, raises
-    NormalizationError.
+    type raises NormalizationError.
     """
     eps = AlgNum.rational(1).promote(rs.field)
-    conductor = 1
     for p in sorted(_factor_trial(rs.M)):
         owners = [g for g in (rs.h, rs.h2) if g.level % p == 0]
         if len(owners) > 1:
@@ -143,10 +138,6 @@ def root_number(rs: RankinSeries) -> AlgNum:
             ap = f.a(p).conj()
             sign = chi_p[max(chi_p)]  # chi_p(-1): -1 is the largest unit residue
             eps = eps * sign * ap * ap / Fraction(p) ** (f.weight - 1)
-        conductor *= p * p
-    if rs.Q != conductor:
-        raise NormalizationError(
-            f"conductor Q = {rs.Q} is not the product {conductor} of the local conductors")
     return eps
 
 
@@ -159,16 +150,13 @@ def _local_char(chi: DirichletChar, p: int) -> dict[int, AlgNum]:
             for r in range(1, pe) if r % p}
 
 
-def archimedean_factor(s, k: int, P: int = 50):
-    """(2 pi)^(-2s) Gamma(s) Gamma(s + 1 - k) at working precision P."""
+def archimedean_factor(s: int, k: int, P: int = 50):
+    """L_inf(s) = (2 pi)^(-2s) (s - 1)! (s - k)! at an integer s, an mpf at
+    working precision P; Gamma has a pole at s < 1 or s < k."""
+    if s < 1 or s < k:
+        raise PoleError(f"gamma pole at s = {s}, k = {k}")
     with workdps(P):
-        s = mpmath.mpc(s)
-        for arg in (s, s + 1 - k):
-            if abs(arg.imag) < mpmath.mpf(10) ** (-P) and arg.real <= 0 \
-                    and abs(arg.real - mpmath.nint(arg.real)) < mpmath.mpf(10) ** (-P):
-                raise PoleError(f"gamma pole at argument {arg}")
-        val = (2 * mpmath.pi) ** (-2 * s) * mpmath.gamma(s) * mpmath.gamma(s + 1 - k)
-        return val
+        return (2 * mpmath.pi) ** (-2 * s) * mpmath.factorial(s - 1) * mpmath.factorial(s - k)
 
 
 def gamma_ratio(m: int, k: int) -> Fraction:

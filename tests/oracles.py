@@ -6,14 +6,14 @@ functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
 a time, the direct sum embedded and summed in mpmath, the Bessel K series
 and asymptotic expansion in mpf arithmetic, the smoothed sum and its kernel
 ladder in mpf operators, the cutoff of a smoothed sum by a linear scan, the
-Euler product of the Rankin-Selberg series, the eta product by the
-pentagonal number theorem, the printed Kostant and w6 identities, the
-support claims behind the closed-form local constant, the local constant as
-a product of two geometric factors, the successive ratios of level-1
-pairs in closed form from the unfolding) so the pipeline's version can be
-checked against them.  A level-1 eigenform with real quadratic coefficients
-is built here too.  Shared by several test modules; pytest does not collect this
-file.
+archimedean factor through complex Gamma, the Euler product of the
+Rankin-Selberg series, the eta product by the pentagonal number theorem, the
+printed Kostant and w6 identities, the support claims behind the closed-form
+local constant, the local constant as a product of two geometric factors,
+the successive ratios of level-1 pairs in closed form from the unfolding)
+so the pipeline's version can be checked against them.  A level-1 eigenform
+with real quadratic coefficients is built here too.  Shared by several test
+modules; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from mpmath import libmp, mp
 
 from rscong import lvalue
 from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
-from rscong.exactnum import AlgNum, ExactError, QuadField, vp
+from rscong.exactnum import AlgNum, ExactError, QuadField, vp, workdps
 from rscong.forms import (DirichletChar, NewformData, bernoulli, delta_family_qexp,
                           trivial_char)
 from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
@@ -268,7 +268,7 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
     mpf values at dps, summed with `mpmath.fsum`."""
     rs = eng.rs
     d0 = rs.field.d0
-    scale = eng.scale
+    scale = mp.make_mpf(eng.scale)
     with mp.workdps(eng.dps):
         root = mpmath.sqrt(abs(d0))
         mass = abs(archimedean_factor(s, eng.k, eng.dps))
@@ -322,16 +322,23 @@ def cutoff_scan(eng: LEngine, s: int):
                 return N, tail
 
 
+def archimedean_factor_mpc(s, k: int, P: int):
+    """(2 pi)^(-2s) Gamma(s) Gamma(s + 1 - k) through complex Gamma at
+    working precision P, s away from the poles."""
+    with workdps(P):
+        s = mpmath.mpc(s)
+        return (2 * mpmath.pi) ** (-2 * s) * mpmath.gamma(s) * mpmath.gamma(s + 1 - k)
+
+
 # ---------------------------------------------------------------------------
 # the root number solved from the AFE at two smoothing scales
 # ---------------------------------------------------------------------------
 
 def smoothed_sum_at(eng: LEngine, s: int, scale):
     """sum_n c_n n^(-s) G_s(n * scale) on a grid other than the engine's
-    n / sqrt(Q): the engine's own sum, run on a copy with the grid replaced."""
+    n / M: the engine's own sum, run on a copy with its `scale` replaced."""
     other = copy.copy(eng)
-    with mp.workdps(eng.dps):
-        other.scale, other.q = scale, 4 * mpmath.pi * mpmath.sqrt(scale)
+    other.scale = scale._mpf_
     return other._smoothed_sum(s)[0]
 
 
@@ -340,16 +347,17 @@ def probe_root_number(eng: LEngine):
 
     Lambda(s) does not depend on the smoothing scale delta: with
     s^ = k + k2 - 1 - s it is A(s) + eps Q^alpha(s) conj(B(s^)), A summed on
-    the grid n/delta and B on n delta/Q.  So at a probe s the sums at
-    delta = sqrt(Q) (the engine's) and at a second delta give eps; the two
-    probes (s = k2 - 1 against 27/20 sqrt(Q), and the next s down, not left
-    of the centre, against 16/21 sqrt(Q)) disagree by `residual`.
+    the grid n/delta and B on n delta/Q, Q = M^2.  So at a probe s the sums
+    at delta = M (the engine's) and at a second delta give eps; the two
+    probes (s = k2 - 1 against 27/20 M, and the next s down, not left of the
+    centre, against 16/21 M) disagree by `residual`.
     """
     with mp.workdps(eng.dps):
-        Q = mp.mpf(eng.rs.Q.numerator) / eng.rs.Q.denominator
+        M = mp.mpf(eng.rs.M)
+        Q = M ** 2
         s_lo = max(eng.k, (eng.k + eng.k2 - 1) // 2 + 1)
-        probes = [(eng.k2 - 1, eng.sqrtQ * mp.mpf(27) / 20),
-                  (max(eng.k2 - 2, s_lo), eng.sqrtQ * mp.mpf(16) / 21)]
+        probes = [(eng.k2 - 1, M * mp.mpf(27) / 20),
+                  (max(eng.k2 - 2, s_lo), M * mp.mpf(16) / 21)]
         solved = []
         for s0, delta in probes:
             shat = eng.k + eng.k2 - 1 - s0

@@ -101,6 +101,23 @@ class TestCriterion1Reproduction:
         announce("1+ report.json bytes equal the committed golden",
                  text == GOLDEN_REPORT.read_text())
 
+    def test_p40_matches_the_golden_verdicts_and_ratios(self, h_prime, h_dprime, h_aux26,
+                                                        rs_74_prime, rs_74_dprime):
+        # the flagship's 23 exact ratios have at most 41 bits per coordinate,
+        # so P = 40 already reconstructs them; lower P decides some wrongly
+        rep = full_report(h_aux26, h_prime, h_dprime, L13, P=40,
+                          series=(rs_74_prime, rs_74_dprime))
+        doc = json.loads(json.dumps({k: v for k, v in rep.items() if not k.startswith("_")}))
+
+        def outcome(report):
+            return [(p["pair"], p["verdict"], p["ratio_1"]["ratio_exact"],
+                     p["ratio_2"]["ratio_exact"]) for p in report["pairs"]]
+
+        got, want = outcome(doc), outcome(json.loads(GOLDEN_REPORT.read_text()))
+        exact = sum(r is not None for _, _, *ratios in got for r in ratios)
+        announce("1+ P = 40 gives the golden's 12 verdicts and 23 exact ratios",
+                 got == want and len(got) == 12 and exact == 23)
+
     def test_exit_semantics(self, report74):
         # every verdict is informational here (hypotheses violated), so a
         # verification run reports success with annotations
@@ -217,7 +234,7 @@ class TestCriterion4LEngine:
         for rs in (rs_74_prime, rs_74_dprime):
             eng = get_engine(rs, P_WORK)
             conj = get_engine(conjugate_pair(rs), P_WORK) if not eng.is_self_dual() else eng
-            k, k2 = rs.gamma
+            k, k2 = rs.k, rs.k2
             with mp.workdps(eng.dps):
                 eps = eng.solve_root_number().embed(eng.dps)
                 for s in critical_set(k, k2):

@@ -339,6 +339,13 @@ class TestFetchCli:
         assert len(fake.urls) == (3 if case == "network" else 1)
         assert fake.sleeps == ([0.5, 1.0] if case == "network" else [])
 
+    @pytest.mark.parametrize("body", [b"<html>", b'{"level": 1}'])
+    def test_bad_body_names_its_url(self, fake, tmp_path, body):
+        fake.body = body
+        code, out, err = self.fetch(tmp_path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: GET {self.URL}: ")
+
 
 class TestVerifyCli:
     def test_identical_forms_all_congruent_exit_0(self, capsys, tmp_path):

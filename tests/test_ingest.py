@@ -237,6 +237,16 @@ class TestFetch:
                       transport=tr, sleep=lambda s: None)
         assert tr.calls == 2  # mutated cache entry was refetched
 
+    @pytest.mark.parametrize("sidecar", [b"{trunc", b"[]"])
+    def test_corrupt_sidecar_refetches(self, tmp_path, sidecar):
+        payload = self._payload()
+        (tmp_path / "1.12.a.a.30.json").write_bytes(payload)
+        (tmp_path / "1.12.a.a.30.meta.json").write_bytes(sidecar)
+        tr = FlakyTransport(payload)
+        rec = fetch_newform("1.12.a.a", 30, "http://db", directory=tmp_path,
+                            transport=tr, sleep=lambda s: None)
+        assert tr.calls == 1 and canonical_bytes(rec) == payload
+
     def test_not_found_propagates(self, tmp_path):
         tr = FlakyTransport(NotFound("nope"))
         with pytest.raises(NotFound):

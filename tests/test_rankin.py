@@ -4,12 +4,13 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from oracles import (Unsupported, coefficients, euler_expand, euler_factor,
-                     rs_coefficients_algnum, weight24_eigenform)
+from oracles import (Unsupported, archimedean_factor_mpc, coefficients, euler_expand,
+                     euler_factor, rs_coefficients_algnum, weight24_eigenform)
 
-from rscong.exactnum import AlgNum, ExactError
+from rscong.exactnum import GUARD_DIGITS, AlgNum, ExactError
 from rscong.forms import NewformData, char_from_kronecker, delta_family_qexp, primes_upto
 from rscong.rankin import (PoleError, archimedean_factor, critical_set,
                            gamma_ratio, rs_coefficients, theorem_ranges,
@@ -81,7 +82,7 @@ class TestCoefficients:
 
     def test_weight_ordering_normalized(self, h_prime, h_aux26):
         rs = rs_coefficients(h_aux26, h_prime, 100)
-        assert rs.gamma == (13, 26) and rs.h is h_prime
+        assert (rs.k, rs.k2) == (13, 26) and rs.h is h_prime
 
     def test_character_modulus_must_divide_the_level(self):
         # delta:12 given chi_-4 at level 1: the modulus 4 does not divide
@@ -97,7 +98,7 @@ class TestEulerFactor:
         assert loc.poly[1] == -(rs_small.h.a(5) * rs_small.h2.a(5))
 
     def test_top_coefficient_norm_term(self, rs_small):
-        k, k2 = rs_small.gamma
+        k, k2 = rs_small.k, rs_small.k2
         loc = euler_factor(rs_small.h, rs_small.h2, 7)
         expected = Fraction(7) ** (2 * (k - 1)) * Fraction(7) ** (2 * (k2 - 1))
         assert loc.poly[4] == expected
@@ -119,6 +120,24 @@ class TestArchimedean:
         with pytest.raises(PoleError):
             archimedean_factor(12, 13, 30)  # s + 1 - k = 0
         archimedean_factor(13, 13, 30)  # finite
+
+    @pytest.mark.parametrize("k", [0, 1, 13, 26])
+    def test_poles_left_of_k_and_at_zero(self, k):
+        for s in range(-3, max(k, 1)):
+            with pytest.raises(PoleError):
+                archimedean_factor(s, k, 30)
+
+    @pytest.mark.parametrize("P", [8, 30, 60, 135])
+    def test_factorials_match_complex_gamma(self, P):
+        # within a few units in the last place of the working precision
+        prec = mpmath.libmp.dps_to_prec(P + GUARD_DIGITS)
+        for k in range(1, 31):
+            for s in range(k, k + 45):
+                got = archimedean_factor(s, k, P)
+                want = archimedean_factor_mpc(s, k, P)
+                assert want.imag == 0
+                with mpmath.workdps(P + 40):
+                    assert abs(got - want.real) <= 4 * abs(want.real) * mpmath.ldexp(1, -prec)
 
     def test_gamma_ratio_examples(self):
         assert gamma_ratio(25, 13) == Fraction(1, 25 * 13)
