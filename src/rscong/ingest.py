@@ -211,6 +211,8 @@ def _checked_record(raw: bytes) -> tuple[FormRecord, NewformData]:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(exc.pos, exc.msg) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(exc.start, f"not {exc.encoding}: {exc.reason}") from exc
     rec = parse_record(obj)
     return rec, record_to_newform(rec)
 

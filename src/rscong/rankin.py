@@ -196,21 +196,12 @@ def theorem_ranges(k: int, k2: int) -> TheoremRanges:
     auxiliary of weight k2) covers (k2-k)/2 + 1 < m <= k2-k+1 with pairs
     (k + m - 3, k + m - 2).
     """
-    possible = k2 - k >= 2
-    right = []
-    if possible:
-        top = math.floor(Fraction(k2 - k, 2) - 2)
-        right = list(range(-1, top + 1))
+    d = k2 - k
+    right = range(-1, d // 2 - 1)
+    left = range(-(-d // 2) - 1, d - 2)
+    lw = range(d // 2 + 2, d + 2) if d >= 2 else ()  # not [2] at d = 1
     right_pairs = tuple(translate_argument(m, k2) for m in right)
-    left = []
-    if possible:
-        lo = math.ceil(Fraction(k2 - k, 2) - 1)
-        left = [m for m in range(lo, k2 - k - 2)]
     left_pairs = tuple(translate_argument(m, k2) for m in left)
-    lw = []
-    if possible:
-        lo = Fraction(k2 - k, 2) + 1
-        lw = [m for m in range(math.floor(lo) + 1, k2 - k + 2) if m > lo]
     lw_pairs = tuple((k + m - 3, k + m - 2) for m in lw)
     return TheoremRanges(
         right_twists=tuple(right), right_pairs=right_pairs,

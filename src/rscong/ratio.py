@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .congruence import check_congruent, eisenstein_screen, excluded_primes
 from .exactnum import (AlgNum, ExactError, GUARD_DIGITS, PrimeIdeal, QuadField,
-                       compositum, valuation, workdps)
+                       compositum, quad_normalize, valuation, workdps)
 from .forms import NewformData
 from .lvalue import get_engine
 from .rankin import (RankinSeries, archimedean_factor, critical_set, gamma_ratio,
@@ -35,18 +35,9 @@ class ReconstructionFailed(ExactError):
         super().__init__(message or f"no small algebraic relation found for {value}")
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    """Exact rational value of an mpf (man_exp is unsigned; restore the sign)."""
-    x = mpmath.mpf(x)
-    if x == 0:
-        return Fraction(0)
-    m, e = x.man_exp
-    f = Fraction(int(m)) * (Fraction(2) ** int(e))  # int(): shed gmpy2 types
-    return -f if x < 0 else f
-
-
 def _best_rational(x, cap: int) -> Fraction:
-    return _mpf_to_fraction(x).limit_denominator(cap)
+    """The fraction of denominator at most `cap` nearest the mpf `x`."""
+    return Fraction(*libmp.to_rational(x._mpf_)).limit_denominator(cap)
 
 
 def height_bits(x: AlgNum) -> int:
@@ -72,19 +63,17 @@ def reconstruct_algebraic(x, F: QuadField, height_cap: int = 10 ** 40,
                 raise ReconstructionFailed(x)
             return y, res
 
-        if F.is_rational:
-            if abs(x.imag) > tol * max(1, abs(x)):
-                raise ReconstructionFailed(x, "value has an imaginary part; field is Q")
-            return finish(AlgNum.rational(_best_rational(x.real, height_cap)))
         if F.d0 < 0:
             root = mpmath.sqrt(mp.mpf(-F.d0))
-            u = _best_rational(x.real, height_cap)
-            v = _best_rational(x.imag / root, height_cap)
-            return finish(AlgNum(F, u, v))
+            return finish(AlgNum(F, _best_rational(x.real, height_cap),
+                                 _best_rational(x.imag / root, height_cap)))
+        if abs(x.imag) > tol * max(1, abs(x)):
+            raise ReconstructionFailed(x, "value has an imaginary part; field is "
+                                       + ("Q" if F.is_rational else "real"))
+        if F.is_rational:
+            return finish(AlgNum.rational(_best_rational(x.real, height_cap)))
         # real quadratic: one real relation p + q sqrt(d0) - r x = 0
         root = mpmath.sqrt(mp.mpf(F.d0))
-        if abs(x.imag) > tol * max(1, abs(x)):
-            raise ReconstructionFailed(x, "value has an imaginary part; field is real")
         rel = mpmath.pslq([mp.mpf(1), root, -x.real], maxcoeff=height_cap,
                           maxsteps=20000)
         if rel is None or rel[2] == 0:
@@ -93,45 +82,35 @@ def reconstruct_algebraic(x, F: QuadField, height_cap: int = 10 ** 40,
         return finish(AlgNum(F, Fraction(p, r), Fraction(q, r)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RatioVerdict:
-    """One successive-ratio record Lambda(m)/Lambda(m+1)."""
+    """One successive-ratio record Lambda(m)/Lambda(m+1): its numeric value
+    and either the exact ratio with its residual, or why there is none."""
 
-    m_classical: tuple[int, int]
-    ratio_numeric: object  # mpc
-    ratio_exact: AlgNum | None
-    reconstruction_residual: object  # mpf or None
-    height: int
-    indeterminate_reason: str | None = None
-    region: str = ""
-    v_l: int | None = None
+    pair: tuple[int, int]
+    numeric: object  # mpc
+    exact: AlgNum | None = None
+    residual: object = None  # mpf
+    reason: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.ratio_exact is not None
-
-    def to_json_obj(self) -> dict:
-        ex = None
-        if self.ratio_exact is not None:
-            y = self.ratio_exact
-            ex = [int(y.a.numerator), int(y.a.denominator),
-                  int(y.b.numerator), int(y.b.denominator)]
+    def to_json_obj(self, region: str, v_l: int | None) -> dict:
+        y = self.exact
         return {
-            "pair": list(self.m_classical),
-            "ratio_re": mpmath.nstr(self.ratio_numeric.real, 30),
-            "ratio_im": mpmath.nstr(self.ratio_numeric.imag, 30),
-            "ratio_exact": ex,
-            "residual": None if self.reconstruction_residual is None
-            else mpmath.nstr(self.reconstruction_residual, 5),
-            "height_bits": self.height,
-            "region": self.region,
-            "v_l": self.v_l,
-            "indeterminate_reason": self.indeterminate_reason,
+            "pair": list(self.pair),
+            "ratio_re": mpmath.nstr(self.numeric.real, 30),
+            "ratio_im": mpmath.nstr(self.numeric.imag, 30),
+            "ratio_exact": None if y is None else [
+                int(y.a.numerator), int(y.a.denominator),
+                int(y.b.numerator), int(y.b.denominator)],
+            "residual": None if self.residual is None else mpmath.nstr(self.residual, 5),
+            "height_bits": 0 if y is None else height_bits(y),
+            "region": region,
+            "v_l": v_l,
+            "indeterminate_reason": self.reason,
         }
 
 
-def ratio_at(rs: RankinSeries, m: int, P: int,
-             height_cap: int = 10 ** 40) -> RatioVerdict:
+def ratio_at(rs: RankinSeries, m: int, P: int) -> RatioVerdict:
     """Ratio of completed values at (m, m+1), reconstructed over the field.
 
     A numerator forced to vanish by a self-dual functional equation with
@@ -142,33 +121,42 @@ def ratio_at(rs: RankinSeries, m: int, P: int,
     cs = critical_set(rs.k, rs.k2)
     if m not in cs or m + 1 not in cs:
         raise ExactError(f"({m}, {m + 1}) is not a successive critical pair")
+    pair = (m, m + 1)
     eng = get_engine(rs, P)
     if eng.certified_zero(m + 1):
-        return RatioVerdict((m, m + 1), mpmath.mpc(0), None, None, 0,
-                            indeterminate_reason="denominator is an exact central zero "
-                            "(self-dual, root number -1)")
+        return RatioVerdict(pair, mpmath.mpc(0), reason="denominator is an exact central "
+                            "zero (self-dual, root number -1)")
     den = eng.L_at(m + 1)
     with workdps(P):
         floor = mp.mpf(10) ** (-Fraction(P, 2))
         scale = abs(archimedean_factor(m + 1, eng.k, P))
         if abs(den.value) <= floor * scale:
-            return RatioVerdict((m, m + 1), mpmath.mpc(0), None, None, 0,
-                                indeterminate_reason="denominator value vanishes to working precision")
+            return RatioVerdict(pair, mpmath.mpc(0),
+                                reason="denominator value vanishes to working precision")
         if eng.certified_zero(m):
-            zero = AlgNum.rational(0).promote(rs.field)
-            return RatioVerdict((m, m + 1), mpmath.mpc(0), zero, mp.mpf(0), 1)
+            return RatioVerdict(pair, mpmath.mpc(0), AlgNum.rational(0).promote(rs.field),
+                                mp.mpf(0))
         num = eng.L_at(m)
         ratio = num.value / den.value
     try:
-        exact, res = reconstruct_algebraic(ratio, rs.field, height_cap, P)
+        exact, res = reconstruct_algebraic(ratio, rs.field, P=P)
     except ReconstructionFailed:
-        return RatioVerdict((m, m + 1), ratio, None, None, 0,
-                            indeterminate_reason="reconstruction failed under the height cap")
+        return RatioVerdict(pair, ratio, reason="reconstruction failed under the height cap")
     if not exact:
-        return RatioVerdict((m, m + 1), ratio, None, res, 0,
-                            indeterminate_reason="ratio vanishes to working precision "
-                            "without a certifying functional equation")
-    return RatioVerdict((m, m + 1), ratio, exact, res, height_bits(exact))
+        return RatioVerdict(pair, ratio, residual=res, reason="ratio vanishes to working "
+                            "precision without a certifying functional equation")
+    return RatioVerdict(pair, ratio, exact, res)
+
+
+def _in_prime_field(v1: RatioVerdict, v2: RatioVerdict,
+                    P: PrimeIdeal) -> tuple[AlgNum, AlgNum] | None:
+    """Both exact ratios in the field of P, or None if either side has none."""
+    if v1.exact is None or v2.exact is None:
+        return None
+    F = compositum(compositum(v1.exact.field, v2.exact.field), P.field)
+    if F != P.field:
+        raise ExactError("ratios do not live in the residue field's home")
+    return v1.exact.promote(F), v2.exact.promote(F)
 
 
 def compare_ratios(v1: RatioVerdict, v2: RatioVerdict, P: PrimeIdeal) -> str:
@@ -177,19 +165,13 @@ def compare_ratios(v1: RatioVerdict, v2: RatioVerdict, P: PrimeIdeal) -> str:
 
     Non-integral sides do not force Indeterminate: the valuation of the
     difference decides either way, and the non-integrality (which the
-    theorems' excluded-prime hypotheses rule out) is recorded on the
-    verdicts' v_l fields for the report.
+    theorems' excluded-prime hypotheses rule out) shows in the report's
+    v_l fields.
     """
-    if not (v1.ok and v2.ok):
+    both = _in_prime_field(v1, v2, P)
+    if both is None:
         return INDETERMINATE
-    F = compositum(compositum(v1.ratio_exact.field, v2.ratio_exact.field), P.field)
-    if F != P.field:
-        raise ExactError("ratios do not live in the residue field's home")
-    r1 = v1.ratio_exact.promote(F)
-    r2 = v2.ratio_exact.promote(F)
-    w1, w2 = valuation(r1, P), valuation(r2, P)
-    v1.v_l = None if math.isinf(w1) else int(w1)
-    v2.v_l = None if math.isinf(w2) else int(w2)
+    r1, r2 = both
     return CONGRUENT if valuation(r1 - r2, P) >= 1 else NOT_CONGRUENT
 
 
@@ -203,29 +185,35 @@ REPORT_SCHEMA = "rscong-report/v1"
 CONGRUENCE_TERMS = 50
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairVerdict:
+    """The verdict on one critical pair: the two ratio records, the region
+    of the pair, and the prime ideal the ratios are compared at."""
+
     pair: tuple[int, int]
     region: str
     verdict: str
     informational: bool
     v1: RatioVerdict
     v2: RatioVerdict
+    prime: PrimeIdeal
 
     def to_json_obj(self) -> dict:
+        # each ratio's valuation, when both are exact; a zero ratio has none
+        both = _in_prime_field(self.v1, self.v2, self.prime)
+        v_l = [None, None] if both is None else [
+            int(valuation(r, self.prime)) if r else None for r in both]
         return {
             "pair": list(self.pair),
             "region": self.region,
             "verdict": self.verdict,
             "informational": self.informational,
-            "ratio_1": self.v1.to_json_obj(),
-            "ratio_2": self.v2.to_json_obj(),
+            "ratio_1": self.v1.to_json_obj(self.region, v_l[0]),
+            "ratio_2": self.v2.to_json_obj(self.region, v_l[1]),
         }
 
 
 def _squarefree(n: int) -> bool:
-    from .exactnum import quad_normalize
-
     return n == 1 or quad_normalize(n)[1] == 1
 
 
@@ -278,11 +266,7 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
         rs1 = rs_coefficients(h1, h, n_need)
         rs2 = rs_coefficients(h2, h, n_need)
     tr = theorem_ranges(rs1.k, rs1.k2)
-    regions = {}
-    for a, b in tr.right_pairs:
-        regions[(a, b)] = "right"
-    for a, b in tr.left_pairs:
-        regions.setdefault((a, b), "left")
+    regions = {**dict.fromkeys(tr.left_pairs, "left"), **dict.fromkeys(tr.right_pairs, "right")}
     lower_orientation = h.weight > h1.weight
 
     pairs = []
@@ -292,10 +276,8 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
         v1 = ratio_at(rs1, m, P)
         v2 = ratio_at(rs2, m, P)
         region = regions.get((m, m + 1), "central")
-        v1.region = v2.region = region
-        verdict = compare_ratios(v1, v2, P_ideal)
-        informational = bool(violations) or region != "right"
-        pairs.append(PairVerdict((m, m + 1), region, verdict, informational, v1, v2))
+        pairs.append(PairVerdict((m, m + 1), region, compare_ratios(v1, v2, P_ideal),
+                                 bool(violations) or region != "right", v1, v2, P_ideal))
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -322,10 +304,8 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
             "lower_weight_pairs": [list(p) for p in tr.lower_weight_pairs],
         },
         "pairs": [p.to_json_obj() for p in pairs],
-        "gamma_ratio_note": {
-            str(m): [gamma_ratio(m, rs1.k).numerator, gamma_ratio(m, rs1.k).denominator]
-            for m in starts
-        },
+        "gamma_ratio_note": {str(m): list(gamma_ratio(m, rs1.k).as_integer_ratio())
+                             for m in starts},
     }
     report["_verdicts"] = pairs  # in-process convenience, stripped on save
     return report

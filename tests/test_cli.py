@@ -4,6 +4,7 @@ import functools
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rscong import cli, ingest
+from rscong import cli, ingest, ratio
 from rscong.cli import build_parser, main
 from rscong.forms import delta_family_qexp
 from rscong.ingest import canonical_bytes, newform_record
+from rscong.ratio import INDETERMINATE, NOT_CONGRUENT
 
 FIXTURES = Path(__file__).parent / "fixtures"
+#: `verify --aux delta:16:1200 --precision 30` on the level-3 fixtures, as written
+GOLDEN_P30 = Path(__file__).parent / "golden" / "report_aux16_p30.json"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -339,7 +343,7 @@ class TestFetchCli:
         assert len(fake.urls) == (3 if case == "network" else 1)
         assert fake.sleeps == ([0.5, 1.0] if case == "network" else [])
 
-    @pytest.mark.parametrize("body", [b"<html>", b'{"level": 1}'])
+    @pytest.mark.parametrize("body", [b"<html>", b'{"level": 1}', b"\x80\x81 not utf-8"])
     def test_bad_body_names_its_url(self, fake, tmp_path, body):
         fake.body = body
         code, out, err = self.fetch(tmp_path)
@@ -413,6 +417,34 @@ class TestVerifyCli:
             assert code == 0
             paths.append(out_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("verdict, code", [(NOT_CONGRUENT, 2), (INDETERMINATE, 3)])
+    def test_covered_verdict_sets_the_exit_code(self, capsys, tmp_path, monkeypatch,
+                                                verdict, code):
+        # the identical-forms run, its one covered verdict replaced
+        def report_with(*args, **kwargs):
+            report = ratio.full_report(*args, **kwargs)
+            report["_verdicts"] = [replace(v, verdict=verdict) for v in report["_verdicts"]]
+            return report
+
+        monkeypatch.setattr(cli, "full_report", report_with)
+        out_path = tmp_path / "report.json"
+        got, _ = run(capsys, "verify", "--form1", "delta:16:400",
+                     "--form2", "delta:16:400", "--aux", "delta:26:400",
+                     "--prime", "23", "--precision", "40",
+                     "--m-list", "24", "--json-out", str(out_path))
+        assert got == code
+        doc = json.loads(out_path.read_text())
+        assert "_verdicts" not in doc and not doc["pairs"][0]["informational"]
+
+    def test_report_bytes_match_the_p30_golden(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _ = run(capsys, "verify", "--fixtures", str(FIXTURES),
+                      "--form1", "3.13.b.a", "--form2", "3.13.b.b",
+                      "--aux", "delta:16:1200", "--prime", "13", "--precision", "30",
+                      "--n-max", "1200", "--json-out", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == GOLDEN_P30.read_bytes()
 
     @pytest.mark.parametrize("cfg", [{"precision": "x"}, {"n-max": 1.5}])
     def test_config_value_is_read_by_the_flag_type(self, capsys, tmp_path, cfg):

@@ -47,6 +47,13 @@ class TestSchema:
         with pytest.raises(IntegrityError):
             load_fixture(path)
 
+    def test_non_utf8_fixture_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"label": "\xff"}')
+        with pytest.raises(FormatError, match="not utf-8") as err:
+            load_fixture(path)
+        assert err.value.offset == 11
+
     def test_quadratic_field_normalized(self):
         rec = read_record(FIXTURES / "3.13.b.b.json")
         assert rec.field_disc == -8424

@@ -14,7 +14,7 @@ from rscong.exactnum import (AlgNum, QuadField, RATIONAL, factor_rational_prime,
                              valuation, workdps)
 from rscong.forms import delta_family_qexp
 from rscong.rankin import rs_coefficients
-from rscong.ratio import (CONGRUENT, INDETERMINATE, NOT_CONGRUENT, RatioVerdict,
+from rscong.ratio import (CONGRUENT, INDETERMINATE, NOT_CONGRUENT, PairVerdict, RatioVerdict,
                           ReconstructionFailed, compare_ratios, height_bits,
                           ratio_at, reconstruct_algebraic)
 
@@ -72,8 +72,7 @@ class TestReconstruct:
 
 def mk_verdict(exact: AlgNum | None, pair=(24, 25)):
     return RatioVerdict(pair, mpmath.mpc(0), exact,
-                        mp.mpf(0) if exact is not None else None,
-                        height_bits(exact) if exact is not None else 0)
+                        mp.mpf(0) if exact is not None else None)
 
 
 class TestCompare:
@@ -104,8 +103,10 @@ class TestCompare:
     def test_nonintegral_sides_still_decided(self):
         v1 = mk_verdict(AlgNum.rational(Fraction(1, 13)).promote(F26))
         v2 = mk_verdict(AlgNum.rational(Fraction(2, 13)).promote(F26))
-        assert compare_ratios(v1, v2, L13) == NOT_CONGRUENT
-        assert v1.v_l == -2
+        verdict = compare_ratios(v1, v2, L13)
+        assert verdict == NOT_CONGRUENT
+        doc = PairVerdict((24, 25), "right", verdict, False, v1, v2, L13).to_json_obj()
+        assert doc["ratio_1"]["v_l"] == -2
 
     def test_ultrametric_transitivity(self):
         rng = random.Random(8)
@@ -149,6 +150,6 @@ class TestClosedFormRatios:
     def test_engine_matches_closed_form(self, series, k, k1, n, m):
         rs = series[(k, k1)]
         expect = delta_family_ratio(k, k1, m)
-        assert ratio_at(rs, m, 40).ratio_exact == expect
-        assert ratio_at(rs, k + k1 - 2 - m, 40).ratio_exact == 1 / expect
+        assert ratio_at(rs, m, 40).exact == expect
+        assert ratio_at(rs, k + k1 - 2 - m, 40).exact == 1 / expect
 
