@@ -7,10 +7,14 @@ conversion from exact values.  Every Eisenstein-type expansion (E_k(chi) with
 its exact constant term, the level-1 E_{k-12} below, the fixture generator's
 weight-1 and weight-3 series) is one integer divisor sum, `divisor_sum`.
 Every product of integer q-series (here and in the fixture generator) is one
-packed integer multiply, `series_mul`.  The one-dimensional level-1 cuspform
-family Delta * E_{k-12} has integer coefficients, the coordinates with D = 1:
-Delta = q * (eta^3)^8 squares Jacobi's series for eta^3 three times, and each
-other member is one product Delta * E_{k-12}.
+packed integer multiply, `series_mul`, whose slot holds the factors and the
+caller's bound on the kept product coefficients (by default the worst case).
+The one-dimensional level-1 cuspform family Delta * E_{k-12} has integer
+coefficients, the coordinates with D = 1: Delta = q * (eta^3)^8 squares
+Jacobi's series for eta^3 three times, and each other member is one product
+Delta * E_{k-12}.  Each is a normalized eigenform, so Deligne's bound
+|a(n)| <= d(n) n^((k-1)/2) <= 2 n^(k/2) sizes the slot of that product and
+of the last squaring, which gives Delta.
 """
 
 from __future__ import annotations
@@ -30,25 +34,30 @@ import mpmath
 # integer q-series helpers (index = exponent of q)
 # ---------------------------------------------------------------------------
 
-def series_mul(f, g, n_max: int) -> list[int]:
-    """The coefficients of q^0 .. q^n_max of the product of two integer
+def series_mul(f, g, n_max: int, bound: int | None = None) -> list[int]:
+    """The coefficients c_0 .. c_n_max of the product of two integer
     q-series, by Kronecker substitution: one integer multiply.
 
     Every coefficient is stored as c + h in a w-byte slot, h = 2^(8w - 1),
     so a series packs and unpacks through one `from_bytes`/`to_bytes`, and
     the packed offsets sum_i h 2^(8wi) are taken off as one integer.  A
-    product coefficient is a sum of at most min(len f, len g) products, so
-    8w >= bits(max|f|) + bits(max|g|) + bits(min(len f, len g)) + 1 keeps
-    it, and every factor coefficient, inside the slot.  f * f packs once and
-    squares, which CPython does faster than a general multiply."""
+    value v fits when bits(|v|) < 8w, so the slot is the least whole bytes
+    above bits(max(max|f|, max|g|, bound)): every factor coefficient and,
+    for `bound` >= |c_n| for every n <= n_max, every kept coefficient.  The
+    slots above q^n_max need not fit: they add a multiple of 2^(8w(n_max+1)),
+    which the mask drops.  Without a bound it is the worst case,
+    min(len f, len g) max|f| max|g|, as a coefficient is a sum of at most
+    that many products.  f * f packs once and squares, which CPython does
+    faster than a general multiply."""
     m = n_max + 1
     square = f is g
     f, g = f[:m], g[:m]
     if not f or not g:
         return [0] * m
-    bits = (max(map(abs, f)).bit_length() + max(map(abs, g)).bit_length()
-            + min(len(f), len(g)).bit_length() + 1)
-    w = -(-bits // 8)
+    mf, mg = max(map(abs, f)), max(map(abs, g))
+    if bound is None:
+        bound = min(len(f), len(g)) * mf * mg
+    w = max(mf, mg, bound).bit_length() // 8 + 1
     h = 1 << (8 * w - 1)
 
     def offset(n: int) -> int:  # sum_{i<n} h 2^(8wi)
@@ -59,7 +68,6 @@ def series_mul(f, g, n_max: int) -> list[int]:
         return int.from_bytes(slots, "little") - offset(len(cs))
 
     a = pack(f)
-    # the slots above q^n_max add a multiple of 2^(8wm), which the mask drops
     low = (a * (a if square else pack(g)) + offset(m)) & ((1 << (8 * w * m)) - 1)
     raw = low.to_bytes(w * m, "little")
     return [int.from_bytes(raw[w * i:w * (i + 1)], "little") - h for i in range(m)]
@@ -330,22 +338,32 @@ def eisenstein_qexp(k: int, chi: DirichletChar, n_max: int) -> EisensteinData:
 DELTA_WEIGHTS = (12, 16, 18, 20, 22, 26)
 
 
+def _deligne_bound(k: int, n_max: int) -> int:
+    """2 n_max^(k/2), for even k: at least |a(n)| for every n <= n_max of a
+    normalized level-1 eigenform of weight k.  Deligne gives |a(n)| <=
+    d(n) n^((k-1)/2), and d(n) <= 2 sqrt(n), as the divisors of n pair off
+    d <-> n/d with one of each pair at most sqrt(n)."""
+    return 2 * n_max ** (k // 2)
+
+
 @lru_cache(maxsize=1)
 def _delta_int(n_max: int) -> tuple[int, ...]:
     """tau(0..n_max) of Delta = q * eta^24, kept for the last n_max asked
     for: every weight of the family at one n_max shares it.
 
     eta^3 = prod (1 - q^m)^3 = sum_m (-1)^m (2m + 1) q^(m(m+1)/2) (Jacobi),
-    squared three times to q^(n_max - 1).
+    squared three times to q^(n_max - 1).  The eta^6 and eta^12 squarings
+    take `series_mul`'s worst-case slot; the last one gives tau(n + 1) at
+    q^n, at most 2 n_max^6 by Deligne's bound at k = 12.
     """
     e = [0] * n_max
     m = 0
     while m * (m + 1) // 2 < n_max:
         e[m * (m + 1) // 2] = (-1) ** m * (2 * m + 1)
         m += 1
-    for _ in range(3):
+    for _ in range(2):
         e = series_mul(e, e, n_max - 1)
-    return (0, *e)
+    return (0, *series_mul(e, e, n_max - 1, _deligne_bound(12, n_max)))
 
 
 def delta_family_qexp(k: int, n_max: int) -> NewformData:
@@ -353,6 +371,8 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
     weights where the space is one-dimensional: Delta * E_{k-12}."""
     if k not in DELTA_WEIGHTS:
         raise ExactError(f"weight {k} is not in the one-dimensional family {DELTA_WEIGHTS}")
+    if n_max < 0:
+        raise ExactError(f"delta_family_qexp: n_max must be >= 0, got {n_max}")
     tau = _delta_int(n_max)
     if k == 12:
         coeffs = tau
@@ -362,6 +382,6 @@ def delta_family_qexp(k: int, n_max: int) -> NewformData:
         c = int(-2 * r / bernoulli(r))
         one = trivial_char()
         e = [1] + [c * s for s in divisor_sum(r, one, one, n_max)[0][1:]]
-        coeffs = tuple(series_mul(tau, e, n_max))
+        coeffs = tuple(series_mul(tau, e, n_max, _deligne_bound(k, n_max)))
     return NewformData(level=1, weight=k, char=trivial_char(1), x=coeffs,
                        y=(0,) * (n_max + 1), D=1, field=RATIONAL, label=f"1.{k}.a")

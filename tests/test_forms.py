@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -173,6 +174,29 @@ class TestDeltaFamily:
         with pytest.raises(ExactError):
             delta_family_qexp(14, 4)
 
+    def test_negative_n_max_is_named(self):
+        with pytest.raises(ExactError, match=r"n_max must be >= 0, got -1"):
+            delta_family_qexp(26, -1)
+
+    #: sha256 of repr(x) at n = 6000: the same coefficients whatever slot the
+    #: products take, pinned from series_mul's worst-case slot
+    SHA_6000 = {
+        12: "800ab2d234ff2878450266b9617b10817b7fff13685b024da6dbcbcd7f251bef",
+        16: "358767575b47601a10354c77ab6c58874eb6e05205012518b5d9f39d3067a574",
+        18: "c7138b723ae9b399f86a21d6df9b5bcb5bb65feaa695e5d024236b794e030b4c",
+        20: "c8466f57786f632dbb6b768711e3badf3d844168ccf516e199da672990b650d0",
+        22: "e304c89abe9bd6488c63c743fc41e3535e097d8638982b65d0ba798785575400",
+        26: "7287f6eacd27f9b07a37075216cd3142c1f5bad666f7fad46a3e5603153b7a06",
+    }
+
+    @pytest.mark.parametrize("k", DELTA_WEIGHTS)
+    def test_deligne_slot_keeps_every_coefficient(self, k):
+        # the products' slots are sized by 2 N^(k/2); the data must obey it
+        N = 6000
+        x = delta_family_qexp(k, N).x
+        assert hashlib.sha256(repr(x).encode()).hexdigest() == self.SHA_6000[k]
+        assert max(map(abs, x)) <= 2 * N ** (k // 2)
+
     def test_all_weights_multiplicative(self):
         rng = random.Random(2)
         for k in DELTA_WEIGHTS:
@@ -281,6 +305,16 @@ class TestSeriesMul:
     def test_matches_schoolbook(self, f, g, n_max):
         assert series_mul(f, g, n_max) == schoolbook(f, g, n_max)
         assert series_mul(f, f, n_max) == schoolbook(f, f, n_max)  # one packing, squared
+
+    @settings(max_examples=300, deadline=None)
+    @given(SERIES, SERIES, st.integers(0, 44))
+    @example([127], [255], 0)  # 32385 < 2^15: the top bit is the slot's last value bit
+    @example([1, BIG], [1, BIG], 1)  # q^2 has BIG^2, twice the slot: masked off
+    def test_tight_bound_matches_schoolbook(self, f, g, n_max):
+        # the bound is the largest kept |c_n|, the least a caller may pass
+        for a, b in ((f, g), (f, f)):
+            expect = schoolbook(a, b, n_max)
+            assert series_mul(a, b, n_max, max(map(abs, expect))) == expect
 
 
 class TestRepresentation:
