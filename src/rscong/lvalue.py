@@ -10,15 +10,18 @@ The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s), which is
 zeta(s - w/2)^4 less its first N terms: an upper bound of zeta from
 Borwein's algorithm, to the fourth power, less N floored terms, all integers
 scaled by one power of two and converted rounding up, so the bound is never
-below the tail it bounds and exceeds it only by those roundings.  It reads
-no coefficient: it depends only on (sigma, N, precision), sigma = s - w/2,
-and is computed once per key per process (`_direct_tail`), whichever series
+below the tail it bounds and exceeds it only by those roundings.  A direct
+sum stops at the least N <= n_max whose bound is below 10^-P, found by one
+upward pass over the head terms (`_direct_cut`), and raises
+InsufficientCoefficients before any term is summed when no such N exists.
+The cut reads no coefficient: it depends only on (sigma, n_max, precision),
+sigma = s - w/2, and is computed once per key per process, whichever series
 asks.  The direct finite part is an exact integer sum too: with the series'
-b_n = (x_n + y_n sqrt(d0)) / D, each integer coordinate is summed as the
-floors of x_n 2^B / (D n^s), and each sum is converted once.  What the
-floors and the conversions lose is charged to the returned tail, rounding
-up, so the bound covers the rounding of the finite part as well.  The
-smoothing kernel
+b_n = (x_n + y_n sqrt(d0)) / D, each nonzero integer coordinate of n <= N
+is summed as the floor of x_n 2^B / (D n^s), and each sum is converted
+once.  What the N floors and the conversions lose is charged to the
+returned tail, rounding up, so the bound covers the rounding of the finite
+part as well.  The smoothing kernel
 
     G_s(x) = (1/2 pi i) int_(c) L_inf(s + w) x^(-w) dw / w
 
@@ -379,16 +382,30 @@ class KernelLadder:
 
 @functools.lru_cache(maxsize=1)
 def d4_upto(n: int) -> list[int]:
-    """d_4(m) for m <= n: number of ordered factorizations into 4 parts."""
-    d2 = [0] * (n + 1)
-    for a in range(1, n + 1):
-        for m in range(a, n + 1, a):
-            d2[m] += 1
-    d4 = [0] * (n + 1)
-    for a in range(1, n + 1):
-        da = d2[a]
-        for m in range(a, n + 1, a):
-            d4[m] += da * d2[m // a]
+    """d_4(m) for m <= n: number of ordered factorizations into 4 parts.
+
+    d_4 is multiplicative with d_4(p^e) = C(e + 3, 3), so over a sieve of
+    smallest prime factors d_4(m) = d_4(m / p) times 4 when p, the least
+    prime of m, divides m once, and times (e + 3) / e when p^e, e > 1, is
+    its exact power: C(e + 3, 3) / C(e + 2, 3)."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    d4, power = [0] * (n + 1), [0] * (n + 1)  # power[m]: the exponent of spf[m] in m
+    if n:
+        d4[1] = 1
+    for m in range(2, n + 1):
+        p = spf[m]
+        r = m // p
+        if spf[r] == p:
+            e = power[m] = power[r] + 1
+            d4[m] = d4[r] * (e + 3) // e
+        else:
+            power[m] = 1
+            d4[m] = 4 * d4[r]
     return d4
 
 
@@ -454,33 +471,50 @@ def _zeta_scaled_up(two_sigma: int, C: int) -> int:
     return -(-(S + (3 << C) << C) // (dn * eta_factor))
 
 
-@functools.lru_cache(maxsize=256)  # bounded: 256 entries hold about 100 kB at P = 120
-def _direct_tail(two_sigma: int, N: int, prec: int):
-    """A raw upper bound, at prec bits, of sum_{n>N} d4(n) n^(-sigma),
-    sigma = two_sigma / 2 > 1.  It depends only on (sigma, N, prec), so it is
-    memoised on those three ints: computed once per key per process, and its
-    bits do not depend on which caller asked first.
+@functools.lru_cache(maxsize=256)  # bounded: 256 entries hold at most about 200 kB at P = 120
+def _direct_cut(two_sigma: int, n_max: int, prec: int, target):
+    """(N, tail, certified) for the direct tail sum_{n>N} d4(n) n^(-sigma),
+    sigma = two_sigma / 2 > 1: N is the least N <= n_max whose raw upper
+    bound `tail`, at prec bits, is below the raw `target` >= 0, and
+    certified is True; when no such N exists, as for a zero target, it is
+    (n_max, the bound at n_max, False).  It depends only on its four
+    arguments, so it is memoised on them: computed once per key per process,
+    and its bits do not depend on which caller asked first.
 
     Since zeta^4 is the Dirichlet series of d4, the tail is zeta(sigma)^4
     less the head sum_{n<=N} d4(n) n^(-sigma); the same identity is why
     |b_n| <= d4(n) n^(w/2).  Both are taken at scale 2^C, with
-    C = prec + 40 + ceil(sigma log2(N + 1)): Z = `_zeta_scaled_up` is at
+    C = prec + 40 + ceil(sigma log2(n_max + 1)): Z = `_zeta_scaled_up` is at
     least zeta(sigma) 2^C, so the ceiling of Z^4 / 2^(3C) is at least
-    zeta(sigma)^4 2^C, and each head term is floored (`_scaled_quotient`), so
-    the head is at most its true value.  Their difference times 2^-C is
-    rounded up to prec bits, so the result is never below the tail.
+    zeta(sigma)^4 2^C, and each head term is floored, so the head is at most
+    its true value.  One upward pass adds the head terms and stops at the
+    first N whose difference times 2^-C, rounded up to prec bits, is below
+    `target`; so the bound is never below the tail, and the rounded bounds
+    fall with N, which makes the first N that passes the least.
 
-    For sigma >= 5/2 it is above the tail by at most N + 32 units of 2^-C
-    (N floors, and Z at most 3.2 units high) and one unit in the last place.
-    The tail is at least (N + 1)^(-sigma), 2^(prec + 40) of those units, so
-    the bound is within (N + 32) 2^-(prec + 40) of the tail, relatively.
+    For sigma >= 5/2 the bound at N is above the tail by at most N + 32
+    units of 2^-C (N floors, and Z at most 3.2 units high) and one unit in
+    the last place.  The tail is at least (N + 1)^(-sigma), at least
+    2^(prec + 40) of those units, so the bound is within
+    (N + 32) 2^-(prec + 40) of the tail, relatively.
     """
-    C = prec + 40 + math.ceil(two_sigma * math.log2(N + 1) / 2)
-    d4 = d4_upto(N)
-    head = sum(_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, N + 1))
-    Z = _zeta_scaled_up(two_sigma, C)
-    tail = -(-Z ** 4 >> 3 * C) - head
-    return libmp.from_man_exp(tail, -C, prec, "c")
+    C = prec + 40 + math.ceil(two_sigma * math.log2(n_max + 1) / 2)
+    t = -(-_zeta_scaled_up(two_sigma, C) ** 4 >> 3 * C)  # ceil(Z^4 / 2^(3C)), less the head
+    _, man, exp, _ = target
+    # the exact bound t 2^-C is below target exactly when the integer t is
+    # below `limit`; only then can the rounded one be
+    limit = man << (exp + C) if exp + C >= 0 else -(-man >> -(exp + C))
+    d4 = d4_upto(n_max)
+    if two_sigma % 2 == 0:
+        sigma = two_sigma // 2
+        terms = ((d4[n] << C) // n ** sigma for n in range(1, n_max + 1))
+    else:
+        terms = (_scaled_quotient(d4[n], n, two_sigma, C, False) for n in range(1, n_max + 1))
+    for N, term in enumerate(terms, 1):
+        t -= term
+        if t < limit and libmp.mpf_lt(tail := libmp.from_man_exp(t, -C, prec, "c"), target):
+            return N, tail, True
+    return n_max, libmp.from_man_exp(t, -C, prec, "c"), False
 
 
 def _rational(p: int, q: int, prec: int):
@@ -691,30 +725,34 @@ class LEngine:
         two_sigma = 2 * s - self.w
         return 16 * mp.mpf(N) ** (mp.mpf(4 - two_sigma) / 2) / (two_sigma - 4)
 
-    def _direct_sum(self, s, target=mp.inf):
-        """(finite part, certified absolute tail) by direct summation over
-        the available coefficients.  The tail bound is `_direct_tail` at
-        sigma = s - w/2, n_max and self.prec, kept raw and shared by every
-        engine.  A tail above `target` raises InsufficientCoefficients before any term
-        is summed, with the least n_max above the one given at which
+    def _direct_sum(self, s, certify: bool = False):
+        """(finite part, certified absolute tail) by direct summation up to
+        the cut N of `_direct_cut` at sigma = s - w/2, n_max, self.prec and
+        the raw 10^-P: the least N whose tail bound is below 10^-P, or n_max
+        when none is.  The cut reads no coefficient and is shared by every
+        engine; no coefficient past N is read.  With `certify`, a tail that
+        no N <= n_max certifies raises InsufficientCoefficients before any
+        term is summed, with the least n_max above the one given at which
         `_tail_beyond` passes.
 
         With b_n = (x_n + y_n sqrt(d0)) / D as the series keeps it, each
         coordinate is one exact integer sum at scale 2^B, B = self.prec + 20 +
-        bitlen(n_max), of the floors of x_n 2^B / (D n^s).  Each sum is
-        converted to an mpf once, and the sqrt(d0) one multiplied by
-        sqrt(d0), imaginary for d0 < 0.  The floors lose under
-        n_max 2^-B (1 + |sqrt(d0)|), and the conversions, the root and the
-        two operations after them at most 2^(3 - self.prec) of the two sums'
-        magnitudes; both are added to the tail, rounding up.
+        bitlen(n_max), of the floors of x_n 2^B / (D n^s) for n <= N, a
+        coordinate divided only where it is nonzero.  Each sum is converted
+        to an mpf once, and the sqrt(d0) one multiplied by sqrt(d0), imaginary
+        for d0 < 0.  The floors lose under N 2^-B (1 + ceil|sqrt(d0)|), and
+        the conversions, the root and the two operations after them at most
+        2^(3 - self.prec) of the two sums' magnitudes; both are added to the
+        tail, rounding up.
         """
         if 2 * s <= self.k + self.k2 + 2:  # `_tail_beyond` needs s - w/2 - 2 > 0
             raise ExactError(
                 f"certified direct summation needs s > {(self.k + self.k2) / 2 + 1}")
         rs = self.rs
         with mp.workdps(self.dps):
-            tail = _direct_tail(2 * s - self.w, rs.n_max, self.prec)
-            if libmp.mpf_gt(tail, target._mpf_):
+            target = mp.mpf(10) ** (-self.P)
+            N, tail, certified = _direct_cut(2 * s - self.w, rs.n_max, self.prec, target._mpf_)
+            if certify and not certified:
                 need = _least_n(functools.partial(self._tail_beyond, s), target, rs.n_max, 1,
                                 above=rs.n_max)[0]
                 raise InsufficientCoefficients(
@@ -722,18 +760,22 @@ class LEngine:
                     f"certified tail with n_max={rs.n_max} is "
                     f"{mpmath.nstr(mp.make_mpf(tail), 3)}")
             B = self.prec + 20 + rs.n_max.bit_length()
+            D, X, Y = rs.D, rs.x, rs.y
             sx = sy = 0
-            for n, (x, y) in enumerate(zip(rs.x, rs.y)):
+            for n in range(1, N + 1):
+                x, y = X[n], Y[n]
                 if x or y:
-                    den = rs.D * n ** s
-                    sx += (x << B) // den
-                    sy += (y << B) // den
+                    den = D * n ** s
+                    if x:
+                        sx += (x << B) // den
+                    if y:
+                        sy += (y << B) // den
             d0 = rs.field.d0
             root = math.isqrt(abs(d0) - 1) + 1  # |sqrt(d0)| rounded up
             val = mpmath.mpc(mpmath.ldexp(sx, -B))
             if sy:
                 val += mpmath.ldexp(sy, -B) * mpmath.sqrt(d0)
-            units = rs.n_max * (1 + root) + ((abs(sx) + root * abs(sy)) >> (self.prec - 3)) + 1
+            units = N * (1 + root) + ((abs(sx) + root * abs(sy)) >> (self.prec - 3)) + 1
             charge = libmp.from_man_exp(units, -B, self.prec, "c")
             return val, mp.make_mpf(libmp.mpf_add(tail, charge, self.prec, "c"))
 
@@ -741,7 +783,7 @@ class LEngine:
         """(Lambda(s), bound) by direct summation, the tail of the finite part
         certified below 10^-P."""
         with mp.workdps(self.dps):
-            fin, tail = self._direct_sum(s, mp.mpf(10) ** (-self.P))
+            fin, tail = self._direct_sum(s, certify=True)
             linf = archimedean_factor(s, self.k, self.dps)
             return fin * linf, tail * abs(linf)
 

@@ -405,14 +405,14 @@ def coefficients(rs: RankinSeries) -> tuple:
     return tuple(AlgNum(F, Fraction(x, rs.D), Fraction(y, rs.D)) for x, y in zip(rs.x, rs.y))
 
 
-def direct_sum_reference(eng: LEngine, s: int):
-    """sum_n b_n n^(-s) over the engine's coefficients, each b_n embedded and
-    multiplied by n^(-s) as an mpc, and the terms summed by `mpmath.fsum`,
-    all at eng.dps + 40 digits."""
+def direct_sum_reference(eng: LEngine, s: int, N: int | None = None):
+    """sum_{n<=N} b_n n^(-s) over the engine's coefficients, N = n_max by
+    default, each b_n embedded and multiplied by n^(-s) as an mpc, and the
+    terms summed by `mpmath.fsum`, all at eng.dps + 40 digits."""
     dps = eng.dps + 40
+    b = coefficients(eng.rs)[:None if N is None else N + 1]
     with mp.workdps(dps):
-        return mpmath.fsum(c.embed(dps) * mp.mpf(n) ** (-s)
-                           for n, c in enumerate(coefficients(eng.rs)) if n and c)
+        return mpmath.fsum(c.embed(dps) * mp.mpf(n) ** (-s) for n, c in enumerate(b) if n and c)
 
 
 def d4(n: int) -> int:

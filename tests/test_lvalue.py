@@ -12,7 +12,7 @@ import mpmath
 import pytest
 from mpmath import libmp, mp
 
-from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, cutoff_scan,
+from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, cutoff_scan, d4,
                      direct_sum_reference, direct_tail_reference, eta_series, probe_root_number,
                      smoothed_sum_at, smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
@@ -69,6 +69,22 @@ def on_mpf(fn, *args):
     result, or each value of a raw pair or triple, returned as an mpf."""
     out = fn(*(a._mpf_ if isinstance(a, mpmath.mpf) else a for a in args))
     return tuple(map(mp.make_mpf, out)) if isinstance(out[0], tuple) else mp.make_mpf(out)
+
+
+def cut(eng: LEngine, s: int):
+    """`lvalue._direct_cut` as the engine's direct sum at s reads it: at its
+    n_max and precision, against its raw 10^-P."""
+    with mp.workdps(eng.dps):
+        target = (mp.mpf(10) ** -eng.P)._mpf_
+    return lvalue._direct_cut(2 * s - eng.w, eng.rs.n_max, eng.prec, target)
+
+
+def tail_at(eng: LEngine, s: int, N: int):
+    """The direct tail bound at N itself, as an mpf: the cut of n_max = N
+    against a target of zero, which no N certifies."""
+    n, tail, certified = lvalue._direct_cut(2 * s - eng.w, N, eng.prec, libmp.fzero)
+    assert (n, certified) == (N, False)
+    return mp.make_mpf(tail)
 
 
 @pytest.fixture(scope="module")
@@ -284,18 +300,18 @@ class TestDirect:
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
         return LEngine(rs, 120)
 
+    @pytest.fixture(scope="class")
+    def engine_odd(self, h_prime):
+        # 3.13.b.a x delta:16: sigma = s - w/2 is a half-integer
+        n = 1200
+        return LEngine(rs_coefficients(h_prime, delta_family_qexp(16, n), n), 30)
+
     @pytest.mark.parametrize("case", ["even", "odd"])
-    def test_tail_bound_is_an_upper_bound(self, case, engine_p120, h_prime):
+    def test_tail_bound_is_an_upper_bound(self, case, engine_p120, engine_odd):
         # sigma = s - w/2 an integer on (12,16), a half-integer on 3.13.b.a x delta:16
-        if case == "even":
-            eng, s, N = engine_p120, 51, 2000
-        else:
-            n = 1200
-            eng = LEngine(rs_coefficients(h_prime, delta_family_qexp(16, n), n), 30)
-            s, N = 32, n
+        eng, s, N = (engine_p120, 51, 2000) if case == "even" else (engine_odd, 32, 1200)
         assert (2 * s - eng.w) % 2 == (case == "odd")
-        with mp.workdps(eng.dps):
-            bound = on_mpf(lvalue._direct_tail, 2 * s - eng.w, N, eng.prec)
+        bound = tail_at(eng, s, N)
         ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert bound >= ref
@@ -309,8 +325,7 @@ class TestDirect:
         # sigma = 38 on (12,16) at s = 51, sigma = 18.5 on (13,16) at s = 32
         h, s = (delta_family_qexp(12, 8), 51) if case == "even" else (h_prime, 32)
         eng = LEngine(rs_coefficients(h, delta_family_qexp(16, 8), 8), P)
-        with mp.workdps(eng.dps):
-            bound = on_mpf(lvalue._direct_tail, 2 * s - eng.w, N, eng.prec)
+        bound = tail_at(eng, s, N)
         ref = direct_tail_reference(eng, s, N)
         with mp.workdps(eng.dps + 40):
             assert ref <= bound <= ref * (1 + mp.mpf(10) ** -(eng.dps - 10))
@@ -320,12 +335,12 @@ class TestDirect:
         n = 200
         rs = rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(16, n), n)
         eng = LEngine(rs, 30)
-        lvalue._direct_tail.cache_clear()
+        lvalue._direct_cut.cache_clear()
         with mp.workdps(15):
-            low = lvalue._direct_tail(2 * 40 - eng.w, n, eng.prec)
-        lvalue._direct_tail.cache_clear()
+            low = cut(eng, 40)
+        lvalue._direct_cut.cache_clear()
         with mp.workdps(eng.dps):
-            assert lvalue._direct_tail(2 * 40 - eng.w, n, eng.prec) == low
+            assert cut(eng, 40) == low
 
     def test_tail_bits_ignore_the_memo(self):
         # each bound and err_bound from a cleared memo, from a warm one, and
@@ -335,14 +350,14 @@ class TestDirect:
         eng = LEngine(rs, 30)
 
         def bits(s):
-            return lvalue._direct_tail(2 * s - eng.w, n, eng.prec), eng.L_at(s).err_bound._mpf_
+            return cut(eng, s), eng.L_at(s).err_bound._mpf_
 
         cold = {}
         for s in points:
-            lvalue._direct_tail.cache_clear()
+            lvalue._direct_cut.cache_clear()
             cold[s] = bits(s)
         assert {s: bits(s) for s in points} == cold
-        lvalue._direct_tail.cache_clear()
+        lvalue._direct_cut.cache_clear()
         assert {s: bits(s) for s in reversed(points)} == cold
 
     def test_engines_of_one_sigma_compute_the_bound_once(self):
@@ -351,17 +366,17 @@ class TestDirect:
         n = 8
         engines = [LEngine(rs_coefficients(delta_family_qexp(k, n), delta_family_qexp(k2, n), n),
                            30) for k, k2 in ((12, 16), (12, 22), (16, 26), (18, 20))]
-        lvalue._direct_tail.cache_clear()
+        lvalue._direct_cut.cache_clear()
         for sigma in (25, 30):
             for eng in engines:
                 s = sigma + eng.w // 2
                 _, tail = eng._direct_sum(s)
-                assert on_mpf(lvalue._direct_tail, 2 * s - eng.w, n, eng.prec) <= tail
-        info = lvalue._direct_tail.cache_info()
+                assert mp.make_mpf(cut(eng, s)[1]) <= tail
+        info = lvalue._direct_cut.cache_info()
         assert (info.misses, info.hits) == (2, 14)
 
     def test_tail_memo_is_bounded(self):
-        assert isinstance(lvalue._direct_tail.cache_info().maxsize, int)
+        assert isinstance(lvalue._direct_cut.cache_info().maxsize, int)
 
     @pytest.mark.parametrize("two_sigma", [5, 6, 27, 37, 44, 76, 90, 120])
     @pytest.mark.parametrize("C", [64, 700])
@@ -427,7 +442,8 @@ class TestDirect:
     @pytest.mark.parametrize("case", ["even", "odd"])
     def test_sum_is_within_its_charged_rounding(self, case, engine_p120, h_dprime):
         # sigma = s - w/2 an integer on (12,16); on 3.13.b.b x delta:16 a
-        # half-integer, with imaginary sqrt(-26) parts
+        # half-integer, with imaginary sqrt(-26) parts; the exact sum is the
+        # one to the cut N
         if case == "even":
             eng, points = engine_p120, (51,)
         else:
@@ -436,11 +452,11 @@ class TestDirect:
             points = (32, 33)
         for s in points:
             val, tail = eng._direct_sum(s)
-            with mp.workdps(eng.dps):
-                bound = on_mpf(lvalue._direct_tail, 2 * s - eng.w, eng.rs.n_max, eng.prec)
-            ref = direct_sum_reference(eng, s)
+            N, bound, certified = cut(eng, s)
+            assert certified and N < eng.rs.n_max, s
+            ref = direct_sum_reference(eng, s, N)
             with mp.workdps(eng.dps + 40):
-                budget = tail - bound
+                budget = tail - mp.make_mpf(bound)
                 assert (val.imag != 0) == (case == "odd"), s
                 assert abs(val - ref) <= budget, s
                 assert budget <= abs(ref) * mp.mpf(10) ** -(eng.dps - 2), s
@@ -453,11 +469,53 @@ class TestDirect:
         assert engine_p120.L_at(51).method == "direct"
 
     def test_tail_bound_value_is_pinned(self, engine_p120):
-        # the value the rounded mpf sum of the sieve stretch gave
+        # the value the rounded mpf sum of the sieve stretch gave, at N = 2000
+        bound = tail_at(engine_p120, 51, 2000)
         with mp.workdps(engine_p120.dps):
-            bound = on_mpf(lvalue._direct_tail, 2 * 51 - engine_p120.w, 2000, engine_p120.prec)
             pinned = mp.mpf("3.080765016350320682313274139546132729654e-122")
             assert abs(bound / pinned - 1) < mp.mpf(10) ** -30
+
+    def test_no_coefficient_past_the_cut_is_read(self, engine_p120):
+        # x_n = 10^50 past the cut of each s leaves its value and err_bound
+        rs = engine_p120.rs
+        for s in (51, 52, 53):
+            N = cut(engine_p120, s)[0]
+            assert N < rs.n_max
+            wild = replace(rs, x=rs.x[:N + 1] + (10 ** 50,) * (rs.n_max - N))
+            got, want = LEngine(wild, 120).L_at(s), engine_p120.L_at(s)
+            assert (got.value, got.err_bound) == (want.value, want.err_bound), s
+
+    @pytest.mark.parametrize("case", ["even", "odd"])
+    def test_cut_is_the_least_n_that_certifies(self, case, engine_p120, engine_odd):
+        # sigma = 38 at P = 120 on (12,16); sigma = 18.5 at P = 30 on
+        # 3.13.b.a x delta:16: the true tail at N - 1 is not below 10^-P
+        eng, s = (engine_p120, 51) if case == "even" else (engine_odd, 32)
+        N, tail, certified = cut(eng, s)
+        assert certified and 1 < N < eng.rs.n_max
+        if case == "even":
+            assert N == 1820
+        with mp.workdps(eng.dps):
+            target = mp.mpf(10) ** -eng.P
+            assert mp.make_mpf(tail) < target
+        assert not direct_tail_reference(eng, s, N - 1) < target
+        assert direct_tail_reference(eng, s, N) < target
+
+    def test_cut_sum_agrees_with_the_full_sum(self):
+        # the 12 points of the benchmark's lvalue_direct_p120 workload: three
+        # from the least s whose direct sum certifies 10^-120 with n = 2000
+        n = 2000
+        forms = {k: delta_family_qexp(k, n) for k in (12, 16, 18, 20, 22, 26)}
+        for (k, k2), edge in {(12, 16): 51, (12, 22): 54, (16, 26): 58, (18, 20): 56}.items():
+            eng = LEngine(rs_coefficients(forms[k], forms[k2], n), 120)
+            for s in range(edge, edge + 3):
+                val, bound = eng._direct_sum(s)
+                full, full_bound = direct_sum_reference(eng, s), tail_at(eng, s, n)
+                res = eng.L_at(s)
+                with mp.workdps(eng.dps + 40):
+                    assert abs(val - full) <= bound + full_bound, (k, k2, s)
+                    linf = archimedean_factor(s, k, eng.dps)
+                    assert res.method == "direct", (k, k2, s)
+                    assert res.err_bound < mp.mpf(10) ** -120 * abs(linf), (k, k2, s)
 
     def test_edge_point_even_weight_sum_uses_afe(self, engine_small):
         # s = (k + k2)/2 + 1 = 15 on (12,16): no certified direct tail there
@@ -870,6 +928,12 @@ class TestDualSide:
 
 
 class TestHelpers:
+    def test_d4_matches_the_factorisation(self):
+        table = [0] + [d4(n) for n in range(1, 3001)]
+        assert d4_upto(3000) == table
+        for n in (0, 1, 2, 3, 4, 8):
+            assert d4_upto(n) == table[:n + 1]
+
     def test_d4_values(self):
         d4 = d4_upto(16)
         assert d4[1] == 1 and d4[2] == 4 and d4[4] == 10 and d4[6] == 16
