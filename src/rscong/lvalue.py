@@ -80,20 +80,25 @@ rounding budget to its tail, so `LValueResult.err_bound` stays certified.
 Ladder entries are keyed by the exact bits of x and the digits: an entry is
 never upgraded in place, so no value depends on which calls ran first.
 
-The per-term path runs on raw libmp values, at precisions the code names
-and never mpmath's working precision.  The grid point, the two coordinates,
-the digit choice, the term products and the final sums of a smoothed sum
-are at the engine's `prec`; the entry a = 4 pi sqrt(x), the prefactor and
-`KernelLadder.G` at the ladder's, which is the same; a^(nu+1) and the rungs
-at the entry's digits plus a guard; the scaling sqrt(pi/2x) e^(-x) of the
-asymptotic Bessel branch and log(x/2) of the series at the branch's own.
-Each libmp call on (sign, man, exp, bc) tuples rounds as the mpf operator
-it replaces did at that precision, down to the rounding of -x before the
-exponential, so every value keeps the bits those operators gave, without
-their object and context work.  The grid point goes to `G` raw and `G`'s
-value comes back raw; mpf objects exist only at the returned sums and in
-the tail bounds, which make mpf values of the three kernel numbers they
-read, once per bound.
+The per-term path runs on raw libmp values and on integer (mantissa,
+exponent) pairs, at precisions the code names and never mpmath's working
+precision.  The grid point, the two coordinates, the digit choice, the term
+products and the final sums of a smoothed sum are at the engine's `prec`;
+the point a = 4 pi sqrt(x), the prefactor and `KernelLadder.G` at the
+ladder's, which is the same; a^(nu+1) and the rungs at the point's digits
+plus a guard; the scaling sqrt(pi/2x) e^(-x) of the asymptotic Bessel
+branch and log(x/2) of the series at the branch's own.  Each libmp call on
+(sign, man, exp, bc) tuples rounds as the mpf operator it replaces did at
+that precision, down to the rounding of -x before the exponential.  The
+products and sums of the rungs, G's product by the prefactor, the grid
+point n * scale, the magnitude |c| g_bound that sets a term's digits and
+the term products c G are exact integer operations, each rounded once to
+nearest, ties to even, by `_round`: a correctly rounded result is unique,
+so each has the bits of the libmp call it stands for, without that call's
+normalisation.  So every value keeps the bits the mpf operators gave.  The
+grid point goes to `G` raw and `G`'s value comes back raw.  The tail bound
+`_afe_tail_bound` is raw libmp calls too, each the one its mpf operator
+made; mpf objects exist only at the returned sums and bounds.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import libmp, mp
-from mpmath.libmp import (from_int, mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_hypot, mpf_log,
-                          mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_pow_int, mpf_shift, mpf_sqrt,
+from mpmath.libmp import (fone, from_int, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_exp,
+                          mpf_hypot, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_pow, mpf_pow_int, mpf_rdiv_int, mpf_shift, mpf_sqrt, mpf_sub,
                           mpf_sum)
 
 from .exactnum import GUARD_DIGITS, AlgNum, ExactError
@@ -290,8 +296,87 @@ def besselk_pair(nu: int, x, digits: int):
 
 
 # ---------------------------------------------------------------------------
+# correctly rounded arithmetic on integers
+# ---------------------------------------------------------------------------
+
+def _round(man: int, exp: int, prec: int) -> tuple[int, int]:
+    """man 2^exp rounded to nearest at prec bits, ties to even, as a pair
+    (m, e) of a signed mantissa of at most prec bits (prec + 1 when the
+    rounding carries into a power of two) and an exponent.
+
+    A correctly rounded value is unique, so an exact product or sum passed
+    here has the bits `libmp.mpf_mul`, `mpf_mul_int` and `mpf_add` give at
+    prec, "n".  (mpf_add's shortcut for operands far apart, a sticky bit in
+    place of the smaller, rounds correctly when both have at most prec bits,
+    as every operand here does.)  Only libmp's stripping of trailing zero
+    bits is left out; `_raw` does it once, where a raw value is needed."""
+    n = man.bit_length() - prec
+    if n <= 0:
+        return man, exp
+    m = -man if man < 0 else man
+    q = m >> (n - 1)  # prec bits and the rounding bit
+    if q & 1 and (q & 2 or m & ((1 << (n - 1)) - 1)):
+        q += 1
+    q >>= 1
+    return (-q if man < 0 else q), exp + n
+
+
+def _add(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """The sum of two (mantissa, exponent) pairs, taken exactly and rounded
+    by `_round`."""
+    (m, e), (n, f) = x, y
+    if e < f:
+        m, e, n, f = n, f, m, e
+    return _round((m << (e - f)) + n, f, prec)
+
+
+def _pair(raw) -> tuple[int, int]:
+    """A raw libmp value as a (signed mantissa, exponent) pair."""
+    sign, man, exp, _ = raw
+    return (-man if sign else man), exp
+
+
+def _raw(man: int, exp: int):
+    """man 2^exp as a raw libmp value: trailing zero bits stripped, as
+    libmp's normalisation does, in a few integer operations."""
+    if not man:
+        return libmp.fzero
+    sign = int(man < 0)
+    if sign:
+        man = -man
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _rational(p: int, q: int, prec: int):
+    """p / q for integers p and q > 0 as a raw mpf, rounded to nearest at
+    prec bits: the bits of `libmp.from_rational`, since a correctly rounded
+    quotient is unique, from one integer division with a sticky bit."""
+    if not p:
+        return libmp.fzero
+    sign = int(p < 0)
+    p = abs(p)
+    extra = prec + q.bit_length() - p.bit_length() + 5  # the quotient keeps prec + 4 bits
+    quot, rem = divmod(p << extra, q) if extra >= 0 else divmod(p, q << -extra)
+    if rem:
+        quot = quot << 1 | 1
+        extra += 1
+    return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
+
+
+# ---------------------------------------------------------------------------
 # the AFE kernel: exact Bessel ladder
 # ---------------------------------------------------------------------------
+
+class _Point:
+    """One kernel point of a `KernelLadder`: a = 4 pi sqrt(x), the Bessel
+    pair K_nu(a), K_{nu+1}(a), the rungs J(mu) up to the top one and
+    a^(top+1), every value a (mantissa, exponent) pair, and `prec`, the bits
+    of the rungs."""
+
+    __slots__ = ("a", "k0", "k1", "prec", "J", "power")
+
 
 class KernelLadder:
     """G_s(x) for one archimedean factor (2 pi)^(-2s) Gamma(s) Gamma(s+1-k).
@@ -308,13 +393,18 @@ class KernelLadder:
     reaches every integer s >= k with all terms positive (no cancellation),
     so J has the relative accuracy of the two Bessel values.
 
-    Every value in and out is raw libmp.  An entry is keyed by the raw bits
-    of x its caller passes and the digits asked for; it holds a, the Bessel
-    pair and its rungs J, and a^(mu+1) for its top rung mu, which each new
-    rung multiplies by a twice.  `prec`, the bits of the `digits` the ladder
-    is made with, is the precision of a, of the prefactor
-    (2 pi)^(-2s) 2^(k+1-2s), kept per s, and of G; the rungs are at the
-    entry's digits + ENTRY_GUARD digits.  Every operation rounds to nearest.
+    Values in and out are raw libmp.  A point is keyed by the raw bits of x
+    its caller passes and the digits asked for; it holds a, the Bessel pair,
+    its rungs J and a^(mu+1) for its top rung mu, which each new rung
+    multiplies by a twice, all as integer (mantissa, exponent) pairs.
+    `prec`, the bits of the `digits` the ladder is made with, is the
+    precision of a, of the prefactor (2 pi)^(-2s) 2^(k+1-2s), kept raw per
+    s, and of G; the rungs and a^(nu+1) are at the point's digits +
+    ENTRY_GUARD digits.  a, a^(nu+1) and the pair come from libmp calls;
+    every product and sum of the rungs and G's product by the prefactor is
+    exact on integers and rounded once by `_round`, so each value has the
+    bits of the libmp operation it stands for: every operation rounds to
+    nearest.
     """
 
     def __init__(self, k: int, digits: int):
@@ -324,28 +414,29 @@ class KernelLadder:
         self._cache: dict = {}
         self._pref: dict = {}
 
-    def _entry(self, x, digits: int):
-        ent = self._cache.get((x, digits))
-        if ent is None:
+    def _entry(self, x, digits: int) -> _Point:
+        pt = self._cache.get((x, digits))
+        if pt is None:
             prec, eprec = self.prec, libmp.dps_to_prec(digits + ENTRY_GUARD)
             a = mpf_mul(mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n"), mpf_sqrt(x, prec, "n"),
                         prec, "n")  # 4 pi sqrt(x)
             k0, k1 = besselk_pair(self.nu, a, digits)
-            power = mpf_pow_int(a, self.nu + 1, eprec, "n")
-            ent = self._cache[x, digits] = {
-                "a": a, "k0": k0, "k1": k1, "prec": eprec,
-                "J": {self.nu + 1: mpf_mul(power, k1, eprec, "n")},
-                "power": mpf_mul(power, a, eprec, "n")}
-        return ent
+            pt = self._cache[x, digits] = _Point()
+            pt.a, pt.k0, pt.k1, pt.prec = _pair(a), _pair(k0), _pair(k1), eprec
+            (am, ae), (k1m, k1e) = pt.a, pt.k1
+            pm, pe = _pair(mpf_pow_int(a, self.nu + 1, eprec, "n"))  # a^(nu+1)
+            pt.J = {self.nu + 1: _round(pm * k1m, pe + k1e, eprec)}
+            pt.power = _round(pm * am, pe + ae, eprec)
+        return pt
 
     def bessel_at(self, x, digits: int):
-        """(a, K_nu(a), K_{nu+1}(a)) at a = 4 pi sqrt(x)."""
-        ent = self._entry(x, digits)
-        return ent["a"], ent["k0"], ent["k1"]
+        """(a, K_nu(a), K_{nu+1}(a)) at a = 4 pi sqrt(x), raw."""
+        pt = self._entry(x, digits)
+        return _raw(*pt.a), _raw(*pt.k0), _raw(*pt.k1)
 
     def prefactor(self, s: int):
-        """(2 pi)^(-2s) 2^(k+1-2s), computed once per s; the power of two is
-        exact."""
+        """(2 pi)^(-2s) 2^(k+1-2s), raw, computed once per s; the power of two
+        is exact."""
         pref = self._pref.get(s)
         if pref is None:
             two_pi = mpf_mul_int(mpf_pi(self.prec, "n"), 2, self.prec, "n")
@@ -355,25 +446,33 @@ class KernelLadder:
 
     def G(self, s: int, x, digits: int):
         """G_s(x) for s >= k with a relative error below about 10^-digits:
-        the rungs of the entry of x climbed to mu = 2s - k, which keeps
+        the rungs of the point of x climbed to mu = 2s - k, which keeps
         mu - nu odd, times the prefactor."""
-        mu, nu = 2 * s - self.k, self.nu
-        ent = self._entry(x, digits)
-        J = ent["J"]
+        mu = 2 * s - self.k
+        pt = self._entry(x, digits)
+        if mu not in pt.J:  # mu - nu is odd, as every rung's
+            self._climb(pt, mu)
+        jm, je = pt.J[mu]
+        _, pm, pe, _ = self.prefactor(s)  # positive
+        return _raw(*_round(pm * jm, pe + je, self.prec))
+
+    def _climb(self, pt: _Point, mu: int) -> None:
+        """Rungs of `pt` up to mu, each operation rounded at the point's
+        precision in the order of the ladder formula."""
+        nu, prec, J = self.nu, pt.prec, pt.J
         top = max(J)
-        if top < mu:
-            a, k0, k1, prec, power = ent["a"], ent["k0"], ent["k1"], ent["prec"], ent["power"]
-            while top < mu:
-                higher = mpf_mul(power, a, prec, "n")
-                J[top + 2] = mpf_add(
-                    mpf_add(mpf_mul_int(J[top], (top + 1) ** 2 - nu * nu, prec, "n"),
-                            mpf_mul(mpf_mul_int(power, top + 1 - nu, prec, "n"), k0, prec, "n"),
-                            prec, "n"),
-                    mpf_mul(higher, k1, prec, "n"), prec, "n")
-                power = mpf_mul(higher, a, prec, "n")
-                top += 2
-            ent["power"] = power
-        return mpf_mul(self.prefactor(s), J[mu], self.prec, "n")
+        (am, ae), (k0m, k0e), (k1m, k1e), (pm, pe) = pt.a, pt.k0, pt.k1, pt.power
+        while top < mu:
+            hm, he = _round(pm * am, pe + ae, prec)  # a^(top+2)
+            jm, je = J[top]
+            tm, te = _round(pm * (top + 1 - nu), pe, prec)
+            J[top + 2] = _add(
+                _add(_round(jm * ((top + 1) ** 2 - nu * nu), je, prec),
+                     _round(tm * k0m, te + k0e, prec), prec),
+                _round(hm * k1m, he + k1e, prec), prec)
+            pm, pe = _round(hm * am, he + ae, prec)
+            top += 2
+        pt.power = pm, pe
 
 
 # ---------------------------------------------------------------------------
@@ -517,22 +616,6 @@ def _direct_cut(two_sigma: int, n_max: int, prec: int, target):
     return n_max, libmp.from_man_exp(t, -C, prec, "c"), False
 
 
-def _rational(p: int, q: int, prec: int):
-    """p / q for integers p and q > 0 as a raw mpf, rounded to nearest at
-    prec bits: the bits of `libmp.from_rational`, since a correctly rounded
-    quotient is unique, from one integer division with a sticky bit."""
-    if not p:
-        return libmp.fzero
-    sign = int(p < 0)
-    p = abs(p)
-    extra = prec + q.bit_length() - p.bit_length() + 5  # the quotient keeps prec + 4 bits
-    quot, rem = divmod(p << extra, q) if extra >= 0 else divmod(p, q << -extra)
-    if rem:
-        quot = quot << 1 | 1
-        extra += 1
-    return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
-
-
 def _least_n(bound, target, n_max: int, step: int, above: int = 0):
     """(N, bound(N)) for the least N > `above` with bound(N) < target, N on
     the grid of the multiples of `step` and n_max; past 2^40, (2^40, bound).
@@ -600,22 +683,44 @@ class LEngine:
         It is +inf below the two guards and does not grow with N past them, so
         `_least_n` finds the least N that passes; correctness needs only that
         the N a sum stops at passes, which the search guarantees.
+
+        Every step is the raw libmp call an mpf operator makes at the
+        engine's prec and rounding to nearest, in the operators' order (the
+        mpf-operator form is `afe_tail_bound_mpf` in `tests/oracles.py`), so
+        the bound has their bits; only the result is made an mpf.
         """
-        k2, mu = self.k2, 2 * s - self.k
-        q = 4 * mpmath.pi * mpmath.sqrt(mp.make_mpf(self.scale))
-        aN = q * mpmath.sqrt(N + 1)
-        if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < k2 + 8:
+        k2, mu, prec = self.k2, 2 * s - self.k, self.prec
+
+        def mul(*xs):  # left to right, each product rounded at prec
+            out = xs[0]
+            for x in xs[1:]:
+                out = mpf_mul(out, x, prec, "n")
+            return out
+
+        def sqrt_int(n: int):
+            return mpf_sqrt(from_int(n), prec, "n")
+
+        four_pi = mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n")
+        q = mul(four_pi, mpf_sqrt(self.scale, prec, "n"))
+        aN = mul(q, sqrt_int(N + 1))
+        if mpf_lt(aN, from_int(2 * mu + 8)) or mpf_lt(mul(q, sqrt_int(N)), from_int(k2 + 8)):
             return mp.inf
-        xN = (aN / (4 * mpmath.pi)) ** 2
+        xN = mpf_pow_int(mpf_div(aN, four_pi, prec, "n"), 2, prec, "n")
         # only a constant of the bound: the floor precision, inflated by its error
-        a0, k0, _ = self.ladder.bessel_at(xN._mpf_, KERNEL_FLOOR_DIGITS)
-        a0, k0, pref = map(mp.make_mpf, (a0, k0, self.ladder.prefactor(s)))
-        CK = k0 * (1 + mp.mpf(10) ** -KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
-        decay = mpmath.exp(-aN)
-        term = 8 * mp.mpf(N + 1) ** (mp.mpf(k2 - mu) / 2) * pref * 2 * CK * aN ** mu * decay
-        integral = (2 / q ** (k2 + 2)) * aN ** (k2 + 1) * decay / (1 - (k2 + 1) / aN)
-        integral *= 8 * pref * 2 * CK * q ** mu
-        return term + integral
+        a0, k0, _ = self.ladder.bessel_at(xN, KERNEL_FLOOR_DIGITS)
+        inflate = mpf_add(mpf_pow_int(from_int(10), -KERNEL_FLOOR_DIGITS, prec, "n"), fone,
+                          prec, "n")
+        CK = mul(k0, inflate, mpf_exp(a0, prec, "n"))
+        decay = mpf_exp(mpf_neg(aN, prec, "n"), prec, "n")
+        pref = mpf_shift(self.ladder.prefactor(s), 4)  # 8 pref 2, exact
+        growth = mpf_pow(from_int(N + 1), from_man_exp(k2 - mu, -1), prec, "n")
+        term = mul(growth, pref, CK, mpf_pow_int(aN, mu, prec, "n"), decay)
+        integral = mpf_div(
+            mul(mpf_rdiv_int(2, mpf_pow_int(q, k2 + 2, prec, "n"), prec, "n"),
+                mpf_pow_int(aN, k2 + 1, prec, "n"), decay),
+            mpf_sub(fone, mpf_rdiv_int(k2 + 1, aN, prec, "n"), prec, "n"), prec, "n")
+        integral = mul(integral, mul(pref, CK, mpf_pow_int(q, mu, prec, "n")))
+        return mp.make_mpf(mpf_add(term, integral, prec, "n"))
 
     def _smoothed_sum(self, s: int):
         """A(s) = sum_{n<=N} c_n n^(-s) G_s(n * scale), N from `_cutoff`
@@ -641,30 +746,37 @@ class LEngine:
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
             base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
                     - float(mpmath.log10(mass)))
-            # raw libmp values from here on, G's included, each operation
-            # rounded to nearest at prec, as the mpf operator it stands for
-            grid, r = self.scale, root._mpf_
-            g_bound = mass._mpf_
+            # raw libmp values and integer pairs from here on, each operation
+            # rounded to nearest at prec, as the mpf operator it stands for;
+            # n * scale, |c| g_bound and the term products are exact integer
+            # products rounded by `_round`
+            (sm, se), r = _pair(self.scale), root._mpf_
+            bm, be = _pair(mass._mpf_)  # g_bound
             excess = 0.0  # digits a term needed above the working precision
-            sx, sy = [], []  # the terms of each coordinate
+            sx, sy = [], []  # the nonzero terms of each coordinate
             for n in range(1, N + 1):
                 X, Y = rs.x[n], rs.y[n]
                 if X or Y:
-                    x = mpf_mul_int(grid, n, prec, "n")  # n * scale
+                    x = _raw(*_round(sm * n, se, prec))  # n * scale
                     den = rs.D * n ** s
                     cx, cy = _rational(X, den, prec), _rational(Y, den, prec)
                     ry = mpf_mul(r, cy, prec, "n")
                     c = (mpf_hypot(cx, ry, prec, "n") if d0 < 0
                          else mpf_abs(mpf_add(cx, ry, prec, "n"), prec, "n"))
-                    _, _, e, bc = mpf_mul(c, g_bound, prec, "n")
-                    need = base + math.log10(2) * (e + bc)  # e + bc = mag(c g_bound)
+                    _, cm, ce, _ = c  # c >= 0
+                    m, e = _round(cm * bm, ce + be, prec)
+                    need = base + math.log10(2) * (e + m.bit_length())  # mag(c g_bound)
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
-                    g = self.ladder.G(s, x, digits)
-                    sx.append(mpf_mul(cx, g, prec, "n"))
-                    sy.append(mpf_mul(cy, g, prec, "n"))
-                    g_bound = g
+                    gm, ge = _pair(self.ladder.G(s, x, digits))
+                    if X:
+                        xm, xe = _pair(cx)
+                        sx.append(_raw(*_round(xm * gm, xe + ge, prec)))
+                    if Y:
+                        ym, ye = _pair(cy)
+                        sy.append(_raw(*_round(ym * gm, ye + ge, prec)))
+                    bm, be = gm, ge
             Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
             Sy = root * mp.make_mpf(mpf_sum(sy, prec, "n"))
             A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)

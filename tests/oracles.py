@@ -4,16 +4,16 @@ Nothing in `rscong` calls these: they restate a result of the paper in a
 second way (the root number solved numerically from the approximate
 functional equation, the Rankin-Selberg coefficients convolved one AlgNum at
 a time, the direct sum embedded and summed in mpmath, the Bessel K series
-and asymptotic expansion in mpf arithmetic, the smoothed sum and its kernel
-ladder in mpf operators, the cutoff of a smoothed sum by a linear scan, the
-archimedean factor through complex Gamma, the Euler product of the
-Rankin-Selberg series, the eta product by the pentagonal number theorem, the
-printed Kostant and w6 identities, the support claims behind the closed-form
-local constant, the local constant as a product of two geometric factors,
-the successive ratios of level-1 pairs in closed form from the unfolding)
-so the pipeline's version can be checked against them.  A level-1 eigenform
-with real quadratic coefficients is built here too.  Shared by several test
-modules; pytest does not collect this file.
+and asymptotic expansion in mpf arithmetic, the smoothed sum, its kernel
+ladder and its tail bound in mpf operators, the cutoff of a smoothed sum by
+a linear scan, the archimedean factor through complex Gamma, the Euler
+product of the Rankin-Selberg series, the eta product by the pentagonal
+number theorem, the printed Kostant and w6 identities, the support claims
+behind the closed-form local constant, the local constant as a product of
+two geometric factors, the successive ratios of level-1 pairs in closed form
+from the unfolding) so the pipeline's version can be checked against them.
+A level-1 eigenform with real quadratic coefficients is built here too.
+Shared by several test modules; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -262,10 +262,31 @@ def with_mpf_ladder(eng: LEngine) -> LEngine:
     return ref
 
 
+def afe_tail_bound_mpf(eng: LEngine, s: int, N: int):
+    """`LEngine._afe_tail_bound` in mpf operators at the working precision,
+    which its callers set to the engine's dps; the kernel constants are read
+    from the engine's ladder, raw, as the library's bound reads them."""
+    k2, mu = eng.k2, 2 * s - eng.k
+    q = 4 * mpmath.pi * mpmath.sqrt(mp.make_mpf(eng.scale))
+    aN = q * mpmath.sqrt(N + 1)
+    if aN < 2 * mu + 8 or q * mpmath.sqrt(N) < k2 + 8:
+        return mp.inf
+    xN = (aN / (4 * mpmath.pi)) ** 2
+    a0, k0, _ = eng.ladder.bessel_at(xN._mpf_, lvalue.KERNEL_FLOOR_DIGITS)
+    a0, k0, pref = map(mp.make_mpf, (a0, k0, eng.ladder.prefactor(s)))
+    CK = k0 * (1 + mp.mpf(10) ** -lvalue.KERNEL_FLOOR_DIGITS) * mpmath.exp(a0)
+    decay = mpmath.exp(-aN)
+    term = 8 * mp.mpf(N + 1) ** (mp.mpf(k2 - mu) / 2) * pref * 2 * CK * aN ** mu * decay
+    integral = (2 / q ** (k2 + 2)) * aN ** (k2 + 1) * decay / (1 - (k2 + 1) / aN)
+    integral *= 8 * pref * 2 * CK * q ** mu
+    return term + integral
+
+
 def smoothed_sum_mpf(eng: LEngine, s: int):
     """`LEngine._smoothed_sum` in mpf operators: (A(s), bound) on the grid
     and kernel of `eng`, each term's coordinates, digits and products new
-    mpf values at dps, summed with `mpmath.fsum`."""
+    mpf values at dps, summed with `mpmath.fsum`, the tail bounded by
+    `afe_tail_bound_mpf`."""
     rs = eng.rs
     d0 = rs.field.d0
     scale = mp.make_mpf(eng.scale)
@@ -299,7 +320,7 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
                 sy.append(cy * g)
                 g_bound = g
             if n % 64 == 0 or n == rs.n_max:
-                tail = eng._afe_tail_bound(s, n)
+                tail = afe_tail_bound_mpf(eng, s, n)
                 if tail < target:
                     Sx, Sy = mpmath.fsum(sx), root * mpmath.fsum(sy)
                     A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)
@@ -309,7 +330,7 @@ def smoothed_sum_mpf(eng: LEngine, s: int):
 def cutoff_scan(eng: LEngine, s: int):
     """(N, tail): where A(s) stops, by a linear scan of the grid of
     `lvalue._least_n`, every multiple of 64 and n_max in turn, up to the
-    first N at which `_afe_tail_bound` is below the target of the sum."""
+    first N at which `afe_tail_bound_mpf` is below the target of the sum."""
     n_max = eng.rs.n_max
     with mp.workdps(eng.dps):
         target = abs(archimedean_factor(s, eng.k, eng.dps)) * mp.mpf(10) ** (-(eng.P + 8))
@@ -317,7 +338,7 @@ def cutoff_scan(eng: LEngine, s: int):
         while True:
             after = N - N % 64 + 64
             N = n_max if N < n_max < after else after
-            tail = eng._afe_tail_bound(s, N)
+            tail = afe_tail_bound_mpf(eng, s, N)
             if tail < target:
                 return N, tail
 

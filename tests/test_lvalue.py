@@ -12,9 +12,10 @@ import mpmath
 import pytest
 from mpmath import libmp, mp
 
-from oracles import (besselk01_series, besselk_asymptotic, conjugate_pair, cutoff_scan, d4,
-                     direct_sum_reference, direct_tail_reference, eta_series, probe_root_number,
-                     smoothed_sum_at, smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
+from oracles import (KernelLadderMpf, afe_tail_bound_mpf, besselk01_series, besselk_asymptotic,
+                     conjugate_pair, cutoff_scan, d4, direct_sum_reference,
+                     direct_tail_reference, eta_series, probe_root_number, smoothed_sum_at,
+                     smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
 from rscong import lvalue
 from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
@@ -602,8 +603,10 @@ class TestTaperedKernel:
 
 
 class TestRawPathBits:
-    """The smoothed sums on raw libmp values keep the bits of the same sums
-    in mpf operators (`oracles.smoothed_sum_mpf`): A(s) and its bound."""
+    """The smoothed sums on raw libmp values and integer pairs keep the bits
+    of the same sums in mpf operators (`oracles.smoothed_sum_mpf`): A(s) and
+    its bound.  So do their parts, each against its libmp or mpf-operator
+    form: the integer rounding, the kernel ladder and the tail bound."""
 
     @staticmethod
     def assert_same_bits(eng, ref, s):
@@ -621,6 +624,86 @@ class TestRawPathBits:
                 p = q * (2 * rng.randrange(-99, 99) + 1) << rng.randrange(0, 9)
             prec = rng.randrange(2, 320)
             assert lvalue._rational(p, q, prec) == libmp.from_rational(p, q, prec, "n"), (p, q, prec)
+
+    def test_integer_rounding_is_libmp(self):
+        # `_round` of an exact product or sum against mpf_mul, mpf_mul_int and
+        # mpf_add at "n", on signed operands of at most prec bits: halfway
+        # cases among them, and exponent gaps past prec + 4, where mpf_add
+        # puts a sticky bit in place of the smaller operand
+        rng = random.Random(23)
+        sign = functools.partial(rng.choice, (1, -1))
+        for _ in range(20000):
+            prec = rng.randrange(2, 320)
+            m, n = (rng.randrange(-(1 << prec), 1 << prec) >> rng.randrange(0, prec)
+                    for _ in range(2))
+            e = rng.randrange(-500, 500)
+            gap = rng.randrange(prec + 5, 4000) if rng.random() < 0.3 else rng.randrange(prec + 5)
+            f = e - gap - n.bit_length() if rng.random() < 0.5 else e + gap + m.bit_length()
+            tie = rng.random()
+            if tie < 0.2 and prec >= 4:  # m n is an odd number of prec + 1 bits
+                n = rng.choice((3, 5, 7))
+                u = rng.randrange(-(-(1 << prec) // n), (2 << prec) // n) | 1
+                m, n = sign() * u << rng.randrange(9), sign() * n << rng.randrange(9)
+            elif tie < 0.4:  # m has prec bits and n 2^f is half its last unit
+                m = sign() * (1 << prec - 1 | rng.getrandbits(prec - 1))
+                n, f = sign(), e - 1
+            x, y = libmp.from_man_exp(m, e), libmp.from_man_exp(n, f)
+            case = (m, e, n, f, prec)
+            assert lvalue._raw(*lvalue._round(m * n, e + f, prec)) == libmp.mpf_mul(
+                x, y, prec, "n"), case
+            assert lvalue._raw(*lvalue._round(m * n, e, prec)) == libmp.mpf_mul_int(
+                x, n, prec, "n"), case
+            assert lvalue._raw(*lvalue._add((m, e), (n, f), prec)) == libmp.mpf_add(
+                x, y, prec, "n"), case
+
+    @pytest.mark.parametrize("k, top", [(12, 30), (13, 37)])
+    def test_ladder_is_the_mpf_ladder(self, k, top, monkeypatch):
+        # G = prefactor times J(mu) at every mu up to top, at three digits,
+        # on points in both Bessel branches, with mu asked for in rising and
+        # in falling order of fresh ladders
+        series = []
+        monkeypatch.setattr(lvalue, "_besselk_series",
+                            lambda *args, f=lvalue._besselk_series: series.append(args) or f(*args))
+        dps = 150
+        xs = [libmp.from_rational(p, q, libmp.dps_to_prec(dps), "n")
+              for p, q in ((1, 3), (7, 3), (40, 1), (200, 1), (2401, 3))]
+        points = [(x, digits) for x in xs for digits in (20, 40, 130)]
+        mus = range(k, top + 1, 2)  # mu = 2s - k
+        for order in (mus, mus[::-1]):
+            ladder, ref = KernelLadder(k, dps), KernelLadderMpf(k, dps)
+            for x, digits in points:
+                for mu in order:
+                    s = (mu + k) // 2
+                    with mp.workdps(dps):
+                        want = ref.G(s, mp.make_mpf(x), digits)._mpf_
+                    assert ladder.G(s, x, digits) == want, (x, digits, mu)
+        assert 0 < len(series) < 2 * len(points)  # each branch ran
+
+    @pytest.mark.parametrize("case", ["(12,16)", "(12,22)", "rs_74_prime"])
+    def test_tail_bound_is_the_mpf_bound(self, case, rs_74_prime, monkeypatch):
+        # the bound at every N the cutoff search visits; on the level-3
+        # series, 4 pi sqrt(N / 3) falls below a guard at small N
+        if case == "rs_74_prime":
+            eng, points = LEngine(rs_74_prime, 120), (14, 25)
+        else:
+            n, k2 = 600, int(case[4:6])
+            eng = LEngine(rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(k2, n), n),
+                          30)
+            points = range(12, k2)
+        bound, seen = LEngine._afe_tail_bound, []
+
+        def pinned(self, s, N):
+            got = bound(self, s, N)
+            with mp.workdps(self.dps):
+                assert got._mpf_ == afe_tail_bound_mpf(self, s, N)._mpf_, (s, N)
+            seen.append(got == mp.inf)
+            return got
+
+        monkeypatch.setattr(LEngine, "_afe_tail_bound", pinned)
+        for s in points:
+            with mp.workdps(eng.dps):
+                eng._cutoff(s)
+        assert not all(seen) and any(seen) == (case == "rs_74_prime")
 
     @pytest.mark.parametrize("k2", [16, 22])
     def test_every_critical_point_p30(self, k2):
@@ -647,6 +730,20 @@ class TestRawPathBits:
             scale = mp.mpf(21) / (16 * eng.rs.M)
         ref.scale = scale._mpf_
         assert smoothed_sum_at(eng, 14, scale)._mpc_ == smoothed_sum_mpf(ref, 14)[0]._mpc_
+
+    def test_grid_points_are_libmp(self, h_prime, monkeypatch):
+        # the raw grid point keys a kernel point, so its bits decide which
+        # sums share one: n * scale as mpf_mul_int rounds it, at M = 3, where
+        # the product is inexact
+        n = 1200
+        rs = rs_coefficients(h_prime, delta_family_qexp(16, n), n)
+        eng, seen = LEngine(rs, 30), []
+        G = KernelLadder.G
+        monkeypatch.setattr(KernelLadder, "G", lambda self, s, x, d: seen.append(x) or G(self, s, x, d))
+        eng._smoothed_sum(14)
+        grid = [libmp.mpf_mul_int(eng.scale, m, eng.prec, "n") for m in range(1, n + 1)
+                if rs.x[m] or rs.y[m]]
+        assert seen and seen == grid[:len(seen)]
 
 
 class TestCutoffSearch:
