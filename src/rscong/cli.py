@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: fetch, congruent, lvalue, verify, coset-reduce, local-constant.
+Subcommands: fetch, congruent, lvalue, verify.
 Form references are fixture paths, bare labels resolved against --fixtures,
 or builtin generator specs "delta:<weight>[:<n_max>]" for the level-1 family.
 
@@ -18,13 +18,12 @@ import json
 import sys
 import time
 from dataclasses import replace
-from fractions import Fraction
 from functools import reduce
 from pathlib import Path
 
 from . import __version__
 from .congruence import check_congruent, eisenstein_screen
-from .exactnum import AlgNum, ExactError, PrimeIdeal, compositum, factor_rational_prime, is_prime
+from .exactnum import ExactError, PrimeIdeal, compositum, factor_rational_prime
 from .forms import NewformData, delta_family_qexp
 from .ingest import NotFound, fetch_newform, load_fixture, save_fixture
 from .lvalue import L_at
@@ -145,17 +144,13 @@ def cmd_lvalue(args) -> int:
     return 0
 
 
-def _values(flag: str, text: str, want: str, count: int | None = None, kind=int,
-            least: int | None = None) -> list:
-    """The comma-separated values of `flag`, each read by `kind`: `count` of
-    them if given, none below `least`; a CliError naming the flag if not."""
+def _values(flag: str, text: str, want: str) -> list[int]:
+    """The comma-separated integers of `flag`; a CliError naming the flag if
+    they are not."""
     try:
-        vals = [kind(x) for x in text.split(",")]
-    except (ValueError, ZeroDivisionError):
-        vals = []
-    if not vals or count not in (None, len(vals)) or least is not None and min(vals) < least:
-        raise CliError(f"{flag} takes {want}, got {text!r}")
-    return vals
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(f"{flag} takes {want}, got {text!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -182,54 +177,6 @@ def cmd_verify(args) -> int:
         return 2
     if INDETERMINATE in covered:
         return 3
-    return 0
-
-
-def cmd_coset_reduce(args) -> int:
-    from .coset import reduce_unipotent, unipotent
-
-    if not is_prime(args.p):
-        raise CliError(f"--p {args.p} is not prime")
-    np_, n_ = _values("--level-pair", args.level_pair, "two levels n',n >= 0", 2, least=0)
-    entries = _values("--entries", args.entries, "x,y,z,w, four rationals", 4, Fraction)
-    u = unipotent(*entries, args.p)
-    cls = reduce_unipotent(u, np_, n_)
-    _emit({
-        "schema": "rscong-coset/v1",
-        "class_j": cls.j,
-        "level": cls.level,
-        "left_parabolic": [[str(x) for x in row] for row in cls.left.entries],
-        "right_level_subgroup": [[str(x) for x in row] for row in cls.right.entries],
-        "verified": cls.verify(u),
-    }, args.json_out)
-    return 0
-
-
-def cmd_local_constant(args) -> int:
-    from .localint import HalfPower, SteinbergTwist, UnramifiedPS, local_constant
-
-    p = args.p
-    if not is_prime(p):
-        raise CliError(f"--p {p} is not prime")
-    k, k2 = _values("--weights", args.weights, "two weights k,k' >= 1", 2, least=1)
-    K = max(k, k2)
-    (ap,) = _values("--steinberg", args.steinberg, "one rational", 1, Fraction)
-    (tr,) = _values("--ps-trace", args.ps_trace, "one rational", 1, Fraction)
-    (det,) = _values("--ps-det", args.ps_det, "one rational", 1, Fraction)
-    if not det:
-        raise CliError(f"--ps-det is chi_f^(-1)(p) p^(K-2), never 0, got {args.ps_det!r}")
-    st = SteinbergTwist(p=p, chi_p_at_p=AlgNum.rational(ap))
-    trace = HalfPower(p, AlgNum.rational(tr), -1)
-    ps = UnramifiedPS(p=p, trace=trace, det=AlgNum.rational(det), weight=K)
-    c = local_constant(st, ps, p)
-    _emit({
-        "schema": "rscong-local/v1",
-        "p": p,
-        "weights": [k, k2],
-        "c_p": [int(c.a.numerator), int(c.a.denominator),
-                int(c.b.numerator), int(c.b.denominator)],
-        "matches_euler_ratio_at": [K - 2, K - 1],
-    }, args.json_out)
     return 0
 
 
@@ -281,22 +228,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     sp.add_argument("--m-list", help="restrict to these left endpoints m")
     common(sp, "--precision", "--fixtures", "--json-out", "--n-max")
     sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("coset-reduce", help="reduce a lower-block unipotent")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--level-pair", required=True, help="n',n")
-    sp.add_argument("--entries", required=True, help="x,y,z,w")
-    common(sp, "--json-out")
-    sp.set_defaults(func=cmd_coset_reduce)
-
-    sp = sub.add_parser("local-constant", help="exact local intertwining constant")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--steinberg", required=True, help="a_p of the ramified form")
-    sp.add_argument("--ps-trace", required=True, help="a(p, f^rho) of the unramified form")
-    sp.add_argument("--ps-det", required=True, help="chi_f^(-1)(p) p^(K-2)")
-    sp.add_argument("--weights", required=True, help="k,k'")
-    common(sp, "--json-out")
-    sp.set_defaults(func=cmd_local_constant)
     return ap
 
 

@@ -759,10 +759,14 @@ class LEngine:
                 if X or Y:
                     x = _raw(*_round(sm * n, se, prec))  # n * scale
                     den = rs.D * n ** s
-                    cx, cy = _rational(X, den, prec), _rational(Y, den, prec)
-                    ry = mpf_mul(r, cy, prec, "n")
-                    c = (mpf_hypot(cx, ry, prec, "n") if d0 < 0
-                         else mpf_abs(mpf_add(cx, ry, prec, "n"), prec, "n"))
+                    cx = _rational(X, den, prec)
+                    if Y:
+                        cy = _rational(Y, den, prec)
+                        ry = mpf_mul(r, cy, prec, "n")
+                        c = (mpf_hypot(cx, ry, prec, "n") if d0 < 0
+                             else mpf_abs(mpf_add(cx, ry, prec, "n"), prec, "n"))
+                    else:  # both branches give |cx| at y_n = 0, cx having <= prec bits
+                        c = mpf_abs(cx, prec, "n")
                     _, cm, ce, _ = c  # c >= 0
                     m, e = _round(cm * bm, ce + be, prec)
                     need = base + math.log10(2) * (e + m.bit_length())  # mag(c g_bound)

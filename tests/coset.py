@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import ExactError, vp
+from rscong.exactnum import ExactError, vp
 
 
 def _mat(rows) -> tuple:

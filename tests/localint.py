@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import AlgNum, ExactError
+from rscong.exactnum import AlgNum, ExactError
 
 
 class ConvergenceViolation(ExactError):

@@ -27,13 +27,14 @@ from fractions import Fraction
 import mpmath
 from mpmath import libmp, mp
 
+from coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
+from localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
+                      SteinbergTwist, UnramifiedPS)
+
 from rscong import lvalue
-from rscong.coset import PadicMat, _diag, reduce_unipotent, unipotent, xi
 from rscong.exactnum import AlgNum, ExactError, QuadField, vp, workdps
 from rscong.forms import (DirichletChar, NewformData, bernoulli, delta_family_qexp,
                           trivial_char)
-from rscong.localint import (EVAL_TWIST_HALF, ConvergenceViolation, HalfPower,
-                             SteinbergTwist, UnramifiedPS)
 from rscong.lvalue import LEngine
 from rscong.rankin import RankinSeries, archimedean_factor, rs_coefficients
 

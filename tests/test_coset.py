@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from coset import CosetClass, PadicMat, ReductionError, reduce_unipotent, unipotent, xi
 from oracles import is_kostant, kostant_reps, levi_blocks, w6_identities_check
 
-from rscong.coset import CosetClass, PadicMat, ReductionError, reduce_unipotent, unipotent, xi
 from rscong.exactnum import ExactError, _factor_trial, vp
 
 

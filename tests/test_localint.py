@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from localint import (ConvergenceViolation, HalfPower, HalfPowerParity,
+                      SteinbergTwist, UnramifiedPS, local_constant)
 from oracles import (UnsupportedLocal, euler_factor, geometric_factor,
                      geometric_factor_for, steinberg_from_form,
                      unramified_from_form, vanishing_checks)
 
 from rscong.exactnum import AlgNum, QuadField
 from rscong.forms import delta_family_qexp
-from rscong.localint import (ConvergenceViolation, HalfPower, HalfPowerParity,
-                             SteinbergTwist, UnramifiedPS, local_constant)
 
 
 def random_split_sample(rng):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -20,6 +22,7 @@ from rscong.ratio import (CONGRUENT, INDETERMINATE, NOT_CONGRUENT, PairVerdict, 
 
 F26 = QuadField(-26)
 L13 = factor_rational_prime(13, F26)[0]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestReconstruct:
@@ -153,3 +156,42 @@ class TestClosedFormRatios:
         assert ratio_at(rs, m, 40).exact == expect
         assert ratio_at(rs, k + k1 - 2 - m, 40).exact == 1 / expect
 
+
+
+def mirror(r: tuple, d0: int, M: int) -> tuple:
+    """M^2 / conj(r) for r = a + b sqrt(d0), as the pair (a, b) of Fractions;
+    conj is complex conjugation, which negates b only when d0 < 0."""
+    a, b = r
+    if d0 < 0:
+        b = -b
+    norm = a * a - d0 * b * b  # (a + b sqrt(d0)) (a - b sqrt(d0))
+    return M * M * a / norm, -M * M * b / norm
+
+
+class TestMirrorIdentity:
+    """r(k + k2 - 2 - m) = M^2 / conj(r(m)) on both golden reports, where r(m)
+    is the ratio at the pair (m, m + 1).  It follows from the functional
+    equation Lambda(s) = eps Q^((k + k2 - 1)/2 - s) conj(Lambda(k + k2 - 1 - s))
+    with Q = M^2, the root number eps cancelling in a ratio.  The check is
+    exact, over Q(sqrt(d0)), on the committed `ratio_exact` values: it reads no
+    L-value, and it fails if either side of a mirrored pair was reconstructed
+    wrongly."""
+
+    @pytest.mark.parametrize("name, pairs", [("report_flagship_p120.json", 11),
+                                             ("report_aux16_p30.json", 1)])
+    def test_golden_ratios_are_mirrors(self, name, pairs):
+        report = json.loads((GOLDEN / name).read_text())
+        inputs = report["inputs"]
+        d0 = inputs["prime"]["field_d0"]
+        M = math.lcm(*inputs["levels"].values())
+        c = inputs["weights"]["aux"] + inputs["weights"]["pair"] - 2
+        exact = {}
+        for p in report["pairs"]:
+            for key in ("ratio_1", "ratio_2"):
+                y = p[key]["ratio_exact"]
+                if y is not None:
+                    exact[key, p["pair"][0]] = (Fraction(y[0], y[1]), Fraction(y[2], y[3]))
+        mirrored = [(key, m) for key, m in exact if m <= c - m and (key, c - m) in exact]
+        assert len(mirrored) == pairs
+        for key, m in mirrored:
+            assert exact[key, c - m] == mirror(exact[key, m], d0, M), (key, m)
