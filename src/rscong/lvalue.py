@@ -51,7 +51,12 @@ computed once per s; the grid is one raw value, the engine's `scale` = 1/M,
 which the terms and the tail bound both read.  N is the least multiple of
 64, or n_max, at which `_afe_tail_bound` certifies the tail, found before
 any term is summed by `_least_n`, the one search that also gives the direct
-sum's n_max estimate.  The terms are real: x_n / (D n^s) and y_n / (D n^s),
+sum's n_max estimate.  N reads no coefficient, so each cutoff is planned
+once on the kernel ladder, for every engine of one k and precision with the
+same (k2, scale, n_max): f1 x aux and f2 x aux share their cutoffs.  A new
+cutoff is first tried at the N planned for the nearest s, which it often
+equals, and searched in full only when that N is not the least that
+passes.  The terms are real: x_n / (D n^s) and y_n / (D n^s),
 each one correctly rounded division of integers, times G_s, and the two
 coordinates are summed apart (`libmp.mpf_sum`): A(s) = Sx + sqrt(d0) Sy.
 Neither sum embeds a coefficient; only the root number is embedded, once
@@ -60,7 +65,8 @@ at s^ = k + k2 - 1 - s is conj(A(s^)), and Lambda(s) = A(s) +
 eps Q^alpha(s) conj(A(s^)), Q^alpha(s) = M^(k + k2 - 1 - 2s), with the
 bound tail(s) + |Q^alpha(s)| tail(s^).  The root number is exact:
 `rankin.root_number` takes it from the local types of the pair, and
-`LEngine.solve_root_number` returns that element of the coefficient field.
+`LEngine.solve_root_number` returns that element of the coefficient field,
+computed once per engine.
 Only its embedding enters the AFE, so `LValueResult.err_bound` is the
 certified tails alone, and a central value forced to vanish by root number
 -1 is an exact fact (`certified_zero`).
@@ -91,14 +97,19 @@ branch and log(x/2) of the series at the branch's own.  Each libmp call on
 (sign, man, exp, bc) tuples rounds as the mpf operator it replaces did at
 that precision, down to the rounding of -x before the exponential.  The
 products and sums of the rungs, G's product by the prefactor, the grid
-point n * scale, the magnitude |c| g_bound that sets a term's digits and
-the term products c G are exact integer operations, each rounded once to
-nearest, ties to even, by `_round`: a correctly rounded result is unique,
-so each has the bits of the libmp call it stands for, without that call's
-normalisation.  So every value keeps the bits the mpf operators gave.  The
-grid point goes to `G` raw and `G`'s value comes back raw.  The tail bound
-`_afe_tail_bound` is raw libmp calls too, each the one its mpf operator
-made; mpf objects exist only at the returned sums and bounds.
+point n * scale and the term products c G are exact integer operations,
+each rounded once to nearest, ties to even, by `_round`: a correctly
+rounded result is unique, so each has the bits of the libmp call it stands
+for, without that call's normalisation.  A term's digits follow the
+magnitude (the bit position) of |c| g_bound as libmp rounds it
+(`_term_mag`); over an imaginary quadratic field, c = cx + cy sqrt(d0), it
+is read from the exact integer (cx^2 + |d0| cy^2) g_bound^2, with no square
+root, unless that lies so near a power of two that the roundings could move
+it across, where the libmp path decides.  So every value keeps the bits the
+mpf operators gave.  The grid point goes to `G` raw and `G`'s value comes
+back raw.  The tail bound `_afe_tail_bound` is raw libmp calls too, each
+the one its mpf operator made; mpf objects exist only at the returned sums
+and bounds.
 """
 
 from __future__ import annotations
@@ -160,26 +171,31 @@ def _asymptotic_sum(nu: int, X: int, p: int, digits: int):
     at scale 2^p, for x = X 2^-p; or None when the expansion cannot reach
     `digits`.
 
-    Term j is term j-1 times (4 nu^2 - (2j - 1)^2) / (8 x j), one floor.
+    Term j is term j-1 times (4 nu^2 - (2j - 1)^2) / (8 x j), one floor;
+    both factors are kept up to date from one j to the next, and each
+    term's absolute value is taken once.
     The terms may grow while 2j - 1 < 2 nu; past that they fall until they
     turn and grow for good, so only a rise there ends the expansion.  Once
     j >= nu - 1/2 terms are summed, the remainder is smaller than the first
     term omitted (DLMF 10.40(ii), real nu and x > 0), and the sum is accepted
     when that term times 10^digits is below the sum, compared as integers.
     """
-    mu4 = 4 * nu * nu
     ten = 10 ** digits
-    term = acc = 1 << p
-    j = 0
+    term = acc = size = 1 << p  # size = |term|
+    num, den = 4 * nu * nu - 1, 8 * X  # 4 nu^2 - (2j - 1)^2 and 8 j X
+    j = 1
     while True:
-        j += 1
-        nxt = (term * (mu4 - (2 * j - 1) ** 2) << p) // (8 * j * X)
-        if 2 * j >= 2 * nu - 1 and abs(nxt) * ten < abs(acc):
+        nxt = (term * num << p) // den
+        mag = abs(nxt)
+        if j >= nu and mag * ten < abs(acc):  # 2j >= 2 nu - 1
             return acc
-        if 2 * j - 1 > 2 * nu and abs(nxt) >= abs(term):
-            return None  # divergence point reached
+        if j > nu and mag >= size:  # 2j - 1 > 2 nu: divergence point reached
+            return None
         acc += nxt
-        term = nxt
+        term, size = nxt, mag
+        num -= 8 * j
+        den += 8 * X
+        j += 1
 
 
 def _besselk_series(nu: int, x, p: int):
@@ -365,6 +381,40 @@ def _rational(p: int, q: int, prec: int):
     return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
 
 
+def _term_mag(cx, cy, r, d0: int, gm: int, ge: int, prec: int) -> int:
+    """mag(|c| g) = e + bc of |c| g as libmp gives it, which sets a term's
+    digits: c = cx + cy sqrt(d0) for raw cx and cy, r = sqrt|d0| raw, and
+    g = gm 2^ge > 0.  The libmp path takes cy sqrt(d0) as r cy, then |c| as
+    mpf_hypot of cx and r cy for d0 < 0 and as |cx + r cy| for d0 > 0, and
+    rounds |c| g by `_round`, every step at prec bits.
+
+    For d0 < 0 and cy != 0 the magnitude is read from the exact integer
+    V^2 = (cx^2 + |d0| cy^2) g^2 instead.  The libmp path has five
+    roundings, r, r cy, the square sum at prec + 4 bits (toward zero), its
+    root and the product by g, each off by at most 2^-prec relatively, so
+    its value squared is within 9 2^-prec of V^2.  When V^2 is more than
+    2^-(prec - 8) of itself away from every power of two, both therefore lie
+    strictly between the same two powers of two, and mag(V) =
+    floor(log2 V) + 1 is the libmp magnitude.  Otherwise the libmp path
+    decides.  A real quadratic field keeps the libmp sum, whose
+    cancellation the magnitude must see."""
+    if cy == libmp.fzero:  # |cx|, as both libmp paths give it: cx has <= prec bits
+        c = mpf_abs(cx, prec, "n")
+    elif d0 < 0:
+        (xm, xe), (ym, ye) = _pair(cx), _pair(cy)
+        f = min(xe, ye)
+        v2 = ((xm * xm << 2 * (xe - f)) - d0 * (ym * ym << 2 * (ye - f))) * gm * gm
+        t = v2.bit_length()  # V^2 = v2 2^(2f + 2ge), with 2^(t-1) <= v2 < 2^t
+        if min(v2 - (1 << t - 1), (1 << t) - v2) << prec - 8 > v2:
+            return (t - 1) // 2 + f + ge + 1
+        c = mpf_hypot(cx, mpf_mul(r, cy, prec, "n"), prec, "n")
+    else:
+        c = mpf_abs(mpf_add(cx, mpf_mul(r, cy, prec, "n"), prec, "n"), prec, "n")
+    _, cm, ce, _ = c
+    m, e = _round(cm * gm, ce + ge, prec)
+    return e + m.bit_length()
+
+
 # ---------------------------------------------------------------------------
 # the AFE kernel: exact Bessel ladder
 # ---------------------------------------------------------------------------
@@ -411,15 +461,18 @@ class KernelLadder:
         self.k = k
         self.nu = k - 1
         self.prec = libmp.dps_to_prec(digits)
+        self.four_pi = mpf_mul_int(mpf_pi(self.prec, "n"), 4, self.prec, "n")
         self._cache: dict = {}
         self._pref: dict = {}
+        #: the cutoffs (mass, target, N, tail) of the smoothed sums of the
+        #: engines on this ladder, by (k2, scale, n_max), then by s
+        self.cutoffs: dict = {}
 
     def _entry(self, x, digits: int) -> _Point:
         pt = self._cache.get((x, digits))
         if pt is None:
             prec, eprec = self.prec, libmp.dps_to_prec(digits + ENTRY_GUARD)
-            a = mpf_mul(mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n"), mpf_sqrt(x, prec, "n"),
-                        prec, "n")  # 4 pi sqrt(x)
+            a = mpf_mul(self.four_pi, mpf_sqrt(x, prec, "n"), prec, "n")  # 4 pi sqrt(x)
             k0, k1 = besselk_pair(self.nu, a, digits)
             pt = self._cache[x, digits] = _Point()
             pt.a, pt.k0, pt.k1, pt.prec = _pair(a), _pair(k0), _pair(k1), eprec
@@ -616,13 +669,19 @@ def _direct_cut(two_sigma: int, n_max: int, prec: int, target):
     return n_max, libmp.from_man_exp(t, -C, prec, "c"), False
 
 
-def _least_n(bound, target, n_max: int, step: int, above: int = 0):
+def _least_n(bound, target, n_max: int, step: int, above: int = 0, hint: int = 0):
     """(N, bound(N)) for the least N > `above` with bound(N) < target, N on
     the grid of the multiples of `step` and n_max; past 2^40, (2^40, bound).
     `bound` must fail up to some N and pass from there on, as a tail bound
     that is +inf below its guards and does not grow past them: the search
     doubles over the multiples of `step`, bisects, and tries n_max between
-    the last multiple that fails and the first that passes."""
+    the last multiple that fails and the first that passes.  A grid point
+    `hint` > `above` is tried first: it is the answer when the bound passes
+    there and fails at the grid point below it, if that is above `above`."""
+    if hint:
+        below = max(step * ((hint - 1) // step), n_max if n_max < hint else 0)
+        if (b := bound(hint)) < target and (below <= above or not bound(below) < target):
+            return hint, b
     top = (1 << 40) // step  # the one cap of every truncated sum
     lo = above // step  # grid indices; step * lo is not an answer
     hi = min(lo + 1, top)
@@ -671,6 +730,7 @@ class LEngine:
             ladder = _ladders[self.k, self.dps] = KernelLadder(self.k, self.dps)
         self.ladder = ladder
         self._sums: dict = {}  # s -> (A(s), its bound)
+        self._eps: AlgNum | None = None  # the root number, once solved
         self.scale = _rational(1, rs.M, self.prec)  # the grid x_n = n / M, raw
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
@@ -730,7 +790,12 @@ class LEngine:
         Returns (sum, bound): the bound covers the truncated tail and the
         rounding budget of the terms, each evaluated at the digits it needs
         (see the module docstring).  G_s falls as x grows, so the mass bounds
-        the first G and each G computed bounds the next.
+        the first G and each G computed bounds the next.  Those digits
+        follow mag(|c_n| g_bound), which `_term_mag` takes from integers
+        over an imaginary quadratic field, falling back to mpf_hypot only
+        where V^2 lies within 2^-(prec - 8) of a power of two: the libmp
+        path is within 9 2^-prec of V^2, so elsewhere both have one
+        magnitude.
         """
         rs = self.rs
         d0, n_max = rs.field.d0, rs.n_max
@@ -748,8 +813,8 @@ class LEngine:
                     - float(mpmath.log10(mass)))
             # raw libmp values and integer pairs from here on, each operation
             # rounded to nearest at prec, as the mpf operator it stands for;
-            # n * scale, |c| g_bound and the term products are exact integer
-            # products rounded by `_round`
+            # n * scale and the term products are exact integer products
+            # rounded by `_round`, and mag(|c| g_bound) is `_term_mag`'s
             (sm, se), r = _pair(self.scale), root._mpf_
             bm, be = _pair(mass._mpf_)  # g_bound
             excess = 0.0  # digits a term needed above the working precision
@@ -760,16 +825,8 @@ class LEngine:
                     x = _raw(*_round(sm * n, se, prec))  # n * scale
                     den = rs.D * n ** s
                     cx = _rational(X, den, prec)
-                    if Y:
-                        cy = _rational(Y, den, prec)
-                        ry = mpf_mul(r, cy, prec, "n")
-                        c = (mpf_hypot(cx, ry, prec, "n") if d0 < 0
-                             else mpf_abs(mpf_add(cx, ry, prec, "n"), prec, "n"))
-                    else:  # both branches give |cx| at y_n = 0, cx having <= prec bits
-                        c = mpf_abs(cx, prec, "n")
-                    _, cm, ce, _ = c  # c >= 0
-                    m, e = _round(cm * bm, ce + be, prec)
-                    need = base + math.log10(2) * (e + m.bit_length())  # mag(c g_bound)
+                    cy = _rational(Y, den, prec)
+                    need = base + math.log10(2) * _term_mag(cx, cy, r, d0, bm, be, prec)
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
@@ -788,12 +845,22 @@ class LEngine:
 
     def _cutoff(self, s: int):
         """(mass, target, N, tail) of A(s): its kernel mass, which bounds the
-        first G_s, its truncation target, and where it stops (`_least_n`)."""
-        mass = abs(archimedean_factor(s, self.k, self.dps))
-        target = mass * mp.mpf(10) ** (-(self.P + 8))
-        N, tail = _least_n(functools.partial(self._afe_tail_bound, s), target,
-                           self.rs.n_max, TAIL_CHECK_EVERY)
-        return mass, target, N, tail
+        first G_s, its truncation target, and where it stops (`_least_n`).
+
+        None of it reads a coefficient: it depends on the ladder's k and
+        precision and on (k2, scale, n_max, s), so it is planned once on the
+        ladder, for every engine that shares it.  A new search first tries
+        the N planned for the nearest s of the same (k2, scale, n_max), where
+        the cutoffs of neighbouring s are often equal."""
+        plan = self.ladder.cutoffs.setdefault((self.k2, self.scale, self.rs.n_max), {})
+        if s not in plan:
+            mass = abs(archimedean_factor(s, self.k, self.dps))
+            target = mass * mp.mpf(10) ** (-(self.P + 8))
+            hint = plan[min(plan, key=lambda t: abs(t - s))][2] if plan else 0
+            plan[s] = mass, target, *_least_n(functools.partial(self._afe_tail_bound, s),
+                                              target, self.rs.n_max, TAIL_CHECK_EVERY,
+                                              hint=hint)
+        return plan[s]
 
     # -- the two-sided AFE ---------------------------------------------------
     def _alpha_pow(self, s: int):
@@ -801,8 +868,11 @@ class LEngine:
         return mp.mpf(self.rs.M) ** (self.k + self.k2 - 1 - 2 * s)
 
     def solve_root_number(self) -> AlgNum:
-        """The exact root number of the series (`rankin.root_number`)."""
-        return root_number(self.rs)
+        """The exact root number of the series (`rankin.root_number`),
+        computed once per engine."""
+        if self._eps is None:
+            self._eps = root_number(self.rs)
+        return self._eps
 
     def is_self_dual(self) -> bool:
         """Every coefficient is real, so Lambda-tilde = Lambda: the field is

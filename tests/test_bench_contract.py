@@ -52,7 +52,8 @@ def test_kernel_spans_are_recorded(monkeypatch):
     finally:
         tracer.uninstall()
     names = {span[0] for span in tracer.spans}
-    assert {"lvalue.L_at", "lvalue.KernelLadder.G", "lvalue.besselk_pair"} <= names
+    assert {"lvalue.L_at", "lvalue.KernelLadder.G", "lvalue.KernelLadder.bessel_at",
+            "lvalue.besselk_pair"} <= names
 
 
 def test_workload_entry_points_resolve():

@@ -18,12 +18,14 @@ from oracles import (KernelLadderMpf, afe_tail_bound_mpf, besselk01_series, bess
                      smoothed_sum_mpf, weight24_eigenform, with_mpf_ladder)
 
 from rscong import lvalue
-from rscong.exactnum import GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField
+from rscong.exactnum import (GUARD_DIGITS, RATIONAL, AlgNum, ExactError, QuadField,
+                             factor_rational_prime)
 from rscong.forms import DirichletChar, NewformData, delta_family_qexp, trivial_char
 from rscong.lvalue import (InsufficientCoefficients, KernelLadder, LEngine, besselk_pair,
                            d4_upto, get_engine)
 from rscong.rankin import (NormalizationError, archimedean_factor,
                            root_number, rs_coefficients)
+from rscong.ratio import full_report
 
 
 class KernelSpecError(ValueError):
@@ -680,9 +682,10 @@ class TestRawPathBits:
         assert 0 < len(series) < 2 * len(points)  # each branch ran
 
     @pytest.mark.parametrize("case", ["(12,16)", "(12,22)", "rs_74_prime"])
-    def test_tail_bound_is_the_mpf_bound(self, case, rs_74_prime, monkeypatch):
-        # the bound at every N the cutoff search visits; on the level-3
-        # series, 4 pi sqrt(N / 3) falls below a guard at small N
+    def test_tail_bound_is_the_mpf_bound(self, case, rs_74_prime):
+        # the bound at every N the full cutoff search visits, which a planned
+        # cutoff or a hint would skip; on the level-3 series, 4 pi sqrt(N / 3)
+        # falls below a guard at small N
         if case == "rs_74_prime":
             eng, points = LEngine(rs_74_prime, 120), (14, 25)
         else:
@@ -690,20 +693,90 @@ class TestRawPathBits:
             eng = LEngine(rs_coefficients(delta_family_qexp(12, n), delta_family_qexp(k2, n), n),
                           30)
             points = range(12, k2)
-        bound, seen = LEngine._afe_tail_bound, []
+        seen = []
 
-        def pinned(self, s, N):
-            got = bound(self, s, N)
-            with mp.workdps(self.dps):
-                assert got._mpf_ == afe_tail_bound_mpf(self, s, N)._mpf_, (s, N)
+        def pinned(s, N):
+            got = eng._afe_tail_bound(s, N)
+            assert got._mpf_ == afe_tail_bound_mpf(eng, s, N)._mpf_, (s, N)
             seen.append(got == mp.inf)
             return got
 
-        monkeypatch.setattr(LEngine, "_afe_tail_bound", pinned)
         for s in points:
             with mp.workdps(eng.dps):
-                eng._cutoff(s)
+                target = eng._cutoff(s)[1]
+                lvalue._least_n(functools.partial(pinned, s), target, eng.rs.n_max,
+                                lvalue.TAIL_CHECK_EVERY)
         assert not all(seen) and any(seen) == (case == "rs_74_prime")
+
+    @staticmethod
+    def libmp_mag(cx, cy, d0, g, prec):
+        """mag(|cx + cy sqrt(d0)| g) for d0 < 0 as the libmp path rounds it:
+        r = sqrt|d0|, r cy, mpf_hypot, then the product by g, each at prec
+        bits."""
+        ry = libmp.mpf_mul(libmp.mpf_sqrt(libmp.from_int(-d0), prec, "n"), cy, prec, "n")
+        c = libmp.mpf_hypot(cx, ry, prec, "n")
+        _, _, e, bc = libmp.mpf_mul(c, libmp.from_man_exp(*g), prec, "n")
+        return e + bc
+
+    @pytest.fixture
+    def hypot_calls(self, monkeypatch):
+        """The calls of `lvalue.mpf_hypot`, one per term that takes the libmp
+        fallback over an imaginary quadratic field."""
+        calls = []
+        monkeypatch.setattr(lvalue, "mpf_hypot",
+                            lambda *args, f=lvalue.mpf_hypot: calls.append(args) or f(*args))
+        return calls
+
+    @pytest.mark.parametrize("k2, n, P, terms", [(16, 1200, 30, 768), (26, 6000, 60, 9680)])
+    def test_term_magnitude_is_libmp(self, k2, n, P, terms, h_dprime, rs_74_dprime,
+                                     hypot_calls, monkeypatch):
+        # every term with y_n != 0 of 3.13.b.b x delta:k2 over the critical
+        # window: the magnitude read from the integer V^2 is the libmp one
+        rs = (rs_74_dprime if k2 == 26
+              else rs_coefficients(h_dprime, delta_family_qexp(k2, n), n))
+        eng, seen = LEngine(rs, P), []
+
+        def checked(cx, cy, r, d0, gm, ge, prec, f=lvalue._term_mag):
+            got = f(cx, cy, r, d0, gm, ge, prec)
+            if cy != libmp.fzero:
+                assert got == self.libmp_mag(cx, cy, d0, (gm, ge), prec), (cx, cy, gm, ge)
+                seen.append(got)
+            return got
+
+        monkeypatch.setattr(lvalue, "_term_mag", checked)
+        for s in range(eng.k, eng.k2):
+            eng._smoothed_sum(s)
+        assert (len(seen), len(hypot_calls)) == (terms, 0)
+
+    @pytest.mark.parametrize("prec", [200, 601])
+    def test_term_magnitude_near_a_power_of_two(self, prec, hypot_calls):
+        # (cx, cy, g) with V^2 = (cx^2 + 26 cy^2) g^2 near 1, x_n = 0 among
+        # them: g steps by units of its last place around 1 / sqrt(cx^2 +
+        # 26 cy^2).  A V^2 within 2^-(prec - 8) of 1 takes the libmp fallback
+        # and one farther off does not, and the magnitude is libmp's on both,
+        # also where the libmp roundings carry the value across 1
+        d0, r = -26, libmp.mpf_sqrt(libmp.from_int(26), prec, "n")
+        rng, crossed, near = random.Random(29), 0, 0
+        top = 1 << prec - 1
+        for cx in (libmp.fzero, libmp.from_man_exp(top | rng.getrandbits(prec - 1), -prec - 3)):
+            for _ in range(48):
+                cy = libmp.from_man_exp(top | rng.getrandbits(prec - 1), -prec)
+                norm = libmp.mpf_add(libmp.mpf_mul(cx, cx),
+                                     libmp.mpf_mul(libmp.mpf_mul(cy, cy), libmp.from_int(26)))
+                g0 = libmp.mpf_rdiv_int(1, libmp.mpf_sqrt(norm, prec + 20, "n"), prec, "n")
+                for dg in (-1000, -200, -3, -2, -1, 0, 1, 2, 3, 200, 1000):
+                    _, gm, ge, _ = g = libmp.mpf_add(
+                        g0, libmp.from_man_exp(dg, g0[2] + g0[3] - prec))  # exact
+                    _, vm, ve, _ = libmp.mpf_mul(libmp.mpf_mul(norm, g), g)  # V^2, exact
+                    calls = len(hypot_calls)
+                    want = self.libmp_mag(cx, cy, d0, (gm, ge), prec)
+                    assert lvalue._term_mag(cx, cy, r, d0, gm, ge, prec) == want, (cx, cy, g)
+                    gap = min(abs(vm - (1 << k)) for k in (vm.bit_length() - 1, vm.bit_length()))
+                    assert (len(hypot_calls) > calls) == (gap << prec - 8 <= vm), (cx, cy, g)
+                    near += len(hypot_calls) > calls
+                    # mag(V) = floor(log2 V) + 1, from the exact V^2 = vm 2^ve
+                    crossed += math.isqrt(vm << (ve & 1)).bit_length() + (ve >> 1) != want
+        assert 0 < crossed < near < 96 * 11
 
     @pytest.mark.parametrize("k2", [16, 22])
     def test_every_critical_point_p30(self, k2):
@@ -770,6 +843,23 @@ class TestCutoffSearch:
                 assert lvalue._least_n(bound, 1, n_max, step, above) == want, (n_max, t)
                 assert all(N > above and (N % step == 0 or N == n_max) for N in seen)
 
+    @pytest.mark.parametrize("step, above", [(64, 0), (1, 5)])
+    def test_hint_never_moves_the_answer(self, step, above):
+        # the full search's answer, whichever grid point past `above` is
+        # tried first: the first one, the answer, its neighbours, n_max, the cap
+        for n_max in (1, 63, 64, 100, 127, 640):
+            for t in (1, 2, 64, 65, 100, 128, 500, 1 << 41):
+                def bound(N):
+                    return 0 if N >= t else mp.inf
+
+                want = lvalue._least_n(bound, 1, n_max, step, above)
+                N = want[0]
+                for hint in {step * (above // step + 1), step * ((N - 1) // step), N,
+                             step * (N // step + 1), n_max, 1 << 40}:
+                    if above < hint <= 1 << 40:
+                        got = lvalue._least_n(bound, 1, n_max, step, above, hint)
+                        assert got == want, (n_max, t, hint)
+
     @pytest.mark.parametrize("h, k2, n, P", [
         *((12, k2, 600, P) for k2 in (16, 26) for P in (8, 30, 120)),
         (12, 16, 127, 30),  # every cutoff is n_max itself, no multiple of 64
@@ -786,6 +876,25 @@ class TestCutoffSearch:
             cutoffs.add(N)
         if n == 127:
             assert cutoffs == {127}
+
+    def test_pair_plans_its_cutoffs_once(self, rs_74_prime, rs_74_dprime, monkeypatch):
+        # f1 x aux and f2 x aux of the flagship share a ladder and their
+        # cutoffs: the second series evaluates no tail bound of its own
+        monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
+        engines = [LEngine(rs, 120) for rs in (rs_74_prime, rs_74_dprime)]
+        calls = []
+        bound = LEngine._afe_tail_bound
+        monkeypatch.setattr(LEngine, "_afe_tail_bound",
+                            lambda self, s, N: calls.append((s, N)) or bound(self, s, N))
+        counts = []
+        for eng in engines:
+            for s in (13, 14, 19, 25):
+                with mp.workdps(eng.dps):
+                    N, tail = eng._cutoff(s)[2:]
+                ref_N, ref_tail = cutoff_scan(eng, s)
+                assert (N, tail._mpf_) == (ref_N, ref_tail._mpf_), s
+            counts.append(len(calls))
+        assert engines[0].ladder is engines[1].ladder and counts[0] == counts[1] > 0
 
     def test_short_sum_reads_no_kernel_point(self, monkeypatch):
         # (12,16) at s = 13, P = 30: n_max = 64 falls short of 128, which the
@@ -946,6 +1055,17 @@ class TestRootNumber:
         monkeypatch.setattr(lvalue, "_ladders", weakref.WeakValueDictionary())
         rs = rs_coefficients(h_prime, delta_family_qexp(16, 200), 200)
         assert get_engine(rs, 12).certified_zero(14)
+
+    def test_solved_once_per_engine(self, h_prime, h_dprime, monkeypatch):
+        # the verify_aux16_p30 report: two engines, each asked for its root
+        # number by every ratio and certified-zero check
+        calls = []
+        monkeypatch.setattr(lvalue, "root_number",
+                            lambda rs, f=lvalue.root_number: calls.append(rs) or f(rs))
+        aux = delta_family_qexp(16, 1200)
+        ideal = factor_rational_prime(13, QuadField(-26))[0]
+        full_report(aux, h_prime, h_dprime, ideal, P=30)
+        assert len(calls) == len({id(rs) for rs in calls}) == 2
 
     def test_self_duality_is_read_from_the_exact_coefficients(self, h_prime, h_dprime,
                                                               monkeypatch):
