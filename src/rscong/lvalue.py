@@ -1,11 +1,13 @@
 """Numerical evaluation of the completed Rankin-Selberg L-function.
 
 A smoothed two-sided approximate functional equation in the critical window
-k <= s <= k2 - 1, and direct summation outside it, which needs
-2s > k + k2 + 2 and enough coefficients to certify the tail below 10^-P.  A
-window point whose AFE the coefficients cannot certify falls back to the
-direct sum: near the right edge of the window, at level 3 and weights 13
-and 26 for one, the AFE can need more coefficients than the direct sum.
+k <= s <= k2 - 1, and direct summation outside it, with enough coefficients
+to certify the tail below 10^-P: the certified tail bound below holds for
+sigma = s - w/2 > 1, and only the n_max estimate `_tail_beyond` needs
+sigma > 2, for which a direct sum is refused at 2s <= k + k2 + 2.  A window
+point whose AFE the coefficients cannot certify falls back to the direct
+sum: near the right edge of the window, at level 3 and weights 13 and 26
+for one, the AFE can need more coefficients than the direct sum.
 The direct tail is bounded by sum_{n>N} d4(n) n^(w/2 - s), which is
 zeta(s - w/2)^4 less its first N terms: an upper bound of zeta from
 Borwein's algorithm, to the fourth power, less N floored terms, all integers
@@ -86,30 +88,32 @@ rounding budget to its tail, so `LValueResult.err_bound` stays certified.
 Ladder entries are keyed by the exact bits of x and the digits: an entry is
 never upgraded in place, so no value depends on which calls ran first.
 
-The per-term path runs on raw libmp values and on integer (mantissa,
-exponent) pairs, at precisions the code names and never mpmath's working
-precision.  The grid point, the two coordinates, the digit choice, the term
-products and the final sums of a smoothed sum are at the engine's `prec`;
-the point a = 4 pi sqrt(x), the prefactor and `KernelLadder.G` at the
-ladder's, which is the same; a^(nu+1) and the rungs at the point's digits
-plus a guard; the scaling sqrt(pi/2x) e^(-x) of the asymptotic Bessel
-branch and log(x/2) of the series at the branch's own.  Each libmp call on
-(sign, man, exp, bc) tuples rounds as the mpf operator it replaces did at
-that precision, down to the rounding of -x before the exponential.  The
-products and sums of the rungs, G's product by the prefactor, the grid
-point n * scale and the term products c G are exact integer operations,
-each rounded once to nearest, ties to even, by `_round`: a correctly
-rounded result is unique, so each has the bits of the libmp call it stands
-for, without that call's normalisation.  A term's digits follow the
-magnitude (the bit position) of |c| g_bound as libmp rounds it
-(`_term_mag`); over an imaginary quadratic field, c = cx + cy sqrt(d0), it
-is read from the exact integer (cx^2 + |d0| cy^2) g_bound^2, with no square
-root, unless that lies so near a power of two that the roundings could move
-it across, where the libmp path decides.  So every value keeps the bits the
-mpf operators gave.  The grid point goes to `G` raw and `G`'s value comes
-back raw.  The tail bound `_afe_tail_bound` is raw libmp calls too, each
-the one its mpf operator made; mpf objects exist only at the returned sums
-and bounds.
+The per-term path runs on integer (mantissa, exponent) pairs, and on raw
+libmp values only where libmp is called, at precisions the code names and
+never mpmath's working precision.  The grid point, the two coordinates, the
+digit choice, the term products and the final sums of a smoothed sum are at
+the engine's `prec`; pi, rounded once per ladder as 4 pi, the point
+a = 4 pi sqrt(x), the prefactor and `KernelLadder.G` at the ladder's, which
+is the same; a^(nu+1) and the rungs at the point's digits plus a guard; the
+scaling sqrt(pi/2x) e^(-x) of the asymptotic Bessel branch and log(x/2) of
+the series at the branch's own.  Each libmp call on (sign, man, exp, bc)
+tuples rounds as the mpf operator it replaces did at that precision, down
+to the rounding of -x before the exponential.  The products and sums of the
+rungs, G's product by the prefactor, the coordinates x_n / (D n^s) and
+y_n / (D n^s), the grid point n * scale and the term products c G are exact
+integer operations, each rounded once to nearest, ties to even, by
+`_round`: a correctly rounded result is unique, so each has the bits of the
+libmp call it stands for, without that call's normalisation.  A term's
+digits follow the magnitude (the bit position) of |c| g_bound as libmp
+rounds it (`_term_mag`); over an imaginary quadratic field,
+c = cx + cy sqrt(d0), it is read from the exact integer
+(cx^2 + |d0| cy^2) g_bound^2, with no square root, unless that lies so near
+a power of two that the roundings could move it across, where the libmp
+path decides.  So every value keeps the bits the mpf operators gave.  The
+grid point goes to `G` raw, since it keys the ladder's points, and `G`'s
+value comes back a pair.  The tail bound `_afe_tail_bound` is raw libmp
+calls, each the one its mpf operator made; mpf objects exist only at the
+returned sums and bounds.
 """
 
 from __future__ import annotations
@@ -365,28 +369,29 @@ def _raw(man: int, exp: int):
     return sign, man, exp + zeros, man.bit_length()
 
 
-def _rational(p: int, q: int, prec: int):
-    """p / q for integers p and q > 0 as a raw mpf, rounded to nearest at
-    prec bits: the bits of `libmp.from_rational`, since a correctly rounded
-    quotient is unique, from one integer division with a sticky bit."""
+def _rational(p: int, q: int, prec: int) -> tuple[int, int]:
+    """p / q for integers p and q > 0 as a (mantissa, exponent) pair, rounded
+    to nearest at prec bits by `_round`: the value of `libmp.from_rational`,
+    since a correctly rounded quotient is unique, from one integer division
+    with a sticky bit."""
     if not p:
-        return libmp.fzero
-    sign = int(p < 0)
-    p = abs(p)
-    extra = prec + q.bit_length() - p.bit_length() + 5  # the quotient keeps prec + 4 bits
-    quot, rem = divmod(p << extra, q) if extra >= 0 else divmod(p, q << -extra)
+        return 0, 0
+    a = abs(p)
+    extra = prec + q.bit_length() - a.bit_length() + 5  # the quotient keeps prec + 4 bits
+    quot, rem = divmod(a << extra, q) if extra >= 0 else divmod(a, q << -extra)
     if rem:
         quot = quot << 1 | 1
         extra += 1
-    return libmp.normalize(sign, quot, -extra, quot.bit_length(), prec, "n")
+    return _round(-quot if p < 0 else quot, -extra, prec)
 
 
 def _term_mag(cx, cy, r, d0: int, gm: int, ge: int, prec: int) -> int:
     """mag(|c| g) = e + bc of |c| g as libmp gives it, which sets a term's
-    digits: c = cx + cy sqrt(d0) for raw cx and cy, r = sqrt|d0| raw, and
-    g = gm 2^ge > 0.  The libmp path takes cy sqrt(d0) as r cy, then |c| as
-    mpf_hypot of cx and r cy for d0 < 0 and as |cx + r cy| for d0 > 0, and
-    rounds |c| g by `_round`, every step at prec bits.
+    digits: c = cx + cy sqrt(d0) for (mantissa, exponent) pairs cx and cy,
+    r = sqrt|d0| raw, and g = gm 2^ge > 0.  The libmp path takes cy sqrt(d0)
+    as r cy, then |c| as mpf_hypot of cx and r cy for d0 < 0 and as
+    |cx + r cy| for d0 > 0, and rounds |c| g by `_round`, every step at prec
+    bits; for cy = 0 both paths give |cx|, and |cx| g is rounded once.
 
     For d0 < 0 and cy != 0 the magnitude is read from the exact integer
     V^2 = (cx^2 + |d0| cy^2) g^2 instead.  The libmp path has five
@@ -396,21 +401,21 @@ def _term_mag(cx, cy, r, d0: int, gm: int, ge: int, prec: int) -> int:
     2^-(prec - 8) of itself away from every power of two, both therefore lie
     strictly between the same two powers of two, and mag(V) =
     floor(log2 V) + 1 is the libmp magnitude.  Otherwise the libmp path
-    decides.  A real quadratic field keeps the libmp sum, whose
-    cancellation the magnitude must see."""
-    if cy == libmp.fzero:  # |cx|, as both libmp paths give it: cx has <= prec bits
-        c = mpf_abs(cx, prec, "n")
+    decides, on raw values.  A real quadratic field keeps the libmp sum,
+    whose cancellation the magnitude must see."""
+    (xm, xe), (ym, ye) = cx, cy
+    if not ym:
+        cm, ce = abs(xm), xe
     elif d0 < 0:
-        (xm, xe), (ym, ye) = _pair(cx), _pair(cy)
         f = min(xe, ye)
         v2 = ((xm * xm << 2 * (xe - f)) - d0 * (ym * ym << 2 * (ye - f))) * gm * gm
         t = v2.bit_length()  # V^2 = v2 2^(2f + 2ge), with 2^(t-1) <= v2 < 2^t
         if min(v2 - (1 << t - 1), (1 << t) - v2) << prec - 8 > v2:
             return (t - 1) // 2 + f + ge + 1
-        c = mpf_hypot(cx, mpf_mul(r, cy, prec, "n"), prec, "n")
+        _, cm, ce, _ = mpf_hypot(_raw(*cx), mpf_mul(r, _raw(*cy), prec, "n"), prec, "n")
     else:
-        c = mpf_abs(mpf_add(cx, mpf_mul(r, cy, prec, "n"), prec, "n"), prec, "n")
-    _, cm, ce, _ = c
+        _, cm, ce, _ = mpf_abs(mpf_add(_raw(*cx), mpf_mul(r, _raw(*cy), prec, "n"), prec, "n"),
+                               prec, "n")
     m, e = _round(cm * gm, ce + ge, prec)
     return e + m.bit_length()
 
@@ -443,18 +448,19 @@ class KernelLadder:
     reaches every integer s >= k with all terms positive (no cancellation),
     so J has the relative accuracy of the two Bessel values.
 
-    Values in and out are raw libmp.  A point is keyed by the raw bits of x
-    its caller passes and the digits asked for; it holds a, the Bessel pair,
-    its rungs J and a^(mu+1) for its top rung mu, which each new rung
-    multiplies by a twice, all as integer (mantissa, exponent) pairs.
-    `prec`, the bits of the `digits` the ladder is made with, is the
-    precision of a, of the prefactor (2 pi)^(-2s) 2^(k+1-2s), kept raw per
-    s, and of G; the rungs and a^(nu+1) are at the point's digits +
-    ENTRY_GUARD digits.  a, a^(nu+1) and the pair come from libmp calls;
-    every product and sum of the rungs and G's product by the prefactor is
-    exact on integers and rounded once by `_round`, so each value has the
-    bits of the libmp operation it stands for: every operation rounds to
-    nearest.
+    x comes in raw and `G` returns a (mantissa, exponent) pair; `bessel_at`
+    and `prefactor`, which the tail bound reads, return raw values.  A point
+    is keyed by the raw bits of x and the digits asked for; it holds a, the
+    Bessel pair, its rungs J and a^(mu+1) for its top rung mu, which each
+    new rung multiplies by a twice, all as integer (mantissa, exponent)
+    pairs.  `prec`, the bits of the `digits` the ladder is made with, is the
+    precision of `four_pi`, pi rounded once, of a, of the prefactor
+    (2 pi)^(-2s) 2^(k+1-2s), kept raw per s, and of G; the rungs and
+    a^(nu+1) are at the point's digits + ENTRY_GUARD digits.  a, a^(nu+1)
+    and the pair come from libmp calls; every product and sum of the rungs
+    and G's product by the prefactor is exact on integers and rounded once
+    by `_round`, so each value has the bits of the libmp operation it
+    stands for: every operation rounds to nearest.
     """
 
     def __init__(self, k: int, digits: int):
@@ -488,11 +494,11 @@ class KernelLadder:
         return _raw(*pt.a), _raw(*pt.k0), _raw(*pt.k1)
 
     def prefactor(self, s: int):
-        """(2 pi)^(-2s) 2^(k+1-2s), raw, computed once per s; the power of two
-        is exact."""
+        """(2 pi)^(-2s) 2^(k+1-2s), raw, computed once per s; 2 pi, half of
+        `four_pi`, and the power of two are exact."""
         pref = self._pref.get(s)
         if pref is None:
-            two_pi = mpf_mul_int(mpf_pi(self.prec, "n"), 2, self.prec, "n")
+            two_pi = mpf_shift(self.four_pi, -1)  # exact: both are pi shifted
             pref = self._pref[s] = mpf_shift(mpf_pow_int(two_pi, -2 * s, self.prec, "n"),
                                              self.k + 1 - 2 * s)
         return pref
@@ -500,14 +506,15 @@ class KernelLadder:
     def G(self, s: int, x, digits: int):
         """G_s(x) for s >= k with a relative error below about 10^-digits:
         the rungs of the point of x climbed to mu = 2s - k, which keeps
-        mu - nu odd, times the prefactor."""
+        mu - nu odd, times the prefactor: a (mantissa, exponent) pair
+        rounded by `_round` at the ladder's prec."""
         mu = 2 * s - self.k
         pt = self._entry(x, digits)
         if mu not in pt.J:  # mu - nu is odd, as every rung's
             self._climb(pt, mu)
         jm, je = pt.J[mu]
         _, pm, pe, _ = self.prefactor(s)  # positive
-        return _raw(*_round(pm * jm, pe + je, self.prec))
+        return _round(pm * jm, pe + je, self.prec)
 
     def _climb(self, pt: _Point, mu: int) -> None:
         """Rungs of `pt` up to mu, each operation rounded at the point's
@@ -731,7 +738,7 @@ class LEngine:
         self.ladder = ladder
         self._sums: dict = {}  # s -> (A(s), its bound)
         self._eps: AlgNum | None = None  # the root number, once solved
-        self.scale = _rational(1, rs.M, self.prec)  # the grid x_n = n / M, raw
+        self.scale = _raw(*_rational(1, rs.M, self.prec))  # the grid x_n = n / M, raw
 
     # -- rigorous tail bound for the smoothed sums ---------------------------
     def _afe_tail_bound(self, s: int, N: int):
@@ -760,7 +767,7 @@ class LEngine:
         def sqrt_int(n: int):
             return mpf_sqrt(from_int(n), prec, "n")
 
-        four_pi = mpf_mul_int(mpf_pi(prec, "n"), 4, prec, "n")
+        four_pi = self.ladder.four_pi  # at the ladder's precision, which is prec
         q = mul(four_pi, mpf_sqrt(self.scale, prec, "n"))
         aN = mul(q, sqrt_int(N + 1))
         if mpf_lt(aN, from_int(2 * mu + 8)) or mpf_lt(mul(q, sqrt_int(N)), from_int(k2 + 8)):
@@ -811,12 +818,13 @@ class LEngine:
             # keeps its error below target / (2 n_max 10^TERM_GUARD)
             base = (self.P + 8 + TERM_GUARD + math.log10(2 * n_max)
                     - float(mpmath.log10(mass)))
-            # raw libmp values and integer pairs from here on, each operation
-            # rounded to nearest at prec, as the mpf operator it stands for;
-            # n * scale and the term products are exact integer products
-            # rounded by `_round`, and mag(|c| g_bound) is `_term_mag`'s
+            # integer (mantissa, exponent) pairs from here on, each rounded
+            # to nearest at prec by `_round` as the libmp operation it stands
+            # for: the coordinates, n * scale, G and the term products.  Raw
+            # values are made only for libmp: the grid point, which keys the
+            # ladder, and the terms, which `mpf_sum` adds
             (sm, se), r = _pair(self.scale), root._mpf_
-            bm, be = _pair(mass._mpf_)  # g_bound
+            gm, ge = _pair(mass._mpf_)  # g_bound: the mass, then the last G
             excess = 0.0  # digits a term needed above the working precision
             sx, sy = [], []  # the nonzero terms of each coordinate
             for n in range(1, N + 1):
@@ -824,20 +832,17 @@ class LEngine:
                 if X or Y:
                     x = _raw(*_round(sm * n, se, prec))  # n * scale
                     den = rs.D * n ** s
-                    cx = _rational(X, den, prec)
-                    cy = _rational(Y, den, prec)
-                    need = base + math.log10(2) * _term_mag(cx, cy, r, d0, bm, be, prec)
+                    cx, cy = _rational(X, den, prec), _rational(Y, den, prec)
+                    need = base + math.log10(2) * _term_mag(cx, cy, r, d0, gm, ge, prec)
                     band = KERNEL_DIGIT_BAND * math.ceil(need / KERNEL_DIGIT_BAND)
                     digits = min(max(band, KERNEL_FLOOR_DIGITS), self.dps)
                     excess = max(excess, need - digits)
-                    gm, ge = _pair(self.ladder.G(s, x, digits))
+                    gm, ge = self.ladder.G(s, x, digits)
+                    (xm, xe), (ym, ye) = cx, cy
                     if X:
-                        xm, xe = _pair(cx)
                         sx.append(_raw(*_round(xm * gm, xe + ge, prec)))
                     if Y:
-                        ym, ye = _pair(cy)
                         sy.append(_raw(*_round(ym * gm, ye + ge, prec)))
-                    bm, be = gm, ge
             Sx = mp.make_mpf(mpf_sum(sx, prec, "n"))
             Sy = root * mp.make_mpf(mpf_sum(sy, prec, "n"))
             A = mpmath.mpc(Sx, Sy) if d0 < 0 else mpmath.mpc(Sx + Sy)

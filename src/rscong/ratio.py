@@ -219,8 +219,7 @@ def _squarefree(n: int) -> bool:
 
 def full_report(h: NewformData, h1: NewformData, h2: NewformData,
                 P_ideal: PrimeIdeal, P: int = 120,
-                ms: list[int] | None = None,
-                series: tuple[RankinSeries, RankinSeries] | None = None) -> dict:
+                ms: list[int] | None = None) -> dict:
     """Run the whole verification pipeline for an auxiliary form h and a
     congruent pair (h1, h2), reporting every critical successive ratio.
 
@@ -258,13 +257,9 @@ def full_report(h: NewformData, h1: NewformData, h2: NewformData,
                "irreducibility_screen_clear")
     violations = [name for name in checked if not hypotheses[name]]
 
-    if series is not None:
-        rs1, rs2 = series
-        n_need = rs1.n_max
-    else:
-        n_need = min(h.n_max, h1.n_max, h2.n_max)
-        rs1 = rs_coefficients(h1, h, n_need)
-        rs2 = rs_coefficients(h2, h, n_need)
+    n_need = min(h.n_max, h1.n_max, h2.n_max)
+    rs1 = rs_coefficients(h1, h, n_need)
+    rs2 = rs_coefficients(h2, h, n_need)
     tr = theorem_ranges(rs1.k, rs1.k2)
     regions = {**dict.fromkeys(tr.left_pairs, "left"), **dict.fromkeys(tr.right_pairs, "right")}
     lower_orientation = h.weight > h1.weight

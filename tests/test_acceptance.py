@@ -48,10 +48,9 @@ def announce(criterion: str, ok: bool, detail: str = ""):
 
 
 @pytest.fixture(scope="module")
-def report74(h_prime, h_dprime, h_aux26, rs_74_prime, rs_74_dprime):
+def report74(h_prime, h_dprime, h_aux26):
     t0 = time.time()
-    rep = full_report(h_aux26, h_prime, h_dprime, L13, P=P_WORK,
-                      series=(rs_74_prime, rs_74_dprime))
+    rep = full_report(h_aux26, h_prime, h_dprime, L13, P=P_WORK)
     rep["_wall"] = time.time() - t0
     return rep
 
@@ -101,12 +100,10 @@ class TestCriterion1Reproduction:
         announce("1+ report.json bytes equal the committed golden",
                  text == GOLDEN_REPORT.read_text())
 
-    def test_p40_matches_the_golden_verdicts_and_ratios(self, h_prime, h_dprime, h_aux26,
-                                                        rs_74_prime, rs_74_dprime):
+    def test_p40_matches_the_golden_verdicts_and_ratios(self, h_prime, h_dprime, h_aux26):
         # the flagship's 23 exact ratios have at most 41 bits per coordinate,
         # so P = 40 already reconstructs them; lower P decides some wrongly
-        rep = full_report(h_aux26, h_prime, h_dprime, L13, P=40,
-                          series=(rs_74_prime, rs_74_dprime))
+        rep = full_report(h_aux26, h_prime, h_dprime, L13, P=40)
         doc = json.loads(json.dumps({k: v for k, v in rep.items() if not k.startswith("_")}))
 
         def outcome(report):

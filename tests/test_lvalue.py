@@ -74,6 +74,12 @@ def on_mpf(fn, *args):
     return tuple(map(mp.make_mpf, out)) if isinstance(out[0], tuple) else mp.make_mpf(out)
 
 
+def kernel_mpf(ladder: KernelLadder, s: int, x, digits: int):
+    """`KernelLadder.G` at an mpf x, its (mantissa, exponent) pair made an
+    mpf."""
+    return mp.make_mpf(lvalue._raw(*ladder.G(s, x._mpf_, digits)))
+
+
 def cut(eng: LEngine, s: int):
     """`lvalue._direct_cut` as the engine's direct sum at s reads it: at its
     n_max and precision, against its raw 10^-P."""
@@ -174,7 +180,7 @@ class TestKernel:
         with mp.workdps(45):
             for s in (13, 19, 25):
                 for x in (mp.mpf(1) / 3, mp.mpf(2), mp.mpf(8)):
-                    fast = on_mpf(ladder.G, s, x, 40)
+                    fast = kernel_mpf(ladder, s, x, 40)
                     ref = afe_kernel(x, s, spec, k)
                     assert abs(fast - ref) / abs(fast) < mp.mpf(10) ** -25
 
@@ -182,14 +188,14 @@ class TestKernel:
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
             for s in (13, 20, 25):
-                tiny = on_mpf(ladder.G, s, mp.mpf(10) ** -30, 40)
+                tiny = kernel_mpf(ladder, s, mp.mpf(10) ** -30, 40)
                 linf = archimedean_factor(s, 13, 55)
                 assert abs(tiny - linf) / abs(linf) < mp.mpf(10) ** -20
 
     def test_monotone_decay(self):
         ladder = KernelLadder(13, 40)
         with mp.workdps(55):
-            vals = [on_mpf(ladder.G, 19, mp.mpf(x), 40) for x in (1, 2, 4, 8, 16, 32)]
+            vals = [kernel_mpf(ladder, 19, mp.mpf(x), 40) for x in (1, 2, 4, 8, 16, 32)]
             assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
 
     def test_contour_pole_rejected(self):
@@ -625,7 +631,25 @@ class TestRawPathBits:
             if rng.random() < 0.2:
                 p = q * (2 * rng.randrange(-99, 99) + 1) << rng.randrange(0, 9)
             prec = rng.randrange(2, 320)
-            assert lvalue._rational(p, q, prec) == libmp.from_rational(p, q, prec, "n"), (p, q, prec)
+            assert lvalue._raw(*lvalue._rational(p, q, prec)) == libmp.from_rational(
+                p, q, prec, "n"), (p, q, prec)
+        # quotients that round up to a signed power of two: 1 - 1/q times
+        # 2^j, 1/q a half (a tie), a sixth and a quarter of the last unit
+        # below 1, where `_round` carries into a mantissa of prec + 1 bits;
+        # and the magnitude of |c| g for such a c with y_n = 0, against
+        # libmp's |c| times g
+        for prec in (2, 3, 53, 200, 601):
+            for den in (1 << prec + 1, 3 << prec + 1, 1 << prec + 2):
+                for j, sign in ((0, 1), (-7, -1), (40, 1)):
+                    p, q = sign * (den - 1) << max(j, 0), den << max(-j, 0)
+                    cx = lvalue._rational(p, q, prec)
+                    want = libmp.from_rational(p, q, prec, "n")
+                    assert (lvalue._raw(*cx), abs(cx[0]).bit_length()) == (want, prec + 1), (p, q)
+                    assert want[1] == 1  # a power of two
+                    for gm, ge in ((1, 0), ((1 << prec) - 1, -prec), (5 << prec - 2 | 1, 3)):
+                        _, _, e, bc = libmp.mpf_mul(libmp.mpf_abs(want),
+                                                    libmp.from_man_exp(gm, ge), prec, "n")
+                        assert lvalue._term_mag(cx, (0, 0), None, -26, gm, ge, prec) == e + bc
 
     def test_integer_rounding_is_libmp(self):
         # `_round` of an exact product or sum against mpf_mul, mpf_mul_int and
@@ -678,7 +702,7 @@ class TestRawPathBits:
                     s = (mu + k) // 2
                     with mp.workdps(dps):
                         want = ref.G(s, mp.make_mpf(x), digits)._mpf_
-                    assert ladder.G(s, x, digits) == want, (x, digits, mu)
+                    assert lvalue._raw(*ladder.G(s, x, digits)) == want, (x, digits, mu)
         assert 0 < len(series) < 2 * len(points)  # each branch ran
 
     @pytest.mark.parametrize("case", ["(12,16)", "(12,22)", "rs_74_prime"])
@@ -738,8 +762,9 @@ class TestRawPathBits:
 
         def checked(cx, cy, r, d0, gm, ge, prec, f=lvalue._term_mag):
             got = f(cx, cy, r, d0, gm, ge, prec)
-            if cy != libmp.fzero:
-                assert got == self.libmp_mag(cx, cy, d0, (gm, ge), prec), (cx, cy, gm, ge)
+            if cy[0]:
+                want = self.libmp_mag(lvalue._raw(*cx), lvalue._raw(*cy), d0, (gm, ge), prec)
+                assert got == want, (cx, cy, gm, ge)
                 seen.append(got)
             return got
 
@@ -770,7 +795,8 @@ class TestRawPathBits:
                     _, vm, ve, _ = libmp.mpf_mul(libmp.mpf_mul(norm, g), g)  # V^2, exact
                     calls = len(hypot_calls)
                     want = self.libmp_mag(cx, cy, d0, (gm, ge), prec)
-                    assert lvalue._term_mag(cx, cy, r, d0, gm, ge, prec) == want, (cx, cy, g)
+                    got = lvalue._term_mag(lvalue._pair(cx), lvalue._pair(cy), r, d0, gm, ge, prec)
+                    assert got == want, (cx, cy, g)
                     gap = min(abs(vm - (1 << k)) for k in (vm.bit_length() - 1, vm.bit_length()))
                     assert (len(hypot_calls) > calls) == (gap << prec - 8 <= vm), (cx, cy, g)
                     near += len(hypot_calls) > calls
