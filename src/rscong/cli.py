@@ -49,15 +49,18 @@ class CliError(Exception):
 
 
 def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[NewformData, str | None]:
-    """Returns (form, fixture_path_or_None)."""
-    if ref.startswith("delta:"):
+    """Returns (form, fixture_path_or_None), the form cut to n_max, or to m
+    for delta:<weight>:<m>."""
+    delta = ref.startswith("delta:")
+    if delta:
         parts = ref.split(":")[1:]
         if len(parts) > 2 or not all(x.isdecimal() for x in parts):
             raise CliError(f"bad form reference {ref!r}: expected delta:<weight>[:<n_max>]")
-        nm = int(parts[1]) if len(parts) > 1 else n_max
-        if nm < 1:
-            raise CliError(f"bad form reference {ref!r}: n_max = {nm}, at least 1 is needed")
-        return delta_family_qexp(int(parts[0]), nm), None
+        n_max = int(parts[1]) if len(parts) > 1 else n_max
+    if n_max < 1:
+        raise CliError(f"bad form reference {ref!r}: n_max = {n_max}, at least 1 is needed")
+    if delta:
+        return delta_family_qexp(int(parts[0]), n_max), None
     path = Path(ref)
     if not path.exists() and fixtures_dir:
         cand = Path(fixtures_dir) / f"{ref}.json"
@@ -65,7 +68,7 @@ def resolve_form(ref: str, fixtures_dir: str | None, n_max: int) -> tuple[Newfor
             path = cand
     if not path.exists():
         raise CliError(f"cannot resolve form reference {ref!r}")
-    return load_fixture(path), str(path)
+    return load_fixture(path, n_max), str(path)
 
 
 def _prime_above(l: int, *forms: NewformData) -> PrimeIdeal:

@@ -6,9 +6,10 @@ quadratic eigenforms share one code path downstream; `from_values` is the one
 conversion from exact values.  Every Eisenstein-type expansion (E_k(chi) with
 its exact constant term, the level-1 E_{k-12} below, the fixture generator's
 weight-1 and weight-3 series) is one integer divisor sum, `divisor_sum`.
-Every product of integer q-series (here and in the fixture generator) is one
-packed integer multiply, `series_mul`, whose slot holds the factors and the
-caller's bound on the kept product coefficients (by default the worst case).
+Every product of integer q-series (here and in the fixture generator) is
+`series_mul`, two packed half-size multiplies at 2^b and -2^b (KS2), whose
+slots hold the factors and the caller's bound on the kept product
+coefficients (by default the worst case).
 The one-dimensional level-1 cuspform family Delta * E_{k-12} has integer
 coefficients, the coordinates with D = 1: Delta = q * (eta^3)^8 squares
 Jacobi's series for eta^3 three times, and each other member is one product
@@ -36,19 +37,24 @@ import mpmath
 
 def series_mul(f, g, n_max: int, bound: int | None = None) -> list[int]:
     """The coefficients c_0 .. c_n_max of the product of two integer
-    q-series, by Kronecker substitution: one integer multiply.
+    q-series, by KS2 (D. Harvey, J. Symbolic Comput. 44, 2009): with
+    F(q) = E(q^2) + q O(q^2), F(+-2^b) = E(2^2b) +- 2^b O(2^2b), and of
+    H+- = F(+-2^b) G(+-2^b), (H+ + H-) / 2 holds the even-index product
+    coefficients at 2^(2bj) and (H+ - H-) / 2^(b+1) the odd-index ones: two
+    multiplies of half the size of one Kronecker product, about 0.67 of its
+    cost under CPython's Karatsuba.  f * f squares both, faster still.
 
-    Every coefficient is stored as c + h in a w-byte slot, h = 2^(8w - 1),
-    so a series packs and unpacks through one `from_bytes`/`to_bytes`, and
-    the packed offsets sum_i h 2^(8wi) are taken off as one integer.  A
-    value v fits when bits(|v|) < 8w, so the slot is the least whole bytes
-    above bits(max(max|f|, max|g|, bound)): every factor coefficient and,
-    for `bound` >= |c_n| for every n <= n_max, every kept coefficient.  The
-    slots above q^n_max need not fit: they add a multiple of 2^(8w(n_max+1)),
-    which the mask drops.  Without a bound it is the worst case,
-    min(len f, len g) max|f| max|g|, as a coefficient is a sum of at most
-    that many products.  f * f packs once and squares, which CPython does
-    faster than a general multiply."""
+    E, O and both halves go through slots of an even w bytes, b = 4w: each
+    coefficient is stored as c + h, h = 2^(8w - 1), so a series packs and
+    unpacks through one `from_bytes`/`to_bytes`, and the packed offsets
+    sum_j h 2^(8wj) are taken off as one integer.  A value fits when
+    bits(|c|) < 8w, so w is the least even number of bytes above
+    bits(max(max|f|, max|g|, bound)): every factor coefficient and, for
+    `bound` >= |c_n| for every n <= n_max, every kept coefficient.  The
+    slots above q^n_max need not fit: they add a multiple of 2^(8wk) to a
+    half of k kept slots, which the mask drops.  Without a bound it is the
+    worst case, min(len f, len g) max|f| max|g|, as a coefficient is a sum
+    of at most that many products."""
     m = n_max + 1
     square = f is g
     f, g = f[:m], g[:m]
@@ -57,20 +63,31 @@ def series_mul(f, g, n_max: int, bound: int | None = None) -> list[int]:
     mf, mg = max(map(abs, f)), max(map(abs, g))
     if bound is None:
         bound = min(len(f), len(g)) * mf * mg
-    w = max(mf, mg, bound).bit_length() // 8 + 1
-    h = 1 << (8 * w - 1)
+    w = 2 * (max(mf, mg, bound).bit_length() // 16 + 1)
+    b, h = 4 * w, 1 << (8 * w - 1)
 
-    def offset(n: int) -> int:  # sum_{i<n} h 2^(8wi)
+    def offset(n: int) -> int:  # sum_{j<n} h 2^(8wj)
         return int.from_bytes(h.to_bytes(w, "little") * n, "little")
 
-    def pack(cs) -> int:  # sum_i c_i 2^(8wi)
+    def pack(cs) -> int:  # sum_j c_j 2^(8wj)
         slots = b"".join((c + h).to_bytes(w, "little") for c in cs)
         return int.from_bytes(slots, "little") - offset(len(cs))
 
-    a = pack(f)
-    low = (a * (a if square else pack(g)) + offset(m)) & ((1 << (8 * w * m)) - 1)
-    raw = low.to_bytes(w * m, "little")
-    return [int.from_bytes(raw[w * i:w * (i + 1)], "little") - h for i in range(m)]
+    def unpack(x: int, n: int) -> list[int]:  # c_0 .. c_{n-1} of x = sum_j c_j 2^(8wj)
+        raw = ((x + offset(n)) & ((1 << (8 * w * n)) - 1)).to_bytes(w * n, "little")
+        return [int.from_bytes(raw[w * j:w * (j + 1)], "little") - h for j in range(n)]
+
+    def at(cs) -> tuple[int, int]:  # F(2^b), F(-2^b)
+        e, o = pack(cs[0::2]), pack(cs[1::2]) << b
+        return e + o, e - o
+
+    fp, fm = at(f)
+    gp, gm = (fp, fm) if square else at(g)
+    hp, hm = fp * gp, fm * gm
+    out = [0] * m
+    out[0::2] = unpack((hp + hm) >> 1, (m + 1) // 2)
+    out[1::2] = unpack((hp - hm) >> (b + 1), m // 2)
+    return out
 
 
 def primes_upto(n: int) -> list[int]:

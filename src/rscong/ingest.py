@@ -25,7 +25,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
@@ -204,9 +204,9 @@ def canonical_bytes(rec: FormRecord) -> bytes:
     return (json.dumps(rec.to_json_obj(), sort_keys=True, indent=1) + "\n").encode()
 
 
-def _checked_record(raw: bytes) -> tuple[FormRecord, NewformData]:
+def _checked_record(raw: bytes, n_max: int | None = None) -> tuple[FormRecord, NewformData]:
     """The record JSON `raw` holds and its newform, checked by
-    `record_to_newform`, the integrity gate."""
+    `record_to_newform`, the integrity gate, on a(1..n_max) if `n_max`."""
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -214,12 +214,13 @@ def _checked_record(raw: bytes) -> tuple[FormRecord, NewformData]:
     except UnicodeDecodeError as exc:
         raise FormatError(exc.start, f"not {exc.encoding}: {exc.reason}") from exc
     rec = parse_record(obj)
-    return rec, record_to_newform(rec)
+    return rec, record_to_newform(rec if n_max is None else replace(rec, coeffs=rec.coeffs[:n_max]))
 
 
-def load_fixture(path: str | Path) -> NewformData:
-    """The checked newform of a fixture file."""
-    return _checked_record(Path(path).read_bytes())[1]
+def load_fixture(path: str | Path, n_max: int | None = None) -> NewformData:
+    """The checked newform of a fixture file, cut to a(1..n_max) when
+    `n_max` is given; the schema check reads the whole file."""
+    return _checked_record(Path(path).read_bytes(), n_max)[1]
 
 
 def save_fixture(rec: FormRecord, path: str | Path) -> None:

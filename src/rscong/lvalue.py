@@ -684,18 +684,26 @@ def _least_n(bound, target, n_max: int, step: int, above: int = 0, hint: int = 0
     doubles over the multiples of `step`, bisects, and tries n_max between
     the last multiple that fails and the first that passes.  A grid point
     `hint` > `above` is tried first: it is the answer when the bound passes
-    there and fails at the grid point below it, if that is above `above`."""
+    there and fails at the grid point below it, if that is above `above`.
+    Otherwise a hint that fails starts the doubling, and a grid point below
+    it that passes ends the bisection."""
+    hi = 0
     if hint:
         below = max(step * ((hint - 1) // step), n_max if n_max < hint else 0)
-        if (b := bound(hint)) < target and (below <= above or not bound(below) < target):
+        if not (b := bound(hint)) < target:
+            above = hint
+        elif below <= above or not (m := bound(below)) < target:
             return hint, b
+        else:  # a below of n_max off the multiples of `step` is returned last
+            hi, b = -(-below // step), m
     top = (1 << 40) // step  # the one cap of every truncated sum
     lo = above // step  # grid indices; step * lo is not an answer
-    hi = min(lo + 1, top)
-    while not (b := bound(step * hi)) < target:
-        if hi == top:
-            return step * hi, b
-        lo, hi = hi, min(2 * hi, top)
+    if not hi:
+        hi = min(lo + 1, top)
+        while not (b := bound(step * hi)) < target:
+            if hi == top:
+                return step * hi, b
+            lo, hi = hi, min(2 * hi, top)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if (m := bound(step * mid)) < target:

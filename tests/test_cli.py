@@ -170,6 +170,16 @@ class TestLvalueCli:
         assert code == 1
         assert repr(ref) in err and "n_max = 0" in err
 
+    def test_n_max_caps_fixture_references(self, capsys):
+        # --n-max cuts a fixture as it cuts delta:<weight>; below 1 it is named
+        form, path = cli.resolve_form("3.13.b.a", str(FIXTURES), 1200)
+        assert form.n_max == 1200 and path == str(FIXTURES / "3.13.b.a.json")
+        assert cli.resolve_form("3.13.b.a", str(FIXTURES), 9000)[0].n_max == 6000
+        code = main(["congruent", f"--fixtures={FIXTURES}", "--form1=3.13.b.a",
+                     "--form2=3.13.b.b", "--prime=13", "--n-max=0"])
+        err = capsys.readouterr().err
+        assert code == 1 and "'3.13.b.a'" in err and "n_max = 0" in err
+
     def test_double_dash_value_is_a_string(self, capsys):
         # argparse of some Python versions reads the value "--" as []
         code = main(["lvalue", "--pair=--", "--s", "40"])

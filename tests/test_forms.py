@@ -302,6 +302,15 @@ class TestSeriesMul:
     @example([], [3, 4], 2)
     @example([0, 0], [0], 1)
     @example([5], [], -1)  # eta^3 to q^-1 at n_max = 0 is empty
+    # KS2 splits each series by index parity: the halves of odd and even
+    # n_max + 1, factors of odd and unequal lengths on both sides of it
+    @example([BIG] * 7, [-BIG] * 3, 4)  # m = 5 between the lengths
+    @example([BIG] * 7, [-BIG, BIG, -BIG], 5)  # m = 6 between them
+    @example([-BIG] * 7, [BIG] * 3, 9)  # m = 10 above both
+    @example([BIG, -BIG, BIG] * 3, [BIG] * 5, 10)  # m = 11 above both
+    @example([3, -5], [-7, 2], 0)  # one product coefficient, no odd half
+    @example([-BIG] * 9, [1], 12)  # squares f of odd length past n_max
+    @example([BIG, 1, -BIG, 2, BIG], [7], 2)  # squares f of odd length cut to 3
     def test_matches_schoolbook(self, f, g, n_max):
         assert series_mul(f, g, n_max) == schoolbook(f, g, n_max)
         assert series_mul(f, f, n_max) == schoolbook(f, f, n_max)  # one packing, squared
@@ -310,6 +319,11 @@ class TestSeriesMul:
     @given(SERIES, SERIES, st.integers(0, 44))
     @example([127], [255], 0)  # 32385 < 2^15: the top bit is the slot's last value bit
     @example([1, BIG], [1, BIG], 1)  # q^2 has BIG^2, twice the slot: masked off
+    # |c_n| = 46340^2 < 2^31 in both halves, of 31 bits: the largest that
+    # fits a slot of w = 4 bytes; 46341^2 has one bit more, and takes w = 6
+    @example([46340, 0, 46340], [46340, -46340], 2)
+    @example([46341, 0, 46341], [46341, -46341], 2)
+    @example([46340, 0, -46340], [0, 46340, 46340], 3)  # c_3 = -46340^2
     def test_tight_bound_matches_schoolbook(self, f, g, n_max):
         # the bound is the largest kept |c_n|, the least a caller may pass
         for a, b in ((f, g), (f, f)):

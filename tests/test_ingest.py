@@ -47,6 +47,21 @@ class TestSchema:
         with pytest.raises(IntegrityError):
             load_fixture(path)
 
+    def test_fixture_cut_to_n_max(self, tmp_path):
+        # the form is the full one's first n_max coefficients, and the
+        # schema check still reads every entry past them
+        full = load_fixture(FIXTURES / "3.13.b.b.json")
+        assert full.n_max == 6000
+        cut = load_fixture(FIXTURES / "3.13.b.b.json", 1200)
+        assert cut == replace(full, x=full.x[:1201], y=full.y[:1201])
+        obj = json.loads((FIXTURES / "3.13.b.a.json").read_bytes())
+        obj["an"][4321] = [1, 1, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SchemaError) as err:
+            load_fixture(path, 1200)
+        assert err.value.pointer == "/an/4321"
+
     def test_non_utf8_fixture_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b'{"label": "\xff"}')

@@ -886,6 +886,28 @@ class TestCutoffSearch:
                         got = lvalue._least_n(bound, 1, n_max, step, above, hint)
                         assert got == want, (n_max, t, hint)
 
+    @pytest.mark.parametrize("t", [2752, 2944, 3008])
+    def test_a_hint_one_step_off_brackets_the_search(self, t):
+        # the P = 120 flagship's misses: a hint one grid step low fails and
+        # starts the doubling at the answer; one step high passes with the
+        # answer below it, which ends a bisection from the first grid point
+        step, n_max = 64, 6000
+        seen = []
+
+        def bound(N):
+            seen.append(N)
+            return 0 if N >= t else mp.inf
+
+        want = lvalue._least_n(bound, 1, n_max, step)
+        full = len(seen)
+        counts = []
+        for hint in (t - step, t + step):
+            seen.clear()
+            assert lvalue._least_n(bound, 1, n_max, step, hint=hint) == want == (t, 0)
+            counts.append(len(seen))
+        assert full == 12 and counts[0] == 2
+        assert counts[1] == 2 + math.ceil(math.log2(t // step)) < full
+
     @pytest.mark.parametrize("h, k2, n, P", [
         *((12, k2, 600, P) for k2 in (16, 26) for P in (8, 30, 120)),
         (12, 16, 127, 30),  # every cutoff is n_max itself, no multiple of 64
